@@ -34,7 +34,7 @@ import numpy as np
 from .covariance import (
     DEFAULT_POLICY,
     EvaluationPolicy,
-    _box_array,
+    box_power_integrals,
     central_L_coefficient,
     j_constant,
     representative_radius,
@@ -44,6 +44,7 @@ from .fields import (
     ConstantVol,
     FieldGrid,
     SchemeParams,
+    check_rate_hypothesis,
     hybrid_simulate,
     prepare_hybrid,
     prepare_riemann,
@@ -458,8 +459,7 @@ def hybrid_mse(
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    from .fields import _check_rate_hypothesis  # shared warning logic
-    _check_rate_hypothesis(kernel, params)
+    check_rate_hypothesis(kernel, params)
 
     alpha = kernel.alpha
     n, kappa, N = params.n, params.kappa, params.n_trunc
@@ -524,8 +524,8 @@ def hybrid_mse(
     def _rep_radii(a_arr, b_arr):
         if policy.mode == "midpoint":
             return np.hypot(a_arr.astype(float), b_arr.astype(float))
-        return _box_array(a_arr.astype(float), b_arr.astype(float),
-                          alpha) ** (1.0 / alpha)
+        return box_power_integrals(a_arr.astype(float), b_arr.astype(float),
+                                   alpha) ** (1.0 / alpha)
 
     # the adaptive budget is split over the near cells only: the far cells'
     # fixed tensor-Gauss rule is exact to roundoff once g is smooth on the

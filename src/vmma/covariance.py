@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "triangle_integral",
     "box_power_integral",
+    "box_power_integrals",
     "cross_covariance_integral",
     "CovarianceBlock",
     "build_block",
@@ -148,8 +149,11 @@ def triangle_integral(p: float, q: float, exponent: float) -> float:
     return float(_tr_array(p, q, exponent)[()])
 
 
-def _box_array(j1, j2, e: float):
-    """box((j1, j2), e) for canonical integer cells j1 >= j2 >= 0, vectorized.
+def box_power_integrals(j1, j2, e: float):
+    """box((j1, j2), e) for arrays of octant representatives j1 >= j2 >= 0.
+
+    The vectorized form of box_power_integral: same closed form, one call
+    for many cells (used for the optimal radii of whole kernel matrices).
 
     Assembles the unit square centred at (j1, j2) from triangle integrals,
     using the dihedral symmetry of ||.||:
@@ -158,9 +162,15 @@ def _box_array(j1, j2, e: float):
       axis j2=0       2 * [tr+ - tr- on the half strip [j1-+1/2] x [0, 1/2]]
       interior        four-corner difference of triangles
     """
+    _check_exponent(e)
     j1 = np.asarray(j1, dtype=float)
     j2 = np.asarray(j2, dtype=float)
     j1, j2 = np.broadcast_arrays(j1, j2)
+    if not np.all((0.0 <= j2) & (j2 <= j1)):
+        raise ValidationError(
+            "box_power_integrals needs octant representatives 0 <= j2 <= j1; "
+            "reduce by symmetry first"
+        )
     out = np.empty(j1.shape, dtype=float)
 
     origin = (j1 == 0) & (j2 == 0)
@@ -200,7 +210,7 @@ def _canonical_cell(j) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _box_cached(j1: int, j2: int, e: float) -> float:
-    return float(_box_array(j1, j2, e)[()])
+    return float(box_power_integrals(j1, j2, e)[()])
 
 
 def box_power_integral(j, exponent: float) -> float:
@@ -485,8 +495,8 @@ def j_constant(
     j2 = np.array(j2s, dtype=float)
     mult = np.array(mult)
 
-    box2a = _box_array(j1, j2, 2.0 * alpha)
-    boxa = _box_array(j1, j2, alpha)
+    box2a = box_power_integrals(j1, j2, 2.0 * alpha)
+    boxa = box_power_integrals(j1, j2, alpha)
     if policy.mode == "midpoint":
         r_a = np.hypot(j1, j2) ** alpha
         per_cell = box2a - 2.0 * r_a * boxa + r_a**2

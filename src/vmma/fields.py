@@ -18,6 +18,13 @@ SECOND coordinate i2 and the column tracking i1.  All index windows below are
 centred: an array of side 2m+1 covers indices -m..m with index 0 at the
 middle.
 
+Far field: the step-kernel matrix (side 2*N+1, N = n_trunc) is filled from
+its octant, one kernel evaluation per canonical cell a >= b >= 0, and is
+convolved with the (S, S) noise sheet as a CIRCULAR convolution of period
+P = next_fast_len(S).  Output i reads sheet cells i-N..i+N only, all inside
+the sheet, so P >= S already rules out wrap-around and no padding to the
+linear size S + 2N is needed.
+
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
 s1 = 2*(half+kappa)+1 and d = (2*kappa+1)^2 + 1, mapped through the block's
@@ -42,6 +49,7 @@ from .covariance import (
     CovarianceBlock,
     EvaluationPolicy,
     box_power_integral,
+    box_power_integrals,
     build_block,
     central_L_coefficient,
     optimal_b_norm,
@@ -61,6 +69,7 @@ __all__ = [
     "rng_stream",
     "sample_noise",
     "conv2_fft",
+    "check_rate_hypothesis",
     "HybridPlan",
     "prepare_hybrid",
     "hybrid_simulate",
@@ -342,6 +351,29 @@ def sample_noise(
 # FFT convolution
 
 
+def _circular_convolve(fft_a: np.ndarray, b: np.ndarray, period: int,
+                       start: int, side: int, workers: int | None) -> np.ndarray:
+    """Circular convolution of period `period` of a kernel, given by its
+    rfft2 `fft_a` at that period, with the sheet b; returns the side x side
+    block from (start, start).  The one FFT-convolution path of the module.
+
+    The block equals the linear convolution wherever no term wraps: for the
+    far field (start 2N, side 2*half+1, period >= side(b)) every kept output
+    reads only cells inside the sheet; for the full linear convolution
+    (start 0) the period must cover the whole output.
+    """
+    w = fft_workers(workers)
+    fb = _fft.rfft2(b, s=(period, period), workers=w)
+    full = _fft.irfft2(fft_a * fb, s=(period, period), workers=w)
+    return full[start:start + side, start:start + side]
+
+
+def _sheet_period(params: SchemeParams, half: int) -> int:
+    """FFT period of the far field: the fast length of the noise sheet side
+    S = 2*(n_trunc+half)+1."""
+    return _fft.next_fast_len(2 * (params.n_trunc + half) + 1, real=True)
+
+
 def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Full 2D linear convolution of two real square matrices via FFT.
 
@@ -356,23 +388,19 @@ def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.nd
         raise ValidationError(f"conv2_fft: second matrix not square 2D, got {b.shape}")
     out = a.shape[0] + b.shape[0] - 1
     fsh = _fft.next_fast_len(out, real=True)
-    w = fft_workers(workers)
-    fa = _fft.rfft2(a, s=(fsh, fsh), workers=w)
-    fb = _fft.rfft2(b, s=(fsh, fsh), workers=w)
-    full = _fft.irfft2(fa * fb, s=(fsh, fsh), workers=w)
-    return full[:out, :out]
-
-
-def _centered_crop(full: np.ndarray, side: int) -> np.ndarray:
-    start = (full.shape[0] - side) // 2
-    return full[start:start + side, start:start + side]
+    fa = _fft.rfft2(a, s=(fsh, fsh), workers=fft_workers(workers))
+    return _circular_convolve(fa, b, fsh, 0, out, workers)
 
 
 # ---------------------------------------------------------------------------
 # Hybrid scheme
 
 
-def _check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
+def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
+    """Warn (RateHypothesisWarning) when gamma is not above the threshold
+    -(1+alpha)/(1+beta) of a kernel with polynomial decay x**beta, below
+    which the truncation error is not guaranteed to vanish at the scheme's
+    rate.  Shared by the engines and the MSE analysis."""
     beta = getattr(kernel, "beta_decay", -math.inf)
     if math.isfinite(beta):
         threshold = -(1.0 + kernel.alpha) / (1.0 + beta)
@@ -404,31 +432,37 @@ def _inner_weights(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
     return w
 
 
-def _outer_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    """Step-kernel matrix A: zero on the inner block, g(r_k/n) outside, up to
-    the truncation window.  Side 2*n_trunc+1."""
-    n, N, kappa = params.n, params.n_trunc, params.kappa
-    k = np.arange(-N, N + 1)
-    k1 = k[None, :]  # columns: first coordinate
-    k2 = k[:, None]  # rows: second coordinate
-    if params.policy.mode == "midpoint":
-        r = np.hypot(k1, k2).astype(float)
+def _step_kernel_matrix(kernel: KernelSpec, n: int, N: int,
+                        kappa: int | None, optimal: bool) -> np.ndarray:
+    """g(r_k / n) on the cells k with max|k| <= N: side 2N+1, centred.
+
+    r_k is the midpoint radius |k|, or with `optimal` the L2-optimal radius
+    box(k, alpha)**(1/alpha).  With kappa given, the inner block max|k| <=
+    kappa is zero (hybrid); with kappa None the central cell, where the
+    midpoint sits on the singularity, takes its optimal radius (Riemann).
+
+    Both radii depend on k only through its octant representative (a, b) =
+    (max|k_i|, min|k_i|), so g is evaluated once per canonical cell, stored
+    at index a(a+1)/2 + b, and scattered over the grid's eight symmetries.
+    """
+    alpha = kernel.alpha
+    a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    b = np.arange(a.size) - a * (a + 1) // 2
+    first = 0 if kappa is None else (kappa + 1) * (kappa + 2) // 2
+    a, b = a[first:].astype(float), b[first:].astype(float)
+    if optimal:
+        r = box_power_integrals(a, b, alpha) ** (1.0 / alpha)
     else:
-        r = np.empty((2 * N + 1, 2 * N + 1))
-        # optimal radii depend on |k| only through the octant representative;
-        # build a lookup over the canonical (a >= b >= 0) pairs
-        lut = {}
-        for a in range(0, N + 1):
-            for b in range(0, a + 1):
-                lut[(a, b)] = optimal_b_norm((a, b), kernel.alpha)
-        aa = np.maximum(np.abs(k1), np.abs(k2))
-        bb = np.minimum(np.abs(k1), np.abs(k2))
-        for (a, b), v in lut.items():
-            r[(aa == a) & (bb == b)] = v
-    A = np.zeros_like(r)
-    outside = np.maximum(np.abs(k1), np.abs(k2)) > kappa
-    A[outside] = kernel.eval_g(r[outside] / n)
-    return A
+        r = np.hypot(a, b)
+    if kappa is None:
+        r[0] = optimal_b_norm((0, 0), alpha)
+    octant = np.zeros(first + r.size)
+    octant[first:] = kernel.eval_g(r / n)
+    k = np.arange(N + 1)
+    hi, lo = np.maximum.outer(k, k), np.minimum.outer(k, k)
+    quadrant = octant[hi * (hi + 1) // 2 + lo]
+    mirror = np.abs(np.arange(-N, N + 1))
+    return quadrant[np.ix_(mirror, mirror)]
 
 
 @dataclass(frozen=True)
@@ -441,8 +475,8 @@ class HybridPlan:
     block: CovarianceBlock
     weights: np.ndarray          # aligned with block.offsets
     a_matrix: np.ndarray         # (2N+1)^2 step kernel
-    fft_a: np.ndarray            # rfft2 of a_matrix at conv shape
-    fshape: int
+    fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
+    fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
 
     @property
     def out_side(self) -> int:
@@ -462,27 +496,17 @@ def prepare_hybrid(
     m0 = params.n if half is None else int(half)
     if m0 < 1:
         raise ValidationError(f"output half-width must be >= 1, got {m0}")
-    _check_rate_hypothesis(kernel, params)
+    check_rate_hypothesis(kernel, params)
     block = build_block(kernel.alpha, params.kappa, params.n)
     weights = _inner_weights(kernel, params)
-    A = _outer_kernel_matrix(kernel, params)
-    S = 2 * (params.n_trunc + m0) + 1
-    out = A.shape[0] + S - 1
-    fsh = _fft.next_fast_len(out, real=True)
+    A = _step_kernel_matrix(kernel, params.n, params.n_trunc, params.kappa,
+                            optimal=params.policy.mode == "optimal")
+    fsh = _sheet_period(params, m0)
     fa = _fft.rfft2(A, s=(fsh, fsh), workers=fft_workers(workers))
     return HybridPlan(
         kernel=kernel, params=params, half=m0, block=block, weights=weights,
         a_matrix=A, fft_a=fa, fshape=fsh,
     )
-
-
-def _convolve_outer(plan: HybridPlan, B: np.ndarray, workers: int | None) -> np.ndarray:
-    """conv(A, B) cropped to the output window -half..half."""
-    w = fft_workers(workers)
-    fb = _fft.rfft2(B, s=(plan.fshape, plan.fshape), workers=w)
-    out = plan.a_matrix.shape[0] + B.shape[0] - 1
-    full = _fft.irfft2(plan.fft_a * fb, s=(plan.fshape, plan.fshape), workers=w)
-    return _centered_crop(full[:out, :out], plan.out_side)
 
 
 def hybrid_simulate(
@@ -533,7 +557,7 @@ def hybrid_simulate(
         B = sigma * plain
 
     side = 2 * m0 + 1
-    x_hat = _convolve_outer(plan, B, workers)
+    x_hat = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N, side, workers)
 
     x_tilde = np.zeros((side, side))
     for idx, (j1, j2) in enumerate(plan.block.offsets):
@@ -566,9 +590,9 @@ class RiemannPlan:
     kernel: KernelSpec
     params: SchemeParams
     half: int
-    a_matrix: np.ndarray
-    fft_a: np.ndarray
-    fshape: int
+    a_matrix: np.ndarray         # (2N+1)^2 step kernel
+    fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
+    fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
 
     @property
     def out_side(self) -> int:
@@ -579,11 +603,8 @@ def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarra
     """Step-kernel matrix of the Riemann scheme: g at cell midpoints for all
     cells in the truncation window, with the central cell evaluated at its
     optimal radius (the midpoint would sit on the singularity)."""
-    N = params.n_trunc
-    k = np.arange(-N, N + 1)
-    r = np.hypot(k[None, :], k[:, None]).astype(float)
-    r[N, N] = optimal_b_norm((0, 0), kernel.alpha)
-    return kernel.eval_g(r / params.n)
+    return _step_kernel_matrix(kernel, params.n, params.n_trunc, None,
+                               optimal=False)
 
 
 def prepare_riemann(
@@ -595,11 +616,9 @@ def prepare_riemann(
     m0 = params.n if half is None else int(half)
     if m0 < 1:
         raise ValidationError(f"output half-width must be >= 1, got {m0}")
-    _check_rate_hypothesis(kernel, params)
+    check_rate_hypothesis(kernel, params)
     A = riemann_kernel_matrix(kernel, params)
-    S = 2 * (params.n_trunc + m0) + 1
-    out = A.shape[0] + S - 1
-    fsh = _fft.next_fast_len(out, real=True)
+    fsh = _sheet_period(params, m0)
     fa = _fft.rfft2(A, s=(fsh, fsh), workers=fft_workers(workers))
     return RiemannPlan(kernel=kernel, params=params, half=m0,
                        a_matrix=A, fft_a=fa, fshape=fsh)
@@ -648,11 +667,8 @@ def riemann_simulate(
         sigma = vol.realize(n, N + m0, rng_vol)
         B = sigma * plain
 
-    w = fft_workers(workers)
-    fb = _fft.rfft2(B, s=(plan.fshape, plan.fshape), workers=w)
-    out = plan.a_matrix.shape[0] + S - 1
-    full = _fft.irfft2(plan.fft_a * fb, s=(plan.fshape, plan.fshape), workers=w)
-    values = _centered_crop(full[:out, :out], plan.out_side)
+    values = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N,
+                                plan.out_side, workers)
     if const is not None and const != 1.0:
         values = const * values
     return FieldGrid(values=values, spacing=1.0 / n, origin=(-m0 / n, -m0 / n))

@@ -17,6 +17,7 @@ from vmma.covariance import (
     DEFAULT_POLICY,
     EvaluationPolicy,
     box_power_integral,
+    box_power_integrals,
     build_block,
     central_L_coefficient,
     cross_covariance_integral,
@@ -148,6 +149,22 @@ def test_box_exponent_domain():
         box_power_integral((1, 0), -2.0)
     with pytest.raises(ValidationError):
         box_power_integral((1, 0), 0.1)
+
+
+def test_box_vectorized_matches_scalar_and_validates():
+    # all four branches: origin, axis, diagonal, interior
+    a = np.array([0, 1, 2, 3, 5, 7])
+    b = np.array([0, 0, 2, 1, 5, 3])
+    for e in (-1.6, -0.5, 0.0):
+        got = box_power_integrals(a, b, e)
+        ref = [box_power_integral((int(x), int(y)), e) for x, y in zip(a, b)]
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValidationError):
+        box_power_integrals(np.array([0, 1]), np.array([1, 0]), -0.5)
+    with pytest.raises(ValidationError):
+        box_power_integrals(np.array([-1]), np.array([0]), -0.5)
+    with pytest.raises(ValidationError):
+        box_power_integrals(np.array([1]), np.array([0]), -2.0)
 
 
 # ---------------------------------------------------------------------------

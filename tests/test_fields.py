@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
-from vmma.covariance import build_block
+from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
 from vmma.errors import EmbeddingError, ValidationError
 from vmma.fields import (
     ConstantVol,
@@ -23,11 +24,14 @@ from vmma.fields import (
     ProvidedGridVol,
     RateHypothesisWarning,
     SchemeParams,
+    _circular_convolve,
     circulant_simulate,
     conv2_fft,
     fft_workers,
     hybrid_simulate,
     prepare_hybrid,
+    prepare_riemann,
+    riemann_kernel_matrix,
     riemann_simulate,
     rng_stream,
     sample_noise,
@@ -517,6 +521,97 @@ def test_riemann_deterministic():
     assert np.array_equal(
         riemann_simulate(k, p).values, riemann_simulate(k, p).values
     )
+
+
+# ---------------------------------------------------------------------------
+# far field: circular convolution at the noise sheet's fast length, octant fill
+# ---------------------------------------------------------------------------
+
+
+def _far_field_direct(A, B, N, half):
+    """sum_k A_k B_{i-k} for outputs i = -half..half, by direct summation.
+
+    A covers k = -N..N and B the sheet cells -(N+half)..N+half; output row
+    r reads sheet rows r..r+2N in reverse (k = N..-N), likewise columns.
+    """
+    side = 2 * half + 1
+    out = np.empty((side, side))
+    for r in range(side):
+        for c in range(side):
+            out[r, c] = np.sum(A * B[r:r + 2 * N + 1, c:c + 2 * N + 1][::-1, ::-1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, gamma, kappa, half",
+    [
+        (5, 0.4, 0, 5),    # S = 29, not a fast length (period 30); kappa = 0
+        (5, 0.4, 1, 14),   # half = n_trunc + n, the window ExpVmmaVolatility uses
+        (6, 0.3, 2, 3),    # half < n
+    ],
+)
+def test_far_field_circular_convolution_matches_direct_sum(n, gamma, kappa, half):
+    p = SchemeParams(n=n, gamma=gamma, kappa=kappa)
+    N = p.n_trunc
+    S = 2 * (N + half) + 1
+    B = np.random.default_rng(n + half).standard_normal((S, S))
+    for plan in (prepare_hybrid(Matern(0.4, 1.0), p, half=half),
+                 prepare_riemann(Matern(0.4, 1.0), p, half=half)):
+        got = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N,
+                                 2 * half + 1, 1)
+        ref = _far_field_direct(plan.a_matrix, B, N, half)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def _dense_radii(N):
+    k = np.arange(-N, N + 1)
+    return k[None, :], k[:, None], np.hypot(k[None, :], k[:, None])
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [Matern(0.4, 1.0), ExpDecay(-0.3)])
+def test_octant_hybrid_matrix_equals_dense_evaluation(kernel, kappa):
+    p = SchemeParams(n=7, gamma=0.5, kappa=kappa)
+    k1, k2, r = _dense_radii(p.n_trunc)
+    outside = np.maximum(np.abs(k1), np.abs(k2)) > kappa
+    ref = np.zeros(r.shape)
+    ref[outside] = kernel.eval_g(r[outside] / p.n)
+    assert np.array_equal(prepare_hybrid(kernel, p).a_matrix, ref)
+
+
+@pytest.mark.parametrize("kernel", [Matern(0.4, 1.0), ExpDecay(-0.3)])
+def test_octant_riemann_matrix_equals_dense_evaluation(kernel):
+    p = SchemeParams(n=7, gamma=0.5)
+    N = p.n_trunc
+    _, _, r = _dense_radii(N)
+    r[N, N] = optimal_b_norm((0, 0), kernel.alpha)
+    assert np.array_equal(riemann_kernel_matrix(kernel, p), kernel.eval_g(r / p.n))
+
+
+def test_octant_optimal_policy_matches_scalar_radii():
+    kernel = Matern(0.3, 1.0)
+    p = SchemeParams(n=6, gamma=0.4, kappa=1,
+                     policy=EvaluationPolicy(mode="optimal"))
+    N = p.n_trunc
+    ref = np.zeros((2 * N + 1, 2 * N + 1))
+    for j2 in range(-N, N + 1):
+        for j1 in range(-N, N + 1):
+            if max(abs(j1), abs(j2)) > p.kappa:
+                r = optimal_b_norm((j1, j2), kernel.alpha)
+                ref[j2 + N, j1 + N] = kernel.eval_g(r / p.n)
+    np.testing.assert_allclose(prepare_hybrid(kernel, p).a_matrix, ref,
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("half", [None, 3, 17])
+def test_plan_fft_period_is_noise_sheet_fast_length(half):
+    # the far field never pads to the linear size 2N+1 + S - 1
+    k = ExpDecay(-0.5)
+    p = SchemeParams(n=6, gamma=0.4, kappa=1)
+    m0 = p.n if half is None else half
+    period = next_fast_len(2 * (p.n_trunc + m0) + 1, real=True)
+    assert prepare_hybrid(k, p, half=half).fshape == period
+    assert prepare_riemann(k, p, half=half).fshape == period
 
 
 # ---------------------------------------------------------------------------
