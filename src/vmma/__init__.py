@@ -18,8 +18,8 @@ Layout:
 * analysis    — variograms, the square-increment dimension estimator,
   Monte-Carlo roughness studies, and the deterministic MSE decomposition.
 * gridio      — VMG1 binary grids, CSV, and PGM export.
-* specfun     — small special-function layer (Bessel K, a Gauss
-  hypergeometric slice, incomplete beta for negative second parameter).
+* specfun     — small special-function layer (Bessel K and a Gauss
+  hypergeometric slice).
 * cli         — the ``vmma`` command.
 """
 

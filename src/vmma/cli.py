@@ -12,8 +12,10 @@ Four subcommands:
 
 Every command accepts ``--config FILE`` (JSON with long option names as
 keys; explicit flags always win) and ``--verbose`` (echoes the effective
-configuration to stderr).  ``--threads`` (or the VMMA_THREADS environment
-variable) caps FFT worker counts without changing any output value.
+configuration to stderr).  ``simulate`` and ``roughness`` also accept
+``--threads``, which caps the FFT worker count of that call (without it the
+VMMA_THREADS environment variable, else 1) and never changes any output
+value; ``mse`` and ``covariance`` run no FFT and take no ``--threads``.
 
 Exit codes: 0 success, 2 argument/usage errors, 3 numeric failures.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -192,11 +193,13 @@ def _echo_config(eff: dict, command: str, verbose: bool):
         print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr)
 
 
-def _apply_threads(threads):
-    if threads is not None:
-        if int(threads) < 1:
-            raise ValidationError(f"--threads must be >= 1, got {threads}")
-        os.environ["VMMA_THREADS"] = str(int(threads))
+def _workers(threads) -> int | None:
+    """FFT worker count from --threads; None defers to VMMA_THREADS."""
+    if threads is None:
+        return None
+    if int(threads) < 1:
+        raise ValidationError(f"--threads must be >= 1, got {threads}")
+    return int(threads)
 
 
 def _csv_floats(text) -> tuple:
@@ -242,7 +245,7 @@ def cmd_simulate(args) -> int:
                     formats=["vmg"], policy="midpoint", threads=None)
     eff = _effective(args, defaults)
     _echo_config(eff, "simulate", args.verbose)
-    _apply_threads(eff["threads"])
+    workers = _workers(eff["threads"])
     if not eff["kernel"]:
         raise ValidationError("--kernel is required")
     kernel = parse_kernel(eff["kernel"])
@@ -266,7 +269,7 @@ def cmd_simulate(args) -> int:
         variance = vol.c**2 * kernel.g_squared_integral()
         grid = circulant_simulate(
             lambda r: matern_correlation(kernel.nu, kernel.lam, r),
-            variance, n, seed=seed, replicate=replicate,
+            variance, n, seed=seed, replicate=replicate, workers=workers,
         )
         n_trunc = 0
     else:
@@ -275,9 +278,11 @@ def cmd_simulate(args) -> int:
                               policy=_parse_policy(str(eff["policy"])))
         n_trunc = params.n_trunc
         if scheme == "hybrid":
-            grid = hybrid_simulate(kernel, params, vol, replicate=replicate)
+            grid = hybrid_simulate(kernel, params, vol, replicate=replicate,
+                                   workers=workers)
         elif scheme == "riemann":
-            grid = riemann_simulate(kernel, params, vol, replicate=replicate)
+            grid = riemann_simulate(kernel, params, vol, replicate=replicate,
+                                    workers=workers)
         else:
             raise ValidationError(
                 f"unknown scheme {eff['scheme']!r} (hybrid, riemann, circulant)"
@@ -299,13 +304,14 @@ def cmd_roughness(args) -> int:
     )
     eff = _effective(args, defaults)
     _echo_config(eff, "roughness", args.verbose)
-    _apply_threads(eff["threads"])
+    workers = _workers(eff["threads"])
     alphas = _csv_floats(eff["alphas"])
     schemes = [parse_scheme(s) for s in _csv_strs(eff["schemes"])]
 
     report = roughness_study(
         alphas, schemes, n=int(eff["n"]), gamma=float(eff["gamma"]),
         replicates=int(eff["replicates"]), seed=int(eff["seed"]),
+        workers=workers,
     )
     _write_lines(report.to_csv_lines(), eff["out"])
 
@@ -334,10 +340,9 @@ def cmd_roughness(args) -> int:
 
 def cmd_mse(args) -> int:
     defaults = dict(kernel=None, n_list=[20, 40, 80], gamma=0.5, kappa=1,
-                    policy="midpoint", out=None, threads=None)
+                    policy="midpoint", out=None)
     eff = _effective(args, defaults)
     _echo_config(eff, "mse", args.verbose)
-    _apply_threads(eff["threads"])
     if not eff["kernel"]:
         raise ValidationError("--kernel is required")
     kernel = parse_kernel(eff["kernel"])
@@ -350,10 +355,9 @@ def cmd_mse(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    defaults = dict(alpha=None, kappa=1, n=1, out=None, threads=None)
+    defaults = dict(alpha=None, kappa=1, n=1, out=None)
     eff = _effective(args, defaults)
     _echo_config(eff, "covariance", args.verbose)
-    _apply_threads(eff["threads"])
     if eff["alpha"] is None:
         raise ValidationError("--alpha is required")
     block = build_block(float(eff["alpha"]), int(eff["kappa"]), int(eff["n"]))
@@ -369,14 +373,15 @@ def cmd_covariance(args) -> int:
 # Parser
 
 
-def _add_common(sp):
+def _add_common(sp, threads=False):
     sp.add_argument("--config", default=None, metavar="FILE",
                     help="JSON file with long option names as keys; flags win")
     sp.add_argument("--verbose", action="store_true",
                     help="echo the effective configuration to stderr")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="cap FFT worker count (fallback: VMMA_THREADS); "
-                         "never changes results")
+    if threads:
+        sp.add_argument("--threads", type=int, default=None,
+                        help="cap FFT worker count (fallback: VMMA_THREADS); "
+                             "never changes results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", dest="formats", action="append",
                     choices=["vmg", "csv", "pgm"], default=None,
                     help="output format; repeatable")
-    _add_common(ps)
+    _add_common(ps, threads=True)
     ps.set_defaults(func=cmd_simulate)
 
     pr = sub.add_parser("roughness", help="Monte-Carlo roughness study")
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write (alpha, mean_dim) pairs per scheme to this CSV")
     pr.add_argument("--timing-out", dest="timing_out", default=None,
                     help="write per-scheme wall times (1 and all replicates)")
-    _add_common(pr)
+    _add_common(pr, threads=True)
     pr.set_defaults(func=cmd_roughness)
 
     pm = sub.add_parser("mse", help="deterministic hybrid-scheme error decomposition")

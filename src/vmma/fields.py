@@ -10,7 +10,8 @@ Three engines produce (2n+1) x (2n+1) grids over [-1, 1]^2 with spacing 1/n:
 * riemann_simulate  — the pure step-function discretization over the whole
   truncation window (one FFT convolution; known to underestimate roughness).
 * circulant_simulate — exact stationary Gaussian baseline via circulant
-  embedding, used as the ground-truth oracle in tests and studies.
+  embedding, used as the ground-truth oracle in tests and studies; the
+  embedding is built from a table of covariances on integer lags.
 
 Index conventions: an integer grid index pair (i1, i2) denotes the physical
 point (i1/n, i2/n); arrays are laid out [row, col] with the ROW tracking the
@@ -24,6 +25,12 @@ convolved with the (S, S) noise sheet as a CIRCULAR convolution of period
 P = next_fast_len(S).  Output i reads sheet cells i-N..i+N only, all inside
 the sheet, so P >= S already rules out wrap-around and no padding to the
 linear size S + 2N is needed.
+
+Lag table: the circulant embedding's base matrix on an M x M torus depends
+only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
+the two lags, so the correlation is evaluated once per canonical lag
+a >= b >= 0 and mirrored.  A doubling of M extends the table by the new lags
+only, so each distinct lag is evaluated once across all doublings.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -203,16 +210,18 @@ def fft_workers(workers: int | None = None) -> int:
 class VolatilityModel:
     """Positive volatility field sigma on the extended cell-index window.
 
-    realize(n, half, rng) returns sigma as an (S, S) array, S = 2*half+1,
-    covering cell indices -half..half at spacing 1/n.  constant_value is the
-    scalar c when sigma is deterministic-constant, else None (engines exploit
-    constants by simulating at sigma=1 and scaling once at the end, which
-    makes the linearity in sigma exact to the last bit).
+    realize(n, half, rng, workers) returns sigma as an (S, S) array,
+    S = 2*half+1, covering cell indices -half..half at spacing 1/n; workers
+    caps the FFT worker count of a simulated volatility.  constant_value is
+    the scalar c when sigma is deterministic-constant, else None (engines
+    exploit constants by simulating at sigma=1 and scaling once at the end,
+    which makes the linearity in sigma exact to the last bit).
     """
 
     constant_value: float | None = None
 
-    def realize(self, n: int, half: int, rng: np.random.Generator) -> np.ndarray:
+    def realize(self, n: int, half: int, rng: np.random.Generator,
+                workers: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def validate_against(self, kernel: KernelSpec):
@@ -233,7 +242,7 @@ class ConstantVol(VolatilityModel):
     def constant_value(self) -> float:
         return self.c
 
-    def realize(self, n, half, rng):
+    def realize(self, n, half, rng, workers=None):
         return np.full((2 * half + 1, 2 * half + 1), self.c)
 
 
@@ -251,7 +260,7 @@ class ProvidedGridVol(VolatilityModel):
             raise ValidationError("provided sigma values must be finite and > 0")
         object.__setattr__(self, "sigma", s)
 
-    def realize(self, n, half, rng):
+    def realize(self, n, half, rng, workers=None):
         S = 2 * half + 1
         if self.sigma.shape != (S, S):
             raise ValidationError(
@@ -295,11 +304,11 @@ class ExpVmmaVolatility(VolatilityModel):
                 f"exceed the host kernel's alpha={kernel.alpha}"
             )
 
-    def realize(self, n, half, rng):
+    def realize(self, n, half, rng, workers=None):
         params = SchemeParams(n=n, gamma=self.gamma, kappa=self.kappa)
         grid = hybrid_simulate(
             self.inner_kernel, params, ConstantVol(1.0),
-            rng_noise=rng, half=half,
+            rng_noise=rng, half=half, workers=workers,
         )
         return volatility_from_log_field(grid.values)
 
@@ -553,7 +562,7 @@ def hybrid_simulate(
     else:
         if rng_vol is None:
             rng_vol = rng_stream(params.seed, 1, replicate)
-        sigma = vol.realize(n, N + m0, rng_vol)
+        sigma = vol.realize(n, N + m0, rng_vol, workers)
         B = sigma * plain
 
     side = 2 * m0 + 1
@@ -664,7 +673,7 @@ def riemann_simulate(
     else:
         if rng_vol is None:
             rng_vol = rng_stream(params.seed, 1, replicate)
-        sigma = vol.realize(n, N + m0, rng_vol)
+        sigma = vol.realize(n, N + m0, rng_vol, workers)
         B = sigma * plain
 
     values = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N,
@@ -676,6 +685,27 @@ def riemann_simulate(
 
 # ---------------------------------------------------------------------------
 # Circulant-embedding baseline (exact stationary Gaussian)
+
+
+def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
+               h: int) -> np.ndarray:
+    """variance * correlation(hypot(b, a) / n) for integer lags 0 <= a, b <= h.
+
+    Extends `table` (the same array for a smaller h): correlation is called
+    once, on the canonical lags a >= b >= 0 with a beyond the old h, and
+    each value is mirrored to (b, a).
+    """
+    old = table.shape[0]
+    out = np.empty((h + 1, h + 1))
+    out[:old, :old] = table
+    a, b = np.tril_indices(h + 1)
+    keep = a >= old
+    a, b = a[keep], b[keep]
+    r = np.hypot(b.astype(float), a.astype(float)) / n
+    v = variance * np.asarray(correlation(r), dtype=float)
+    out[a, b] = v
+    out[b, a] = v
+    return out
 
 
 def circulant_simulate(
@@ -692,10 +722,12 @@ def circulant_simulate(
 
     correlation(r) must be an isotropic correlation function accepting array
     arguments (correlation(0) = 1); the target covariance is variance *
-    correlation(distance).  The covariance is embedded on a torus of side
-    >= 2*(2n+1); if the embedding spectrum has an eigenvalue below
-    -1e-10 * max, the torus is doubled (up to max_doublings) and then an
-    EmbeddingError reports the most negative eigenvalue.  Within-tolerance
+    correlation(distance).  It is called on 1-D arrays of lag distances,
+    once per canonical integer lag pair across all doublings.  The
+    covariance is embedded on a torus of side >= 2*(2n+1); if the embedding
+    spectrum has an eigenvalue below -1e-10 * max, the torus is doubled (up
+    to max_doublings) and then an EmbeddingError reports the most negative
+    eigenvalue.  Within-tolerance
     negative eigenvalues (roundoff) are zeroed, not clipped from a truly
     indefinite spectrum.
     """
@@ -707,13 +739,14 @@ def circulant_simulate(
     w = fft_workers(workers)
 
     M = _fft.next_fast_len(2 * side, real=True)
+    table = np.empty((0, 0))
     lam = None
     worst = None
     for _ in range(max_doublings + 1):
+        table = _lag_table(correlation, variance, n, table, M // 2)
         idx = np.arange(M)
-        d = np.minimum(idx, M - idx).astype(float)
-        r = np.hypot(d[None, :], d[:, None]) / n
-        base = variance * np.asarray(correlation(r), dtype=float)
+        d = np.minimum(idx, M - idx)
+        base = table[d[:, None], d[None, :]]
         spec = _fft.fft2(base, workers=w).real
         mx = spec.max()
         mn = spec.min()

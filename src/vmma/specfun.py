@@ -1,8 +1,8 @@
 """Special-function wrappers with domain checking.
 
 Everything here is a thin, validated shim over scipy.special.  The rest of the
-package calls these instead of scipy directly so the domain handling (and the
-incomplete-beta extension to negative second parameter) lives in one place.
+package calls these instead of scipy directly so the domain handling lives in
+one place.
 
 The Gauss hypergeometric calls are restricted to the family
 2F1(1/2, c; 3/2; z), which is the only family the covariance closed forms
@@ -11,27 +11,15 @@ need; the restriction lets us validate the argument range tightly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
 
 from .errors import ValidationError
 
 __all__ = [
-    "SpecFunResult",
     "bessel_k",
     "hyp2f1_half",
-    "inc_beta",
 ]
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Value plus a rough absolute-error estimate for a scalar evaluation."""
-
-    value: float
-    est_abs_error: float
 
 
 def bessel_k(order: float, x):
@@ -65,26 +53,3 @@ def hyp2f1_half(c_shift: float, z):
         return float(out)
     return out
 
-
-def inc_beta(x: float, p: float, q: float) -> SpecFunResult:
-    """Lower incomplete beta integral  int_0^x t^(p-1) (1-t)^(q-1) dt.
-
-    scipy's regularized betainc requires p, q > 0; the covariance formulas
-    need q possibly negative (q = -e/2 - 1/2 with e in (-2, 0)).  We use the
-    hypergeometric representation
-
-        B(x; p, q) = (x^p / p) * 2F1(p, 1 - q; p + 1; x),
-
-    which is valid for p > 0 and any real q as long as x < 1.
-    """
-    if not 0.0 <= x < 1.0:
-        raise ValidationError("inc_beta requires 0 <= x < 1")
-    if p <= 0.0:
-        raise ValidationError("inc_beta requires p > 0")
-    if x == 0.0:
-        return SpecFunResult(0.0, 0.0)
-    f = float(_sp.hyp2f1(p, 1.0 - q, p + 1.0, x))
-    value = x**p / p * f
-    # hyp2f1 is good to close to machine precision on this region; the
-    # multiplication adds at most a few ulp.
-    return SpecFunResult(value, 8.0 * np.finfo(float).eps * abs(value))

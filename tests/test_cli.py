@@ -2,6 +2,7 @@
 output files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -131,6 +132,23 @@ def test_simulate_threads_do_not_change_output(tmp_path):
     assert main(argv1) == 0
     assert main(argv2) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_threads_leave_environment_unchanged(tmp_path, monkeypatch):
+    monkeypatch.delenv("VMMA_THREADS", raising=False)
+    before = dict(os.environ)
+    argv, out = _simulate_args(tmp_path, "env.vmg", ["--threads", "2"])
+    assert main(argv) == 0
+    assert "VMMA_THREADS" not in os.environ
+    assert dict(os.environ) == before
+
+
+def test_fft_free_commands_take_no_threads_option():
+    for argv in (["mse", "--kernel", "matern:nu=0.5,lambda=1", "--threads", "2"],
+                 ["covariance", "--alpha=-0.5", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_simulate_missing_kernel_exits_2(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len
+from scipy.fft import fft2, next_fast_len
 
 from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
 from vmma.errors import EmbeddingError, ValidationError
@@ -673,6 +673,84 @@ def test_circulant_rejects_indefinite_correlation():
     bad = lambda r: (np.asarray(r) < 1.5).astype(float)
     with pytest.raises(EmbeddingError):
         circulant_simulate(bad, 1.0, 16, seed=0, max_doublings=1)
+
+
+def _dense_circulant(correlation, variance, n, seed, replicate, max_doublings):
+    """Reference embedding: correlation on every torus point at each size.
+
+    Returns (values, M), or (message, M) when the embedding is indefinite."""
+    side = 2 * n + 1
+    M = next_fast_len(2 * side, real=True)
+    lam, worst = None, None
+    for _ in range(max_doublings + 1):
+        idx = np.arange(M)
+        d = np.minimum(idx, M - idx).astype(float)
+        r = np.hypot(d[None, :], d[:, None]) / n
+        base = variance * np.asarray(correlation(r), dtype=float)
+        spec = fft2(base).real
+        if spec.min() >= -1e-10 * spec.max():
+            lam = np.where(spec < 0.0, 0.0, spec)
+            break
+        worst = spec.min()
+        M = next_fast_len(2 * M, real=True)
+    if lam is None:
+        return (f"circulant embedding not nonnegative definite after "
+                f"{max_doublings} doublings (most negative eigenvalue {worst:.6e})"), M
+    rng = rng_stream(seed, 0, replicate)
+    zr = rng.standard_normal((M, M))
+    zi = rng.standard_normal((M, M))
+    f = fft2(np.sqrt(lam) * (zr + 1j * zi))
+    return f.real[:side, :side] / M, M
+
+
+_TOP_HAT = lambda r: (np.asarray(r) < 1.5).astype(float)
+
+
+@pytest.mark.parametrize(
+    "corr, variance, n, max_doublings, doubles",
+    [
+        # test_05's long-range Matern: three doublings, M = 50 -> 400
+        (lambda r: matern_correlation(0.4, 0.38, r), 1.7, 12, 3, True),
+        (lambda r: matern_correlation(0.5, 1.0, r), 2.5, 10, 3, True),
+        (lambda r: np.exp(-3.0 * np.asarray(r)), 0.8, 7, 3, False),
+        (_TOP_HAT, 1.0, 16, 1, True),
+    ],
+)
+def test_circulant_lag_table_matches_dense_embedding(corr, variance, n,
+                                                     max_doublings, doubles):
+    side = 2 * n + 1
+    for replicate in (0, 3):
+        ref, M = _dense_circulant(corr, variance, n, 11, replicate, max_doublings)
+        assert (M > next_fast_len(2 * side, real=True)) == doubles
+        if isinstance(ref, str):
+            with pytest.raises(EmbeddingError) as exc:
+                circulant_simulate(corr, variance, n, seed=11, replicate=replicate,
+                                   max_doublings=max_doublings)
+            assert str(exc.value) == ref
+        else:
+            got = circulant_simulate(corr, variance, n, seed=11, replicate=replicate,
+                                     max_doublings=max_doublings).values
+            assert np.array_equal(got, ref)
+
+
+def test_circulant_evaluates_each_lag_once():
+    calls = []
+
+    def counting(r):
+        calls.append(np.array(r, copy=True))
+        return matern_correlation(0.4, 0.38, r)
+
+    n = 12
+    circulant_simulate(counting, 1.0, n, seed=0)
+    h = 400 // 2  # M = 50 doubled three times
+    assert len(calls) == 4
+    assert all(c.ndim == 1 for c in calls)
+    dist = np.concatenate(calls)
+    assert dist.size == (h + 1) * (h + 2) // 2
+    # the distances passed are those of the canonical lags a >= b >= 0, each
+    # exactly once (distinct lags such as (5, 0) and (4, 3) may share one)
+    a, b = np.tril_indices(h + 1)
+    assert np.array_equal(np.sort(dist), np.sort(np.hypot(b, a) / n))
 
 
 def test_circulant_validation():

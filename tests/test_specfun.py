@@ -13,13 +13,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from scipy import special as sp
 from scipy.integrate import quad
 
 from vmma.errors import ValidationError
-from vmma.specfun import bessel_k, hyp2f1_half, inc_beta
+from vmma.specfun import bessel_k, hyp2f1_half
 
 mpmath.mp.dps = 30
 
@@ -161,58 +158,3 @@ def test_hyp2f1_half_domain_errors():
     with pytest.raises(ValidationError):
         hyp2f1_half(1.0, np.array([0.2, 1.5]))
 
-
-# ---------------------------------------------------------------------------
-# inc_beta
-# ---------------------------------------------------------------------------
-
-
-def test_inc_beta_vs_scipy_for_positive_q():
-    for x, p, q in [(0.3, 1.5, 2.0), (0.7, 0.5, 0.5), (0.9, 2.0, 3.5)]:
-        expect = sp.betainc(p, q, x) * sp.beta(p, q)
-        got = inc_beta(x, p, q)
-        assert got.value == pytest.approx(expect, rel=1e-12)
-        assert got.est_abs_error >= 0.0
-
-
-def test_inc_beta_vs_mpmath_for_negative_q():
-    # The region the covariance formulas use: q = -e/2 - 1/2 with e in (-2,0)
-    # gives q in (-1/2, 1/2); exercise both signs.
-    for x, p, q in [(0.4, 1.0, -0.25), (0.6, 2.5, -0.45), (0.25, 0.75, -0.05)]:
-        ref = float(mpmath.betainc(p, q, 0, x))
-        got = inc_beta(x, p, q).value
-        assert got == pytest.approx(ref, rel=1e-11)
-
-
-def test_inc_beta_at_zero():
-    res = inc_beta(0.0, 1.0, -0.3)
-    assert res.value == 0.0 and res.est_abs_error == 0.0
-
-
-@given(
-    x=st.floats(0.05, 0.9),
-    p=st.floats(0.3, 3.0),
-    q=st.floats(-0.45, 2.0),
-)
-def test_inc_beta_derivative_matches_integrand(x, p, q):
-    # d/dx B(x; p, q) = x^(p-1) (1-x)^(q-1); central difference check.
-    h = 1e-6 * max(x, 0.1)
-    hi = inc_beta(min(x + h, 0.999999), p, q).value
-    lo = inc_beta(x - h, p, q).value
-    deriv = (hi - lo) / (min(x + h, 0.999999) - (x - h))
-    integrand = x ** (p - 1.0) * (1.0 - x) ** (q - 1.0)
-    assert deriv == pytest.approx(integrand, rel=5e-4, abs=1e-9)
-
-
-def test_inc_beta_monotone_in_x():
-    vals = [inc_beta(x, 1.2, -0.3).value for x in (0.1, 0.3, 0.5, 0.7)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_inc_beta_domain_errors():
-    with pytest.raises(ValidationError):
-        inc_beta(1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        inc_beta(-0.1, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        inc_beta(0.5, 0.0, 1.0)
