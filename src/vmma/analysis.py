@@ -20,6 +20,20 @@ Three groups of tools:
   (L(0+)/L(1/n))**2 = 1 + O(n**alpha), about 1.25 at n = 80 for nu = 0.5.
   Normalising by L(0+)**2 instead removes that factor and converges much
   faster, because the constant -C in g drops out of the step-kernel errors.
+
+  The step-kernel cells within _NEAR_CUTOFF cells of the origin, and every
+  cell a kernel kink may cross, take adaptive radial quadrature; the adaptive
+  budget is split over exactly those cells, with their multiplicities.  The
+  remaining far cells take one tensor-Gauss rule whose order is chosen once
+  per hybrid_mse call by a probe: the innermost far cells (a = _NEAR_CUTOFF
+  + 1, kink cells excluded) are integrated with the 12-point reference rule
+  and with each lower order in _FAR_CANDIDATES, and the lowest order whose
+  per-cell values agree with the reference to _FAR_AGREEMENT relative is
+  used for every far cell.  Those cells are the hardest far cells: the
+  kernel's only singularity is at the origin and its exponential scale is
+  the same in every cell, so a cell farther out is integrated at least as
+  accurately.  If no lower order agrees, the 12-point rule is used, and
+  MseEntry.far_order reports the order either way.
 """
 
 from __future__ import annotations
@@ -320,6 +334,19 @@ def roughness_study(
 # Deterministic MSE decomposition
 
 
+# cells whose octant representative lies within this many cells of the origin
+# get adaptive per-cell quadrature; farther cells use a tensor-Gauss rule of
+# order _FAR_ORDER, or of the lowest order in _FAR_CANDIDATES whose per-cell
+# values on the innermost far cells agree with it to _FAR_AGREEMENT relative
+_NEAR_CUTOFF = 12
+_FAR_ORDER = 12
+_FAR_CANDIDATES = (6, 8)
+_FAR_AGREEMENT = 1e-13
+# relative error charged to the far-cell sum at the least: the reference
+# rule's own roundoff, which the probe cannot resolve
+_FAR_ROUNDOFF = 1e-14
+
+
 @dataclass(frozen=True)
 class MseEntry:
     """One-point mean squared error of the hybrid scheme at one resolution,
@@ -334,6 +361,9 @@ class MseEntry:
     # n^(2(1+alpha)) * L(1/n)^(-2) * e_n; tends to J only as fast as
     # L(1/n) -> L(0+), i.e. with a relative offset O(n^alpha) for Matern
     scaled: float
+    # tensor-Gauss order of the far step-kernel cells (_FAR_ORDER when the
+    # probe accepts no lower order or there are no far cells)
+    far_order: int = _FAR_ORDER
 
 
 @dataclass(frozen=True)
@@ -363,37 +393,88 @@ class MseReport:
         return lines
 
 
-# cells whose octant representative lies within this many cells of the origin
-# get adaptive per-cell quadrature; farther cells use a fixed tensor-Gauss
-# rule, which is exact to machine precision once the kernel is smooth on the
-# scale of one cell
-_NEAR_CUTOFF = 12
-_FAR_ORDER = 12
+def _cell_multiplicity(a_arr, b_arr):
+    """Number of cells in the octant orbit of each representative (a, b)."""
+    return np.where((a_arr == b_arr) | (b_arr == 0), 4.0, 8.0)
 
 
-def _step_cell_errors(kernel, n, a_arr, b_arr, r_arr, tol_cell, kinks_cells):
+def _near_mask(a_arr, b_arr, kinks_cells):
+    """Cells that take adaptive quadrature: a <= _NEAR_CUTOFF, or within a
+    cell circumradius of a kink circle (radii in cell units)."""
+    near = a_arr <= _NEAR_CUTOFF
+    if kinks_cells:
+        d = np.hypot(a_arr, b_arr)
+        for q in kinks_cells:
+            near |= np.abs(d - q) <= 0.7072
+    return near
+
+
+def _far_cell_integrals(kernel, n, af, bf, g0, order):
+    """Per cell, the order x order tensor-Gauss value of the integral over
+    the unit cell at (af, bf) of (g(|j+u|/n) - g0)^2, accumulated node by
+    node over (cells,) arrays."""
+    nodes, wts = gauss_nodes(order)  # on [0, 1]
+    x = nodes - 0.5
+    acc = np.zeros_like(af)
+    for i in range(order):
+        for k in range(order):
+            r = np.hypot(af + x[i], bf + x[k]) / n
+            d = kernel.eval_g(r) - g0
+            acc += (wts[i] * wts[k]) * d * d
+    return acc
+
+
+def _far_order_probe(kernel, n, rep_radii, kinks_cells):
+    """Lowest far-cell order that reproduces the _FAR_ORDER rule.
+
+    Integrates the innermost far cells (a = _NEAR_CUTOFF + 1, b = 0..a,
+    kink cells excluded) at their representative radii with the reference
+    rule and with each order of _FAR_CANDIDATES, cheapest first.  An order
+    is accepted when every cell agrees with the reference to _FAR_AGREEMENT
+    relative; a zero reference cell passes only on an exact zero.  Returns
+    (order, largest per-cell relative discrepancy), or (_FAR_ORDER, 0.0)
+    when no lower order is accepted.
+    """
+    a = np.full(_NEAR_CUTOFF + 2, _NEAR_CUTOFF + 1)
+    b = np.arange(_NEAR_CUTOFF + 2)
+    far = ~_near_mask(a, b, kinks_cells)
+    if not np.any(far):
+        return _FAR_ORDER, 0.0
+    a, b = a[far], b[far]
+    af, bf = a.astype(float), b.astype(float)
+    g0 = kernel.eval_g(rep_radii(a, b) / n)
+    ref = _far_cell_integrals(kernel, n, af, bf, g0, _FAR_ORDER)
+    nonzero = ref != 0.0
+    for order in _FAR_CANDIDATES:
+        diff = np.abs(_far_cell_integrals(kernel, n, af, bf, g0, order) - ref)
+        if np.all(diff <= _FAR_AGREEMENT * np.abs(ref)):
+            rel = diff[nonzero] / np.abs(ref[nonzero])
+            return order, float(rel.max(initial=0.0))
+    return _FAR_ORDER, 0.0
+
+
+def _step_cell_errors(kernel, n, a_arr, b_arr, near, r_arr, tol_cell,
+                      kinks_cells, far_order, far_rel):
     """Sum over octant-representative cells of
     mult * integral over the unit cell at (a, b) of (g((j+u)/n) - g(r_j/n))^2,
     in units of the unit cell (caller divides by n^2).
 
-    a_arr >= b_arr >= 0 integer arrays; r_arr the representative radii (in
-    cells); kinks_cells lists kernel kink radii in cell units.  Near cells —
-    and every cell the kink circle may cross — use the exact radial
-    reduction (adaptive 1D with breakpoints); the remaining far cells use a
-    fixed tensor-Gauss rule, exact to roundoff for g smooth across one cell.
+    a_arr >= b_arr >= 0 integer arrays; near their _near_mask; r_arr the
+    representative radii (in cells); kinks_cells lists kernel kink radii in
+    cell units.  Near cells — within _NEAR_CUTOFF, and every cell the kink
+    circle may cross — use the exact radial reduction (adaptive 1D with
+    breakpoints, tol_cell each); the remaining far cells use the far_order
+    x far_order tensor-Gauss rule that _far_order_probe chose, with far_rel
+    its measured relative discrepancy from the 12-point rule on the
+    innermost far cells.  The far sum is charged max(far_rel,
+    _FAR_ROUNDOFF) of itself as its error.
     Returns (weighted sum, accumulated error estimate).
     """
     a_arr = np.asarray(a_arr)
     b_arr = np.asarray(b_arr)
     r_arr = np.asarray(r_arr, dtype=float)
-    mult = np.where((a_arr == b_arr) | (b_arr == 0), 4.0, 8.0)
+    mult = _cell_multiplicity(a_arr, b_arr)
     g_rep = kernel.eval_g(r_arr / n)
-
-    near = a_arr <= _NEAR_CUTOFF
-    if kinks_cells:
-        d = np.hypot(a_arr, b_arr)
-        for q in kinks_cells:
-            near |= np.abs(d - q) <= 0.7072  # within a cell circumradius
     total = 0.0
     err = 0.0
 
@@ -411,22 +492,12 @@ def _step_cell_errors(kernel, n, a_arr, b_arr, r_arr, tol_cell, kinks_cells):
             err += m * e
 
     if np.any(~near):
-        af = a_arr[~near].astype(float)
-        bf = b_arr[~near].astype(float)
-        g0 = g_rep[~near]
-        m = mult[~near]
-        nodes, wts = gauss_nodes(_FAR_ORDER)  # on [0, 1]
-        x = nodes - 0.5
-        acc = np.zeros_like(af)
-        for i in range(_FAR_ORDER):
-            for k in range(_FAR_ORDER):
-                r = np.hypot(af + x[i], bf + x[k]) / n
-                d = kernel.eval_g(r) - g0
-                acc += (wts[i] * wts[k]) * d * d
-        total += float(np.sum(m * acc))
-        # far-cell rule error is far below tol_cell per cell for smooth g;
-        # charge a conservative epsilon-level estimate
-        err += float(np.sum(m * acc)) * 1e-14
+        acc = _far_cell_integrals(kernel, n, a_arr[~near].astype(float),
+                                  b_arr[~near].astype(float), g_rep[~near],
+                                  far_order)
+        far_sum = float(np.sum(mult[~near] * acc))
+        total += far_sum
+        err += far_sum * max(far_rel, _FAR_ROUNDOFF)
 
     return total, err
 
@@ -514,12 +585,11 @@ def hybrid_mse(
 
     # ---- D2 and D3: step-kernel cells, octant representatives
     def _octant(lo, hi):
-        """Representatives (a, b), 0 <= b <= a, with lo < max = a <= hi."""
-        pairs = [(a, b) for a in range(lo + 1, hi + 1) for b in range(0, a + 1)]
-        if not pairs:
-            return (np.empty(0, int), np.empty(0, int))
-        arr = np.asarray(pairs, dtype=int)
-        return arr[:, 0], arr[:, 1]
+        """Representatives (a, b), 0 <= b <= a, with lo < max = a <= hi, in
+        row-major order."""
+        a, b = np.tril_indices(hi + 1)
+        keep = a > lo
+        return a[keep], b[keep]
 
     def _rep_radii(a_arr, b_arr):
         if policy.mode == "midpoint":
@@ -527,27 +597,37 @@ def hybrid_mse(
         return box_power_integrals(a_arr.astype(float), b_arr.astype(float),
                                    alpha) ** (1.0 / alpha)
 
-    # the adaptive budget is split over the near cells only: the far cells'
-    # fixed tensor-Gauss rule is exact to roundoff once g is smooth on the
-    # scale of one cell, so charging them would starve the near cells.  Cell
-    # integrals are computed in cell units, hence the n^2 Jacobian factor.
-    near_half = min(_NEAR_CUTOFF, N)
-    n_near = (2 * near_half + 1) ** 2 - n_inner
+    a2, b2 = _octant(kappa, min(n, N))
+    a3, b3 = _octant(min(n, N), N)
+
+    # the adaptive budget is split over the cells that take the adaptive
+    # path, counted with their multiplicities: those within _NEAR_CUTOFF and
+    # those a kink circle may cross.  The far cells' error is the probe's
+    # measured discrepancy, far below tol_cell per cell, so charging them
+    # would starve the near cells.  Cell integrals are computed in cell
+    # units, hence the n^2 Jacobian factor.
+    near2 = _near_mask(a2, b2, kinks_cells)
+    near3 = _near_mask(a3, b3, kinks_cells)
+    n_near = int(np.sum(_cell_multiplicity(a2, b2)[near2])
+                 + np.sum(_cell_multiplicity(a3, b3)[near3]))
     tol_cell = tol * n**2 / (4.0 * max(n_near, 1))
 
-    a2, b2 = _octant(kappa, min(n, N))
+    far_order, far_rel = _FAR_ORDER, 0.0
+    if not (np.all(near2) and np.all(near3)):
+        far_order, far_rel = _far_order_probe(kernel, n, _rep_radii,
+                                              kinks_cells)
+
     d2 = err2 = 0.0
     if a2.size:
-        v, e = _step_cell_errors(kernel, n, a2, b2, _rep_radii(a2, b2),
-                                 tol_cell, kinks_cells)
-        d2, err2 = v / n**2, e / n**2
+        v, e = _step_cell_errors(kernel, n, a2, b2, near2, _rep_radii(a2, b2),
+                                 tol_cell, kinks_cells, far_order, far_rel)
+        d2, err2 = float(v / n**2), e / n**2
 
-    a3, b3 = _octant(min(n, N), N)
     d3 = err3 = 0.0
     if a3.size:
-        v, e = _step_cell_errors(kernel, n, a3, b3, _rep_radii(a3, b3),
-                                 tol_cell, kinks_cells)
-        d3, err3 = v / n**2, e / n**2
+        v, e = _step_cell_errors(kernel, n, a3, b3, near3, _rep_radii(a3, b3),
+                                 tol_cell, kinks_cells, far_order, far_rel)
+        d3, err3 = float(v / n**2), e / n**2
 
     # ---- D4: tail outside the truncation square
     def g2(r):
@@ -566,7 +646,7 @@ def hybrid_mse(
     l_inv_n = float(kernel.eval_L(np.asarray(1.0 / n)))
     scaled = float(n) ** (2.0 * (1.0 + alpha)) * l_inv_n ** (-2.0) * e_n
     return MseEntry(n=n, d1=d1, d2=d2, d3=d3, d4=d4, e_n=float(e_n),
-                    scaled=scaled)
+                    scaled=float(scaled), far_order=far_order)
 
 
 def mse_study(

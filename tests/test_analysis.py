@@ -6,6 +6,7 @@ sampler as an exact reference law, closed-form error decompositions, and
 frozen decomposition values for one configuration.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from vmma.analysis import (
+    MseEntry,
     MseReport,
     RoughnessReport,
     SchemeChoice,
@@ -24,7 +26,7 @@ from vmma.analysis import (
     roughness_study,
     square_increment_dim,
 )
-from vmma.covariance import j_constant
+from vmma.covariance import EvaluationPolicy, box_power_integrals, j_constant
 from vmma.errors import DegenerateDataError, ValidationError
 from vmma.fields import FieldGrid, SchemeParams, circulant_simulate
 from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
@@ -341,6 +343,87 @@ def test_mse_purepower_cutoff_outside_window():
     # independent value computed via the exterior radial reduction with
     # elementary pieces (analytic in a throwaway script; frozen)
     assert e.d4 == pytest.approx(47.848502092464, rel=1e-9)
+
+
+def test_mse_entry_fields_are_plain_numbers():
+    cases = [(Matern(0.5, 1.0), 20), (ExpDecay(-0.3), 20), (ExpDecay(-0.3), 40)]
+    for k, n in cases:
+        e = hybrid_mse(k, SchemeParams(n=n, gamma=0.5, kappa=1))
+        for f in dataclasses.fields(MseEntry):
+            want = int if f.name in ("n", "far_order") else float
+            assert type(getattr(e, f.name)) is want, (k, n, f.name)
+
+
+def test_mse_frozen_values_purepower_kink_ring():
+    # R = 1 puts the kernel's cutoff circle at 20 cells, beyond the 12-cell
+    # near square: the cells it crosses take the adaptive path and share
+    # the adaptive budget.  Frozen D2 from the code before those cells were
+    # counted in the budget split.
+    k = PurePower(-0.5, R=1.0, beta_decay=-4.0)
+    e = hybrid_mse(k, SchemeParams(n=20, gamma=0.5, kappa=1))
+    assert e.d2 == pytest.approx(0.08880372862490157, abs=1e-9)
+
+
+def _step_kernel_reference(kernel, n, N, kappa, policy):
+    """(D2 + D3, D3) by product Gauss-Legendre over every step-kernel cell
+    kappa < max|j| <= N: the 12-point rule on cells with a > 12, 24 points
+    on the cells nearer the origin's singularity.  Representatives a >= b
+    carry their octant multiplicities; representative radii follow the
+    policy (midpoint |j|, optimal box(j, alpha)^(1/alpha))."""
+    a, b = np.array([(a, b) for a in range(kappa + 1, N + 1)
+                     for b in range(a + 1)], dtype=float).T
+    mult = np.where((b == 0) | (b == a), 4.0, 8.0)
+    if policy.mode == "midpoint":
+        rep = np.hypot(a, b)
+    else:
+        rep = box_power_integrals(a, b, kernel.alpha) ** (1.0 / kernel.alpha)
+    g0 = kernel.eval_g(rep / n)
+    cell = np.zeros_like(a)
+    for order, sel in ((24, a <= 12), (12, a > 12)):
+        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = 0.5 * x, 0.5 * w
+        for xi, wi in zip(x, w):
+            r = np.hypot((a[sel] + xi)[:, None], b[sel][:, None] + x[None, :])
+            d = kernel.eval_g(r / n) - g0[sel][:, None]
+            cell[sel] += wi * (d * d) @ w
+    return (float(np.sum(mult * cell)) / n**2,
+            float(np.sum((mult * cell)[a > n])) / n**2)
+
+
+@pytest.mark.parametrize("policy", [EvaluationPolicy(),
+                                    EvaluationPolicy(mode="optimal")],
+                         ids=["midpoint", "optimal"])
+@pytest.mark.parametrize("kernel", [Matern(0.5, 1.0), Matern(0.05, 1.0),
+                                    ExpDecay(-0.5)], ids=repr)
+def test_mse_far_cells_match_twelve_point_rule(kernel, policy):
+    for n in (20, 40):
+        p = SchemeParams(n=n, gamma=0.5, kappa=1, policy=policy)
+        e = hybrid_mse(kernel, p)
+        d23, d3 = _step_kernel_reference(kernel, n, p.n_trunc, 1, policy)
+        assert e.d2 + e.d3 == pytest.approx(d23, rel=1e-13, abs=0.0), n
+        assert e.d3 == pytest.approx(d3, rel=1e-13, abs=0.0), n
+
+
+def test_mse_far_order_drops_for_smooth_kernel():
+    e = hybrid_mse(Matern(0.5, 1.0), SchemeParams(n=20, gamma=0.5, kappa=1))
+    assert e.far_order == 6
+
+
+def test_mse_far_order_falls_back_for_steep_kernel():
+    # lam = 60 varies on a third of a cell at n = 20: the 8-point rule is
+    # 4.8e-11 off the 12-point rule on the innermost far cells, so the
+    # probe keeps the 12-point rule.  At n = 20 every D3 cell (a > 20) is a
+    # far cell, so D3 checks the far rule itself.  D2 is about 1.4e-7 here,
+    # so its near cells' adaptive error (within tol = 1e-9 absolute, about
+    # 7e-16 measured) is ~5e-9 of it: D2 + D3 is held to tol.
+    k = Matern(0.5, 60.0)
+    policy = EvaluationPolicy()
+    p = SchemeParams(n=20, gamma=0.5, kappa=1, policy=policy)
+    e = hybrid_mse(k, p)
+    assert e.far_order == 12
+    d23, d3 = _step_kernel_reference(k, 20, p.n_trunc, 1, policy)
+    assert e.d3 == pytest.approx(d3, rel=1e-13, abs=0.0)
+    assert e.d2 + e.d3 == pytest.approx(d23, rel=0.0, abs=1e-9)
 
 
 def test_mse_study_report_and_csv():
