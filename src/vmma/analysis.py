@@ -521,6 +521,14 @@ def hybrid_mse(
       D3: step-kernel cells with n < max|j| <= n_trunc.
       D4: integral of g^2 outside the truncation square (radial).
 
+    tol bounds the summed ABSOLUTE error estimate of E_n (a quarter of tol
+    per term, split evenly over that term's adaptively integrated cells); it
+    is not a relative tolerance per term.  A component is therefore only
+    guaranteed to about tol/component relative, no accuracy at all for one far
+    below tol, and pass a smaller tol when a small term matters on its own.
+    Measured: for Matern(0.5, 60) at n = 20, D2 = 1.44e-7 agrees with a
+    24-point product-Gauss sum to about 5e-9 relative.
+
     Emits the rate-hypothesis warning when the kernel's decay exponent makes
     the truncation growth too slow (same check as the engine).
     """

@@ -19,12 +19,20 @@ SECOND coordinate i2 and the column tracking i1.  All index windows below are
 centred: an array of side 2m+1 covers indices -m..m with index 0 at the
 middle.
 
-Far field: the step-kernel matrix (side 2*N+1, N = n_trunc) is filled from
-its octant, one kernel evaluation per canonical cell a >= b >= 0, and is
+Far field: the step-kernel matrix (side 2*N+1, N = n_trunc) is evaluated
+on its octant, one kernel evaluation per canonical cell a >= b >= 0, and is
 convolved with the (S, S) noise sheet as a CIRCULAR convolution of period
 P = next_fast_len(S).  Output i reads sheet cells i-N..i+N only, all inside
 the sheet, so P >= S already rules out wrap-around and no padding to the
-linear size S + 2N is needed.
+linear size S + 2N is needed.  Both operands reach one complex (P, P//2+1)
+spectrum a block of _ROW_BLOCK rows at a time: each block is zero-padded to
+width P and transformed along its rows, then the columns are transformed in
+place, which is bit-identical to rfft2(x, s=(P, P)).  The kernel's rows are
+filled from the octant, so the plan never holds the dense matrix (a_matrix
+rebuilds it on demand).  The product with the kernel spectrum is formed in
+place, inverted along the columns in place, and only the 2*half+1 kept rows
+are inverted along the rows; this inverse split differs from irfft2 in the
+last bits only.
 
 Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
@@ -38,7 +46,14 @@ s1 = 2*(half+kappa)+1 and d = (2*kappa+1)^2 + 1, mapped through the block's
 Cholesky factor; then the plain cell masses are drawn as an (S, S) standard
 normal sheet scaled by 1/n with S = 2*(N+half)+1, whose central s1 x s1 block
 is REPLACED by the plain components of the correlated family (the overdraw
-keeps the layout independent of kappa).
+keeps the layout independent of kappa).  Both are drawn in blocks of
+_ROW_BLOCK rows, which consumes the stream in the same order and gives the
+same values bit for bit as single draws.  The hybrid engine streams them:
+each family block is added into the near sum for the output rows it
+completes (its last 2*kappa rows carry over to the next block), and each
+sheet block is modulated and transformed at once, so neither the family nor
+the sheet is ever held whole.  The volatility, from its own stream, is
+realised before the noise is drawn.
 """
 
 from __future__ import annotations
@@ -314,7 +329,61 @@ class ExpVmmaVolatility(VolatilityModel):
 
 
 # ---------------------------------------------------------------------------
-# Noise sampling
+# Row blocks: noise draw and FFT convolution
+
+
+# Rows per block of the streamed noise draw and of the row-wise FFTs.
+_ROW_BLOCK = 64
+
+
+def _padded_rows(get_rows, nrows: int, width: int):
+    """Yield (r0, rows) over rows 0..nrows-1, _ROW_BLOCK at a time, where
+    get_rows(r0, k) returns rows r0..r0+k-1 and they are zero-padded to
+    `width` columns in one reused buffer (valid until the next block)."""
+    buf = np.zeros((_ROW_BLOCK, width))
+    for r0 in range(0, nrows, _ROW_BLOCK):
+        k = min(_ROW_BLOCK, nrows - r0)
+        rows = get_rows(r0, k)
+        buf[:k, :rows.shape[1]] = rows
+        yield r0, buf[:k]
+
+
+def _noise_rows(rng: np.random.Generator, n: int, S: int, width: int,
+                chol: np.ndarray | None = None, family: np.ndarray | None = None,
+                take_family=None):
+    """Draw one replicate's noise in the fixed layout, a block of rows at a
+    time; the one draw routine of the step-kernel engines.
+
+    With a Cholesky factor, first the correlated family: for each block of
+    rows r0..r0+k-1, z ~ N(0,1) of shape (k, s1, d) is mapped to z @ chol.T
+    in family[:k] (s1 = family.shape[1]), then take_family(r0, k) is called,
+    and the next block overwrites family[:k].  Then the plain sheet, N(0,1)/n
+    of shape (S, S) with its central s1 x s1 block replaced by the family's
+    plain channel, is yielded as (r0, rows) blocks padded to `width` (see
+    _padded_rows).  The family is drawn when the first sheet block is asked
+    for.  Block-wise draws and matmuls give the single draw's values bit for
+    bit.
+    """
+    s1 = 0
+    if chol is not None:
+        s1, d = family.shape[1], chol.shape[0]
+        central = np.empty((s1, s1))
+        for r0 in range(0, s1, _ROW_BLOCK):
+            k = min(_ROW_BLOCK, s1 - r0)
+            np.matmul(rng.standard_normal((k, s1, d)), chol.T, out=family[:k])
+            central[r0:r0 + k] = family[:k, :, -1]
+            take_family(r0, k)
+    lo = (S - s1) // 2
+
+    def sheet_rows(r0, k):
+        rows = rng.standard_normal((k, S))
+        rows /= n
+        a, b = max(r0, lo), min(r0 + k, lo + s1)
+        if a < b:
+            rows[a - r0:b - r0, lo:lo + s1] = central[a - lo:b - lo]
+        return rows
+
+    yield from _padded_rows(sheet_rows, S, width)
 
 
 def sample_noise(
@@ -335,7 +404,8 @@ def sample_noise(
 
     The draw order is fixed and documented in the module docstring; with a
     fixed rng state the output is bit-identical, which the determinism
-    contract of the engines relies on.
+    contract of the engines relies on.  The engines stream the same draw
+    (_noise_rows) without holding these arrays whole.
     """
     n, kappa = params.n, params.kappa
     m0 = params.n if half is None else int(half)
@@ -348,33 +418,76 @@ def sample_noise(
             f"params (kappa {kappa} -> dim {d}, n {n})"
         )
 
-    z = rng.standard_normal((s1, s1, d))
-    w1_full = z @ block.chol.T
-    plain = rng.standard_normal((S, S)) / n
-    lo = params.n_trunc - kappa
-    plain[lo:lo + s1, lo:lo + s1] = w1_full[:, :, -1]
-    return w1_full[:, :, :-1], plain
+    w1 = np.empty((s1, s1, d))
+    plain = np.empty((S, S))
+    family = np.empty((_ROW_BLOCK, s1, d))
+
+    def keep(r0, k):
+        w1[r0:r0 + k] = family[:k]
+
+    for r0, rows in _noise_rows(rng, n, S, S, block.chol, family, keep):
+        plain[r0:r0 + rows.shape[0]] = rows
+    return w1[:, :, :-1], plain
 
 
-# ---------------------------------------------------------------------------
-# FFT convolution
+def _modulated(rows, sigma: np.ndarray):
+    """Multiply each (r0, rows) block of a sheet by sigma in place."""
+    S = sigma.shape[1]
+    for r0, block in rows:
+        block[:, :S] *= sigma[r0:r0 + block.shape[0]]
+        yield r0, block
+
+
+def _row_spectrum(rows, period: int, workers: int | None) -> np.ndarray:
+    """rfft2 at (period, period) of a real array given as row blocks.
+
+    `rows` yields (r0, block) in order from row 0, each block zero-padded to
+    width `period`; rows after the last block are zero.  Each block is
+    transformed along its rows as it arrives, then the columns of the one
+    complex (period, period//2+1) array are transformed in place: the result
+    equals rfft2(x, s=(period, period)) bit for bit.
+    """
+    w = fft_workers(workers)
+    spec = np.empty((period, period // 2 + 1), dtype=complex)
+    end = 0
+    for r0, block in rows:
+        end = r0 + block.shape[0]
+        spec[r0:end] = _fft.rfft(block, axis=1, workers=w)
+    spec[end:] = 0.0
+    return _fft.fft(spec, axis=0, overwrite_x=True, workers=w)
+
+
+def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
+                     side: int, workers: int | None) -> np.ndarray:
+    """The side x side block from (start, start) of the circular convolution
+    whose operands have spectra fft_a and spec (period = spec.shape[0]).
+
+    Consumes spec: the product and the column inverse are formed in it in
+    place, and only the kept rows are inverted along the rows.
+    """
+    w = fft_workers(workers)
+    period = spec.shape[0]
+    np.multiply(fft_a, spec, out=spec)
+    spec = _fft.ifft(spec, axis=0, overwrite_x=True, workers=w)
+    full = _fft.irfft(spec[start:start + side], n=period, axis=1, workers=w)
+    return full[:, start:start + side]
 
 
 def _circular_convolve(fft_a: np.ndarray, b: np.ndarray, period: int,
                        start: int, side: int, workers: int | None) -> np.ndarray:
     """Circular convolution of period `period` of a kernel, given by its
     rfft2 `fft_a` at that period, with the sheet b; returns the side x side
-    block from (start, start).  The one FFT-convolution path of the module.
+    block from (start, start).  The engines feed the same path
+    (_row_spectrum, _convolved_block) with their streamed sheets.
 
     The block equals the linear convolution wherever no term wraps: for the
     far field (start 2N, side 2*half+1, period >= side(b)) every kept output
     reads only cells inside the sheet; for the full linear convolution
     (start 0) the period must cover the whole output.
     """
-    w = fft_workers(workers)
-    fb = _fft.rfft2(b, s=(period, period), workers=w)
-    full = _fft.irfft2(fft_a * fb, s=(period, period), workers=w)
-    return full[start:start + side, start:start + side]
+    rows = _padded_rows(lambda r0, k: b[r0:r0 + k], b.shape[0], period)
+    return _convolved_block(_row_spectrum(rows, period, workers), fft_a,
+                            start, side, workers)
 
 
 def _sheet_period(params: SchemeParams, half: int) -> int:
@@ -397,8 +510,50 @@ def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.nd
         raise ValidationError(f"conv2_fft: second matrix not square 2D, got {b.shape}")
     out = a.shape[0] + b.shape[0] - 1
     fsh = _fft.next_fast_len(out, real=True)
-    fa = _fft.rfft2(a, s=(fsh, fsh), workers=fft_workers(workers))
+    fa = _row_spectrum(_padded_rows(lambda r0, k: a[r0:r0 + k], a.shape[0], fsh),
+                       fsh, workers)
     return _circular_convolve(fa, b, fsh, 0, out, workers)
+
+
+def _available_memory() -> int:
+    """Bytes a new allocation can get without swapping: MemAvailable (free
+    plus reclaimable page cache) from /proc/meminfo where it exists, else the
+    free pages from os.sysconf."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(params: SchemeParams, half: int, kappa: int | None):
+    """Raise ValidationError, before anything is allocated, when a plan plus
+    one replicate would not fit in the available memory.
+
+    The estimate counts two complex (P, P//2+1) spectra (the plan's and the
+    replicate's), the (S, S) volatility sheet of a modulated field (a plan
+    serves every volatility model, so it is always counted), the output and,
+    with an inner block (kappa not None), the family's row window and plain
+    channel.
+    """
+    P = _sheet_period(params, half)
+    S = 2 * (params.n_trunc + half) + 1
+    side = 2 * half + 1
+    need = 2 * 16 * P * (P // 2 + 1) + 8 * (S * S + side * side)
+    if kappa is not None:
+        s1 = side + 2 * kappa
+        d = (2 * kappa + 1) ** 2 + 1
+        need += 8 * ((_ROW_BLOCK + 2 * kappa) * s1 * d + s1 * s1)
+    avail = _available_memory()
+    if need > avail:
+        raise ValidationError(
+            f"n={params.n}, gamma={params.gamma}, half={half} needs about "
+            f"{need / 2**20:.0f} MiB for the plan and one replicate (FFT "
+            f"period {P}), but only {avail / 2**20:.0f} MiB is available"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +596,17 @@ def _inner_weights(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
     return w
 
 
-def _step_kernel_matrix(kernel: KernelSpec, n: int, N: int,
+def _step_kernel_octant(kernel: KernelSpec, n: int, N: int,
                         kappa: int | None, optimal: bool) -> np.ndarray:
-    """g(r_k / n) on the cells k with max|k| <= N: side 2N+1, centred.
+    """g(r_k / n) on the canonical cells a >= b >= 0 of the window max|k| <=
+    N, cell (a, b) at index a(a+1)/2 + b.
 
     r_k is the midpoint radius |k|, or with `optimal` the L2-optimal radius
     box(k, alpha)**(1/alpha).  With kappa given, the inner block max|k| <=
     kappa is zero (hybrid); with kappa None the central cell, where the
     midpoint sits on the singularity, takes its optimal radius (Riemann).
-
     Both radii depend on k only through its octant representative (a, b) =
-    (max|k_i|, min|k_i|), so g is evaluated once per canonical cell, stored
-    at index a(a+1)/2 + b, and scattered over the grid's eight symmetries.
+    (max|k_i|, min|k_i|), so g is evaluated once per canonical cell.
     """
     alpha = kernel.alpha
     a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
@@ -467,11 +621,45 @@ def _step_kernel_matrix(kernel: KernelSpec, n: int, N: int,
         r[0] = optimal_b_norm((0, 0), alpha)
     octant = np.zeros(first + r.size)
     octant[first:] = kernel.eval_g(r / n)
-    k = np.arange(N + 1)
-    hi, lo = np.maximum.outer(k, k), np.minimum.outer(k, k)
-    quadrant = octant[hi * (hi + 1) // 2 + lo]
-    mirror = np.abs(np.arange(-N, N + 1))
-    return quadrant[np.ix_(mirror, mirror)]
+    return octant
+
+
+def _octant_rows(octant: np.ndarray, N: int, r0: int = 0,
+                 k: int | None = None) -> np.ndarray:
+    """Rows r0..r0+k-1 (default: all) of the centred (2N+1)^2 step-kernel
+    matrix, whose cell (i, j) holds the octant entry of (max(|i|, |j|),
+    min(|i|, |j|))."""
+    if k is None:
+        k = 2 * N + 1 - r0
+    i = np.abs(np.arange(r0 - N, r0 - N + k))[:, None]
+    j = np.abs(np.arange(-N, N + 1))[None, :]
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    return octant[hi * (hi + 1) // 2 + lo]
+
+
+def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
+    """Sum of squares over the (2N+1)^2 matrix an octant fills: a cell
+    a > b > 0 stands for 8 cells, one on an axis or the diagonal for 4, the
+    centre for 1."""
+    a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    b = np.arange(a.size) - a * (a + 1) // 2
+    mult = np.where((b == 0) | (a == b), 4, 8)
+    mult[0] = 1
+    return float(np.sum(mult * octant**2))
+
+
+def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
+                     workers: int | None) -> np.ndarray:
+    """rfft2 at (period, period) of the step-kernel matrix, filled a block of
+    rows at a time from its octant (the dense matrix is never built)."""
+    rows = _padded_rows(lambda r0, k: _octant_rows(octant, N, r0, k),
+                        2 * N + 1, period)
+    return _row_spectrum(rows, period, workers)
+
+
+def _hybrid_octant(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
+    return _step_kernel_octant(kernel, params.n, params.n_trunc, params.kappa,
+                               optimal=params.policy.mode == "optimal")
 
 
 @dataclass(frozen=True)
@@ -483,13 +671,20 @@ class HybridPlan:
     half: int
     block: CovarianceBlock
     weights: np.ndarray          # aligned with block.offsets
-    a_matrix: np.ndarray         # (2N+1)^2 step kernel
     fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
     fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
+    a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
 
     @property
     def out_side(self) -> int:
         return 2 * self.half + 1
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
+        only its spectrum."""
+        return _octant_rows(_hybrid_octant(self.kernel, self.params),
+                            self.params.n_trunc)
 
 
 def prepare_hybrid(
@@ -501,20 +696,21 @@ def prepare_hybrid(
     """Build the reusable parts of the hybrid scheme (block, weights, FFT of
     the step kernel).  `half` widens the output window to indices -half..half
     (default n, i.e. the grid over [-1,1]^2); the discretization itself (cell
-    size, truncation) is unchanged."""
+    size, truncation) is unchanged.  Raises ValidationError before building
+    anything when the plan plus one replicate would not fit in memory."""
     m0 = params.n if half is None else int(half)
     if m0 < 1:
         raise ValidationError(f"output half-width must be >= 1, got {m0}")
+    _check_memory(params, m0, params.kappa)
     check_rate_hypothesis(kernel, params)
     block = build_block(kernel.alpha, params.kappa, params.n)
     weights = _inner_weights(kernel, params)
-    A = _step_kernel_matrix(kernel, params.n, params.n_trunc, params.kappa,
-                            optimal=params.policy.mode == "optimal")
+    octant = _hybrid_octant(kernel, params)
     fsh = _sheet_period(params, m0)
-    fa = _fft.rfft2(A, s=(fsh, fsh), workers=fft_workers(workers))
     return HybridPlan(
         kernel=kernel, params=params, half=m0, block=block, weights=weights,
-        a_matrix=A, fft_a=fa, fshape=fsh,
+        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
+        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
     )
 
 
@@ -537,7 +733,8 @@ def hybrid_simulate(
     FFT convolution of the step kernel with sigma-modulated plain noise.
     Noise streams: rng_stream(seed, 0, replicate) for the field and
     rng_stream(seed, 1, replicate) for the volatility, unless explicit
-    generators are passed.
+    generators are passed.  The noise is streamed in row blocks (see the
+    module docstring), so neither noise family is held whole.
     """
     if vol is None:
         vol = ConstantVol(1.0)
@@ -550,36 +747,45 @@ def hybrid_simulate(
         raise ValidationError("plan was prepared for different settings")
     m0 = plan.half
     n, kappa, N = params.n, params.kappa, params.n_trunc
-
-    if rng_noise is None:
-        rng_noise = rng_stream(params.seed, 0, replicate)
-    w1, plain = sample_noise(params, plan.block, rng_noise, half=m0)
+    side = 2 * m0 + 1
+    S = 2 * (N + m0) + 1
 
     const = vol.constant_value
-    if const is not None:
-        sigma = None
-        B = plain
-    else:
+    sigma = None
+    if const is None:
         if rng_vol is None:
             rng_vol = rng_stream(params.seed, 1, replicate)
         sigma = vol.realize(n, N + m0, rng_vol, workers)
-        B = sigma * plain
+    if rng_noise is None:
+        rng_noise = rng_stream(params.seed, 0, replicate)
 
-    side = 2 * m0 + 1
-    x_hat = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N, side, workers)
-
+    # win holds family rows r0 - carry .. r0 + k - 1 while block r0 is summed
+    carry = 2 * kappa
+    win = np.empty((carry + _ROW_BLOCK, side + carry, plan.block.dim))
     x_tilde = np.zeros((side, side))
-    for idx, (j1, j2) in enumerate(plan.block.offsets):
-        w = plan.weights[idx]
-        # noise cell i - j for output i: shift the (s1,s1) sheet by -j
-        r0 = kappa - j2
-        c0 = kappa - j1
-        contrib = w1[r0:r0 + side, c0:c0 + side, idx]
-        if sigma is not None:
-            sr0 = N - j2
-            sc0 = N - j1
-            contrib = contrib * sigma[sr0:sr0 + side, sc0:sc0 + side]
-        x_tilde += w * contrib
+
+    def near_sum(r0, k):
+        # output row o reads family rows o .. o + 2*kappa, so once block r0
+        # is in, rows up to r0 + k - carry are complete; every block
+        # completes some (the first has k > carry: s1 > carry, _ROW_BLOCK > 10)
+        o0, o1 = max(r0 - carry, 0), r0 + k - carry
+        for idx, (j1, j2) in enumerate(plan.block.offsets):
+            # noise cell i - j for output i: shift the family by -j
+            r = o0 + kappa - j2 - (r0 - carry)
+            c0 = kappa - j1
+            contrib = win[r:r + o1 - o0, c0:c0 + side, idx]
+            if sigma is not None:
+                contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
+                                          N - j1:N - j1 + side]
+            x_tilde[o0:o1] += plan.weights[idx] * contrib
+        win[:carry] = win[k:k + carry]
+
+    rows = _noise_rows(rng_noise, n, S, plan.fshape, plan.block.chol,
+                       win[carry:], near_sum)
+    if sigma is not None:
+        rows = _modulated(rows, sigma)
+    spec = _row_spectrum(rows, plan.fshape, workers)
+    x_hat = _convolved_block(spec, plan.fft_a, 2 * N, side, workers)
 
     values = x_tilde + x_hat
     if const is not None and const != 1.0:
@@ -599,21 +805,31 @@ class RiemannPlan:
     kernel: KernelSpec
     params: SchemeParams
     half: int
-    a_matrix: np.ndarray         # (2N+1)^2 step kernel
     fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
     fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
+    a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
 
     @property
     def out_side(self) -> int:
         return 2 * self.half + 1
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
+        only its spectrum."""
+        return riemann_kernel_matrix(self.kernel, self.params)
+
+
+def _riemann_octant(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
+    return _step_kernel_octant(kernel, params.n, params.n_trunc, None,
+                               optimal=False)
 
 
 def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
     """Step-kernel matrix of the Riemann scheme: g at cell midpoints for all
     cells in the truncation window, with the central cell evaluated at its
     optimal radius (the midpoint would sit on the singularity)."""
-    return _step_kernel_matrix(kernel, params.n, params.n_trunc, None,
-                               optimal=False)
+    return _octant_rows(_riemann_octant(kernel, params), params.n_trunc)
 
 
 def prepare_riemann(
@@ -625,12 +841,15 @@ def prepare_riemann(
     m0 = params.n if half is None else int(half)
     if m0 < 1:
         raise ValidationError(f"output half-width must be >= 1, got {m0}")
+    _check_memory(params, m0, None)
     check_rate_hypothesis(kernel, params)
-    A = riemann_kernel_matrix(kernel, params)
+    octant = _riemann_octant(kernel, params)
     fsh = _sheet_period(params, m0)
-    fa = _fft.rfft2(A, s=(fsh, fsh), workers=fft_workers(workers))
-    return RiemannPlan(kernel=kernel, params=params, half=m0,
-                       a_matrix=A, fft_a=fa, fshape=fsh)
+    return RiemannPlan(
+        kernel=kernel, params=params, half=m0,
+        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
+        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
+    )
 
 
 def riemann_simulate(
@@ -665,19 +884,16 @@ def riemann_simulate(
 
     if rng_noise is None:
         rng_noise = rng_stream(params.seed, 0, replicate)
-    plain = rng_noise.standard_normal((S, S)) / n
+    rows = _noise_rows(rng_noise, n, S, plan.fshape)
 
     const = vol.constant_value
-    if const is not None:
-        B = plain
-    else:
+    if const is None:
         if rng_vol is None:
             rng_vol = rng_stream(params.seed, 1, replicate)
-        sigma = vol.realize(n, N + m0, rng_vol, workers)
-        B = sigma * plain
+        rows = _modulated(rows, vol.realize(n, N + m0, rng_vol, workers))
 
-    values = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N,
-                                plan.out_side, workers)
+    spec = _row_spectrum(rows, plan.fshape, workers)
+    values = _convolved_block(spec, plan.fft_a, 2 * N, plan.out_side, workers)
     if const is not None and const != 1.0:
         values = const * values
     return FieldGrid(values=values, spacing=1.0 / n, origin=(-m0 / n, -m0 / n))
@@ -784,7 +1000,7 @@ def scheme_variance(plan: HybridPlan | RiemannPlan) -> float:
     """
     params = plan.params
     n = params.n
-    outer = float(np.sum(plan.a_matrix**2)) / n**2
+    outer = plan.a_sq_sum / n**2
     if isinstance(plan, RiemannPlan):
         return outer
     alpha = plan.kernel.alpha

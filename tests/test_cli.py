@@ -155,6 +155,15 @@ def test_simulate_missing_kernel_exits_2(tmp_path):
     assert main(["simulate", "--n", "8", "--out", str(tmp_path / "x.vmg")]) == 2
 
 
+def test_simulate_too_large_for_memory_exits_2(tmp_path, capsys):
+    # n = 5000, gamma = 0.3 needs a ~150 GB far-field spectrum: the memory
+    # preflight refuses it before building anything
+    argv, out = _simulate_args(tmp_path, "big.vmg", ("--n", "5000"))
+    assert main(argv) == 2
+    assert "available" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_kernel_exits_2(tmp_path):
     argv = ["simulate", "--kernel", "matern:nu=7", "--out", str(tmp_path / "x.vmg")]
     assert main(argv) == 2

@@ -7,13 +7,14 @@ distributional checks with 3-standard-error tolerances.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import fft2, next_fast_len
+from scipy.fft import fft2, next_fast_len, rfft2
 
 from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
 from vmma.errors import EmbeddingError, ValidationError
@@ -24,6 +25,7 @@ from vmma.fields import (
     ProvidedGridVol,
     RateHypothesisWarning,
     SchemeParams,
+    _ROW_BLOCK,
     _circular_convolve,
     circulant_simulate,
     conv2_fft,
@@ -241,6 +243,27 @@ def test_sample_noise_rejects_mismatched_block():
     block2 = build_block(-0.5, 2, 6)  # wrong kappa -> wrong dim
     with pytest.raises(ValidationError):
         sample_noise(p, block2, rng_stream(0, 0, 0))
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3])
+def test_sample_noise_matches_dense_reference(kappa):
+    # The row-block draw equals one dense draw bit for bit: the family as
+    # standard_normal((s1, s1, d)) @ chol.T, then the (S, S)/n sheet with its
+    # central s1 x s1 block replaced.  s1 and S span several row blocks.
+    p = SchemeParams(n=6, gamma=0.4, kappa=kappa, seed=2)
+    half = _ROW_BLOCK // 2 + 3
+    block = build_block(-0.5, kappa, 6)
+    s1 = 2 * (half + kappa) + 1
+    S = 2 * (p.n_trunc + half) + 1
+    assert s1 > _ROW_BLOCK
+    rng = rng_stream(2, 0, 7)
+    family = rng.standard_normal((s1, s1, block.dim)) @ block.chol.T
+    sheet = rng.standard_normal((S, S)) / p.n
+    lo = p.n_trunc - kappa
+    sheet[lo:lo + s1, lo:lo + s1] = family[:, :, -1]
+    w1, plain = sample_noise(p, block, rng_stream(2, 0, 7), half=half)
+    assert np.array_equal(w1, family[:, :, :-1])
+    assert np.array_equal(plain, sheet)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +584,100 @@ def test_far_field_circular_convolution_matches_direct_sum(n, gamma, kappa, half
                                  2 * half + 1, 1)
         ref = _far_field_direct(plan.a_matrix, B, N, half)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def _hybrid_reference(plan, sigma, rng):
+    """The hybrid field assembled from the public sample_noise output: an
+    explicit near sum over block.offsets plus the far field by direct sum."""
+    p, half = plan.params, plan.half
+    kappa, N, side = p.kappa, p.n_trunc, 2 * plan.half + 1
+    w1, plain = sample_noise(p, plan.block, rng, half=half)
+    near = np.zeros((side, side))
+    for idx, (j1, j2) in enumerate(plan.block.offsets):
+        rows = np.arange(side)[:, None] + kappa - j2
+        cols = np.arange(side)[None, :] + kappa - j1
+        s = sigma[rows + N - kappa, cols + N - kappa]
+        near += plan.weights[idx] * w1[rows, cols, idx] * s
+    return near + _far_field_direct(plan.a_matrix, sigma * plain, N, half)
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2])
+@pytest.mark.parametrize("half", [None, _ROW_BLOCK // 2 + 3])
+@pytest.mark.parametrize("modulated", [False, True])
+def test_hybrid_streamed_matches_sample_noise_reference(kappa, half, modulated):
+    # The engine streams the family into the near sum and the sheet into the
+    # far-field spectrum block by block; with s1 > _ROW_BLOCK the carried
+    # family rows are exercised.  A wrong carry or row offset moves whole
+    # rows by O(1), far beyond 1e-12.
+    k = Matern(0.4, 1.0)
+    p = SchemeParams(n=6, gamma=0.4, kappa=kappa, seed=17)
+    plan = prepare_hybrid(k, p, half=half)
+    S = 2 * (p.n_trunc + plan.half) + 1
+    if modulated:
+        sigma = np.exp(0.3 * np.random.default_rng(kappa).standard_normal((S, S)))
+        vol = ProvidedGridVol(sigma)
+    else:
+        sigma, vol = np.ones((S, S)), ConstantVol(1.0)
+    got = hybrid_simulate(k, p, vol, plan=plan, replicate=4).values
+    ref = _hybrid_reference(plan, sigma, rng_stream(17, 0, 4))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def _replicate_peak(simulate):
+    tracemalloc.start()
+    try:
+        simulate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", ["hybrid", "hybrid-provided", "riemann"])
+def test_replicate_working_set_within_two_spectra(scheme):
+    # One planned replicate holds one complex (P, P//2+1) spectrum plus
+    # row blocks and the kept output rows, never the full noise family, the
+    # padded sheet or a second spectrum.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=100, gamma=0.3, kappa=1, seed=3)
+    if scheme == "riemann":
+        plan = prepare_riemann(k, p)
+        peak = _replicate_peak(lambda: riemann_simulate(k, p, plan=plan))
+    else:
+        plan = prepare_hybrid(k, p)
+        vol = ConstantVol(1.0)
+        if scheme == "hybrid-provided":
+            S = 2 * (p.n_trunc + p.n) + 1
+            vol = ProvidedGridVol(np.full((S, S), 1.5))
+        peak = _replicate_peak(lambda: hybrid_simulate(k, p, vol, plan=plan))
+    P = plan.fshape
+    spectrum = P * (P // 2 + 1) * 16
+    assert peak <= 2 * spectrum, f"peak {peak / spectrum:.2f} spectra"
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "optimal"])
+def test_plan_spectrum_equals_rfft2_of_step_kernel(mode):
+    # the octant row fill plus the split transform is rfft2 bit for bit
+    p = SchemeParams(n=7, gamma=0.5, kappa=1, policy=EvaluationPolicy(mode=mode))
+    for plan in (prepare_hybrid(Matern(0.3, 1.0), p),
+                 prepare_riemann(Matern(0.3, 1.0), p)):
+        P = plan.fshape
+        assert np.array_equal(plan.fft_a, rfft2(plan.a_matrix, s=(P, P)))
+        assert plan.a_sq_sum == pytest.approx(np.sum(plan.a_matrix**2),
+                                              rel=1e-14)
+
+
+@pytest.mark.parametrize("prepare", [prepare_hybrid, prepare_riemann])
+def test_memory_preflight_refuses_before_allocating(prepare):
+    # n = 5000, gamma = 0.3: period ~139 000, one spectrum ~150 GB
+    p = SchemeParams(n=5000, gamma=0.3, kappa=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="MiB.*available"):
+            prepare(Matern(0.5, 1.0), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _dense_radii(N):
