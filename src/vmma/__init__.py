@@ -66,7 +66,6 @@ from .fields import (
     FieldGrid,
     HybridPlan,
     ProvidedGridVol,
-    RiemannPlan,
     SchemeParams,
     VolatilityModel,
     circulant_simulate,
@@ -106,7 +105,7 @@ __all__ = [
     # fields
     "SchemeParams", "FieldGrid", "VolatilityModel", "ConstantVol",
     "ProvidedGridVol", "ExpVmmaVolatility", "volatility_from_log_field",
-    "rng_stream", "sample_noise", "conv2_fft", "HybridPlan", "RiemannPlan",
+    "rng_stream", "sample_noise", "conv2_fft", "HybridPlan",
     "prepare_hybrid", "hybrid_simulate", "prepare_riemann",
     "riemann_simulate", "circulant_simulate", "scheme_variance",
     # analysis

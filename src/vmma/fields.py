@@ -13,6 +13,11 @@ Three engines produce (2n+1) x (2n+1) grids over [-1, 1]^2 with spacing 1/n:
   embedding, used as the ground-truth oracle in tests and studies; the
   embedding is built from a table of covariances on integer lags.
 
+The two step-kernel engines share one plan type and one body: a Riemann plan
+is a HybridPlan with no inner block (block and weights None), whose step
+kernel covers the whole window with the central cell at its optimal radius.
+Without a block no correlated family is drawn and no near sum is formed.
+
 Index conventions: an integer grid index pair (i1, i2) denotes the physical
 point (i1/n, i2/n); arrays are laid out [row, col] with the ROW tracking the
 SECOND coordinate i2 and the column tracking i1.  All index windows below are
@@ -95,7 +100,6 @@ __all__ = [
     "HybridPlan",
     "prepare_hybrid",
     "hybrid_simulate",
-    "RiemannPlan",
     "prepare_riemann",
     "riemann_simulate",
     "circulant_simulate",
@@ -557,7 +561,7 @@ def _check_memory(params: SchemeParams, half: int, kappa: int | None):
 
 
 # ---------------------------------------------------------------------------
-# Hybrid scheme
+# Step-kernel schemes: hybrid and Riemann
 
 
 def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
@@ -565,6 +569,12 @@ def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
     -(1+alpha)/(1+beta) of a kernel with polynomial decay x**beta, below
     which the truncation error is not guaranteed to vanish at the scheme's
     rate.  Shared by the engines and the MSE analysis."""
+    _rate_warning(kernel, params)
+
+
+def _rate_warning(kernel: KernelSpec, params: SchemeParams):
+    # two frames up from here is the caller of check_rate_hypothesis or, via
+    # _prepare, of prepare_hybrid/prepare_riemann: stacklevel 4 names it
     beta = getattr(kernel, "beta_decay", -math.inf)
     if math.isfinite(beta):
         threshold = -(1.0 + kernel.alpha) / (1.0 + beta)
@@ -574,7 +584,7 @@ def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
                 f"threshold -(1+alpha)/(1+beta) = {threshold:.4g}; the scheme "
                 f"still runs but the asymptotic error guarantee does not apply",
                 RateHypothesisWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
@@ -596,28 +606,29 @@ def _inner_weights(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
     return w
 
 
-def _step_kernel_octant(kernel: KernelSpec, n: int, N: int,
-                        kappa: int | None, optimal: bool) -> np.ndarray:
+def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
+                        inner: bool) -> np.ndarray:
     """g(r_k / n) on the canonical cells a >= b >= 0 of the window max|k| <=
-    N, cell (a, b) at index a(a+1)/2 + b.
+    N = n_trunc, cell (a, b) at index a(a+1)/2 + b.
 
-    r_k is the midpoint radius |k|, or with `optimal` the L2-optimal radius
-    box(k, alpha)**(1/alpha).  With kappa given, the inner block max|k| <=
-    kappa is zero (hybrid); with kappa None the central cell, where the
-    midpoint sits on the singularity, takes its optimal radius (Riemann).
-    Both radii depend on k only through its octant representative (a, b) =
+    With `inner` (hybrid), the inner block max|k| <= kappa is zero and r_k
+    is the policy's radius: the midpoint radius |k|, or under the "optimal"
+    mode the L2-optimal radius box(k, alpha)**(1/alpha).  Without (Riemann),
+    r_k is the midpoint radius, except at the central cell, where the
+    midpoint sits on the singularity and the optimal radius is used.  Both
+    radii depend on k only through its octant representative (a, b) =
     (max|k_i|, min|k_i|), so g is evaluated once per canonical cell.
     """
-    alpha = kernel.alpha
+    n, N, alpha = params.n, params.n_trunc, kernel.alpha
     a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
     b = np.arange(a.size) - a * (a + 1) // 2
-    first = 0 if kappa is None else (kappa + 1) * (kappa + 2) // 2
+    first = (params.kappa + 1) * (params.kappa + 2) // 2 if inner else 0
     a, b = a[first:].astype(float), b[first:].astype(float)
-    if optimal:
+    if inner and params.policy.mode == "optimal":
         r = box_power_integrals(a, b, alpha) ** (1.0 / alpha)
     else:
         r = np.hypot(a, b)
-    if kappa is None:
+    if not inner:
         r[0] = optimal_b_norm((0, 0), alpha)
     octant = np.zeros(first + r.size)
     octant[first:] = kernel.eval_g(r / n)
@@ -657,20 +668,19 @@ def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
     return _row_spectrum(rows, period, workers)
 
 
-def _hybrid_octant(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    return _step_kernel_octant(kernel, params.n, params.n_trunc, params.kappa,
-                               optimal=params.policy.mode == "optimal")
-
-
 @dataclass(frozen=True)
 class HybridPlan:
-    """Replicate-independent precomputation for the hybrid engine."""
+    """Replicate-independent precomputation for the step-kernel engines.
+
+    A hybrid plan carries the inner block and its weights; a Riemann plan
+    has block and weights None and a step kernel over the whole window.
+    """
 
     kernel: KernelSpec
     params: SchemeParams
     half: int
-    block: CovarianceBlock
-    weights: np.ndarray          # aligned with block.offsets
+    block: CovarianceBlock | None
+    weights: np.ndarray | None   # aligned with block.offsets
     fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
     fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
     a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
@@ -683,8 +693,37 @@ class HybridPlan:
     def a_matrix(self) -> np.ndarray:
         """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
         only its spectrum."""
-        return _octant_rows(_hybrid_octant(self.kernel, self.params),
-                            self.params.n_trunc)
+        return _octant_rows(
+            _step_kernel_octant(self.kernel, self.params, self.block is not None),
+            self.params.n_trunc)
+
+
+def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
+    """Step-kernel matrix of the Riemann scheme: g at cell midpoints for all
+    cells in the truncation window, with the central cell evaluated at its
+    optimal radius (the midpoint would sit on the singularity)."""
+    return _octant_rows(_step_kernel_octant(kernel, params, inner=False),
+                        params.n_trunc)
+
+
+def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
+             workers: int | None, inner: bool) -> HybridPlan:
+    m0 = params.n if half is None else int(half)
+    if m0 < 1:
+        raise ValidationError(f"output half-width must be >= 1, got {m0}")
+    _check_memory(params, m0, params.kappa if inner else None)
+    _rate_warning(kernel, params)
+    block = weights = None
+    if inner:
+        block = build_block(kernel.alpha, params.kappa, params.n)
+        weights = _inner_weights(kernel, params)
+    octant = _step_kernel_octant(kernel, params, inner)
+    fsh = _sheet_period(params, m0)
+    return HybridPlan(
+        kernel=kernel, params=params, half=m0, block=block, weights=weights,
+        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
+        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
+    )
 
 
 def prepare_hybrid(
@@ -698,20 +737,92 @@ def prepare_hybrid(
     (default n, i.e. the grid over [-1,1]^2); the discretization itself (cell
     size, truncation) is unchanged.  Raises ValidationError before building
     anything when the plan plus one replicate would not fit in memory."""
-    m0 = params.n if half is None else int(half)
-    if m0 < 1:
-        raise ValidationError(f"output half-width must be >= 1, got {m0}")
-    _check_memory(params, m0, params.kappa)
-    check_rate_hypothesis(kernel, params)
-    block = build_block(kernel.alpha, params.kappa, params.n)
-    weights = _inner_weights(kernel, params)
-    octant = _hybrid_octant(kernel, params)
-    fsh = _sheet_period(params, m0)
-    return HybridPlan(
-        kernel=kernel, params=params, half=m0, block=block, weights=weights,
-        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
-        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
-    )
+    return _prepare(kernel, params, half, workers, inner=True)
+
+
+def prepare_riemann(
+    kernel: KernelSpec,
+    params: SchemeParams,
+    half: int | None = None,
+    workers: int | None = None,
+) -> HybridPlan:
+    """Build the reusable parts of the Riemann-sum scheme: a HybridPlan with
+    no inner block (block and weights None) whose step kernel covers the
+    whole window.  `half` and the memory check are as in prepare_hybrid."""
+    return _prepare(kernel, params, half, workers, inner=False)
+
+
+def _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol, half,
+              workers, inner: bool) -> FieldGrid:
+    """One replicate of either step-kernel engine; `inner` selects hybrid
+    (the plan must carry a block) or Riemann (it must not)."""
+    if vol is None:
+        vol = ConstantVol(1.0)
+    vol.validate_against(kernel)
+    if plan is None:
+        # through the public names, so that wrappers installed on them see
+        # the cold runs' plan builds
+        prepare = prepare_hybrid if inner else prepare_riemann
+        plan = prepare(kernel, params, half=half, workers=workers)
+    elif (plan.block is not None) != inner:
+        raise ValidationError(
+            f"plan was prepared for the {'Riemann' if inner else 'hybrid'} scheme")
+    elif plan.kernel != kernel or plan.params != params or (
+        half is not None and plan.half != int(half)
+    ):
+        raise ValidationError("plan was prepared for different settings")
+    m0 = plan.half
+    n, kappa, N = params.n, params.kappa, params.n_trunc
+    side = 2 * m0 + 1
+    S = 2 * (N + m0) + 1
+
+    const = vol.constant_value
+    sigma = None
+    if const is None:
+        if rng_vol is None:
+            rng_vol = rng_stream(params.seed, 1, replicate)
+        sigma = vol.realize(n, N + m0, rng_vol, workers)
+    if rng_noise is None:
+        rng_noise = rng_stream(params.seed, 0, replicate)
+
+    if plan.block is None:
+        rows = _noise_rows(rng_noise, n, S, plan.fshape)
+    else:
+        # win holds family rows r0 - carry .. r0 + k - 1 while r0 is summed
+        carry = 2 * kappa
+        win = np.empty((carry + _ROW_BLOCK, side + carry, plan.block.dim))
+        x_tilde = np.zeros((side, side))
+
+        def near_sum(r0, k):
+            # output row o reads family rows o .. o + 2*kappa, so once block
+            # r0 is in, rows up to r0 + k - carry are complete; every block
+            # completes some (the first has k > carry: s1 > carry,
+            # _ROW_BLOCK > 10)
+            o0, o1 = max(r0 - carry, 0), r0 + k - carry
+            for idx, (j1, j2) in enumerate(plan.block.offsets):
+                # noise cell i - j for output i: shift the family by -j
+                r = o0 + kappa - j2 - (r0 - carry)
+                c0 = kappa - j1
+                contrib = win[r:r + o1 - o0, c0:c0 + side, idx]
+                if sigma is not None:
+                    contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
+                                              N - j1:N - j1 + side]
+                x_tilde[o0:o1] += plan.weights[idx] * contrib
+            win[:carry] = win[k:k + carry]
+
+        rows = _noise_rows(rng_noise, n, S, plan.fshape, plan.block.chol,
+                           win[carry:], near_sum)
+    if sigma is not None:
+        rows = _modulated(rows, sigma)
+    spec = _row_spectrum(rows, plan.fshape, workers)
+    values = _convolved_block(spec, plan.fft_a, 2 * N, side, workers)
+
+    if plan.block is not None:
+        values = x_tilde + values
+    if const is not None and const != 1.0:
+        values = const * values
+    return FieldGrid(values=values, spacing=1.0 / n,
+                     origin=(-m0 / n, -m0 / n))
 
 
 def hybrid_simulate(
@@ -734,122 +845,11 @@ def hybrid_simulate(
     Noise streams: rng_stream(seed, 0, replicate) for the field and
     rng_stream(seed, 1, replicate) for the volatility, unless explicit
     generators are passed.  The noise is streamed in row blocks (see the
-    module docstring), so neither noise family is held whole.
+    module docstring), so neither noise family is held whole.  A plan from
+    prepare_riemann is rejected with ValidationError.
     """
-    if vol is None:
-        vol = ConstantVol(1.0)
-    vol.validate_against(kernel)
-    if plan is None:
-        plan = prepare_hybrid(kernel, params, half=half, workers=workers)
-    elif plan.kernel != kernel or plan.params != params or (
-        half is not None and plan.half != int(half)
-    ):
-        raise ValidationError("plan was prepared for different settings")
-    m0 = plan.half
-    n, kappa, N = params.n, params.kappa, params.n_trunc
-    side = 2 * m0 + 1
-    S = 2 * (N + m0) + 1
-
-    const = vol.constant_value
-    sigma = None
-    if const is None:
-        if rng_vol is None:
-            rng_vol = rng_stream(params.seed, 1, replicate)
-        sigma = vol.realize(n, N + m0, rng_vol, workers)
-    if rng_noise is None:
-        rng_noise = rng_stream(params.seed, 0, replicate)
-
-    # win holds family rows r0 - carry .. r0 + k - 1 while block r0 is summed
-    carry = 2 * kappa
-    win = np.empty((carry + _ROW_BLOCK, side + carry, plan.block.dim))
-    x_tilde = np.zeros((side, side))
-
-    def near_sum(r0, k):
-        # output row o reads family rows o .. o + 2*kappa, so once block r0
-        # is in, rows up to r0 + k - carry are complete; every block
-        # completes some (the first has k > carry: s1 > carry, _ROW_BLOCK > 10)
-        o0, o1 = max(r0 - carry, 0), r0 + k - carry
-        for idx, (j1, j2) in enumerate(plan.block.offsets):
-            # noise cell i - j for output i: shift the family by -j
-            r = o0 + kappa - j2 - (r0 - carry)
-            c0 = kappa - j1
-            contrib = win[r:r + o1 - o0, c0:c0 + side, idx]
-            if sigma is not None:
-                contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
-                                          N - j1:N - j1 + side]
-            x_tilde[o0:o1] += plan.weights[idx] * contrib
-        win[:carry] = win[k:k + carry]
-
-    rows = _noise_rows(rng_noise, n, S, plan.fshape, plan.block.chol,
-                       win[carry:], near_sum)
-    if sigma is not None:
-        rows = _modulated(rows, sigma)
-    spec = _row_spectrum(rows, plan.fshape, workers)
-    x_hat = _convolved_block(spec, plan.fft_a, 2 * N, side, workers)
-
-    values = x_tilde + x_hat
-    if const is not None and const != 1.0:
-        values = const * values
-    return FieldGrid(values=values, spacing=1.0 / n,
-                     origin=(-m0 / n, -m0 / n))
-
-
-# ---------------------------------------------------------------------------
-# Riemann-sum scheme
-
-
-@dataclass(frozen=True)
-class RiemannPlan:
-    """Replicate-independent precomputation for the Riemann-sum engine."""
-
-    kernel: KernelSpec
-    params: SchemeParams
-    half: int
-    fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
-    fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
-    a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
-
-    @property
-    def out_side(self) -> int:
-        return 2 * self.half + 1
-
-    @property
-    def a_matrix(self) -> np.ndarray:
-        """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
-        only its spectrum."""
-        return riemann_kernel_matrix(self.kernel, self.params)
-
-
-def _riemann_octant(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    return _step_kernel_octant(kernel, params.n, params.n_trunc, None,
-                               optimal=False)
-
-
-def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    """Step-kernel matrix of the Riemann scheme: g at cell midpoints for all
-    cells in the truncation window, with the central cell evaluated at its
-    optimal radius (the midpoint would sit on the singularity)."""
-    return _octant_rows(_riemann_octant(kernel, params), params.n_trunc)
-
-
-def prepare_riemann(
-    kernel: KernelSpec,
-    params: SchemeParams,
-    half: int | None = None,
-    workers: int | None = None,
-) -> RiemannPlan:
-    m0 = params.n if half is None else int(half)
-    if m0 < 1:
-        raise ValidationError(f"output half-width must be >= 1, got {m0}")
-    _check_memory(params, m0, None)
-    check_rate_hypothesis(kernel, params)
-    octant = _riemann_octant(kernel, params)
-    fsh = _sheet_period(params, m0)
-    return RiemannPlan(
-        kernel=kernel, params=params, half=m0,
-        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
-        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
-    )
+    return _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol,
+                     half, workers, inner=True)
 
 
 def riemann_simulate(
@@ -858,7 +858,7 @@ def riemann_simulate(
     vol: VolatilityModel | None = None,
     replicate: int = 0,
     *,
-    plan: RiemannPlan | None = None,
+    plan: HybridPlan | None = None,
     rng_noise: np.random.Generator | None = None,
     rng_vol: np.random.Generator | None = None,
     half: int | None = None,
@@ -867,36 +867,11 @@ def riemann_simulate(
     """Simulate one replicate by the pure step-function (Riemann-sum) scheme.
 
     All cells use iid plain noise N(0, 1/n^2); kappa plays no role.  The
-    output depends only on (kernel, n, gamma, seed/replicate, vol).
+    output depends only on (kernel, n, gamma, seed/replicate, vol).  A plan
+    from prepare_hybrid is rejected with ValidationError.
     """
-    if vol is None:
-        vol = ConstantVol(1.0)
-    vol.validate_against(kernel)
-    if plan is None:
-        plan = prepare_riemann(kernel, params, half=half, workers=workers)
-    elif plan.kernel != kernel or plan.params != params or (
-        half is not None and plan.half != int(half)
-    ):
-        raise ValidationError("plan was prepared for different settings")
-    m0 = plan.half
-    n, N = params.n, params.n_trunc
-    S = 2 * (N + m0) + 1
-
-    if rng_noise is None:
-        rng_noise = rng_stream(params.seed, 0, replicate)
-    rows = _noise_rows(rng_noise, n, S, plan.fshape)
-
-    const = vol.constant_value
-    if const is None:
-        if rng_vol is None:
-            rng_vol = rng_stream(params.seed, 1, replicate)
-        rows = _modulated(rows, vol.realize(n, N + m0, rng_vol, workers))
-
-    spec = _row_spectrum(rows, plan.fshape, workers)
-    values = _convolved_block(spec, plan.fft_a, 2 * N, plan.out_side, workers)
-    if const is not None and const != 1.0:
-        values = const * values
-    return FieldGrid(values=values, spacing=1.0 / n, origin=(-m0 / n, -m0 / n))
+    return _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol,
+                     half, workers, inner=False)
 
 
 # ---------------------------------------------------------------------------
@@ -990,18 +965,20 @@ def circulant_simulate(
 # Deterministic second-moment helper
 
 
-def scheme_variance(plan: HybridPlan | RiemannPlan) -> float:
+def scheme_variance(plan: HybridPlan) -> float:
     """Exact pointwise variance of the scheme's output at unit volatility.
 
     The inner and outer parts use disjoint cells, so the variance is the sum
     of the weighted power-cell variances and the step-kernel energy:
 
-        sum_j w_j^2 n^(-2-2a) box(j, 2a)  +  n^(-2) sum_k A_k^2.
+        sum_j w_j^2 n^(-2-2a) box(j, 2a)  +  n^(-2) sum_k A_k^2;
+
+    a Riemann plan (no inner block) has the second term only.
     """
     params = plan.params
     n = params.n
     outer = plan.a_sq_sum / n**2
-    if isinstance(plan, RiemannPlan):
+    if plan.block is None:
         return outer
     alpha = plan.kernel.alpha
     inner = 0.0

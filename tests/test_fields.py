@@ -341,12 +341,22 @@ def test_hybrid_deterministic_across_workers():
     assert np.array_equal(g1.values, g2.values)
 
 
-def test_hybrid_plan_reuse_matches_cold_run():
+# The two step-kernel engines, as (prepare, simulate) pairs.
+ENGINES = pytest.mark.parametrize(
+    "prepare, simulate",
+    [(prepare_hybrid, hybrid_simulate), (prepare_riemann, riemann_simulate)],
+    ids=["hybrid", "riemann"],
+)
+
+
+@ENGINES
+def test_hybrid_plan_reuse_matches_cold_run(prepare, simulate):
+    # the planned path (roughness_study) against the cold one (vmma simulate)
     k = ExpDecay(-0.4)
     p = SchemeParams(n=9, gamma=0.4, kappa=2, seed=11)
-    plan = prepare_hybrid(k, p)
-    g1 = hybrid_simulate(k, p, plan=plan, replicate=3)
-    g2 = hybrid_simulate(k, p, replicate=3)
+    plan = prepare(k, p)
+    g1 = simulate(k, p, plan=plan, replicate=3)
+    g2 = simulate(k, p, replicate=3)
     assert np.array_equal(g1.values, g2.values)
 
 
@@ -358,6 +368,11 @@ def test_hybrid_plan_mismatch_rejected():
         hybrid_simulate(ExpDecay(-0.5), SchemeParams(n=9, gamma=0.4, kappa=2), plan=plan)
     with pytest.raises(ValidationError):
         hybrid_simulate(k, SchemeParams(n=9, gamma=0.4, kappa=1), plan=plan)
+    # a plan of the other engine, in both directions
+    with pytest.raises(ValidationError):
+        riemann_simulate(k, p, plan=plan)
+    with pytest.raises(ValidationError):
+        hybrid_simulate(k, p, plan=prepare_riemann(k, p))
 
 
 def test_hybrid_constant_vol_linearity_exact():
@@ -369,17 +384,18 @@ def test_hybrid_constant_vol_linearity_exact():
     assert np.array_equal(g3.values, 3.0 * g1.values)
 
 
-def test_hybrid_variance_matches_scheme_variance():
+@ENGINES
+def test_hybrid_variance_matches_scheme_variance(prepare, simulate):
     # The scheme's exact single-point variance (closed form) against the MC
     # variance at the central point over replicates, 3 SE.
     k = ExpDecay(-0.5)
     p = SchemeParams(n=5, gamma=0.6, kappa=1, seed=13)
-    plan = prepare_hybrid(k, p)
+    plan = prepare(k, p)
     target = scheme_variance(plan)
     reps = 3000
     center = np.empty(reps)
     for r in range(reps):
-        g = hybrid_simulate(k, p, plan=plan, replicate=r)
+        g = simulate(k, p, plan=plan, replicate=r)
         center[r] = g.values[g.side // 2, g.side // 2]
     var = center.var()
     se = target * math.sqrt(2.0 / reps)
@@ -601,25 +617,35 @@ def _hybrid_reference(plan, sigma, rng):
     return near + _far_field_direct(plan.a_matrix, sigma * plain, N, half)
 
 
-@pytest.mark.parametrize("kappa", [0, 1, 2])
+@pytest.mark.parametrize("kappa", [0, 1, 2, None])
 @pytest.mark.parametrize("half", [None, _ROW_BLOCK // 2 + 3])
 @pytest.mark.parametrize("modulated", [False, True])
 def test_hybrid_streamed_matches_sample_noise_reference(kappa, half, modulated):
     # The engine streams the family into the near sum and the sheet into the
     # far-field spectrum block by block; with s1 > _ROW_BLOCK the carried
     # family rows are exercised.  A wrong carry or row offset moves whole
-    # rows by O(1), far beyond 1e-12.
+    # rows by O(1), far beyond 1e-12.  kappa None is the Riemann engine: no
+    # family, the whole sheet from one plain draw.
     k = Matern(0.4, 1.0)
-    p = SchemeParams(n=6, gamma=0.4, kappa=kappa, seed=17)
-    plan = prepare_hybrid(k, p, half=half)
+    p = SchemeParams(n=6, gamma=0.4, kappa=kappa or 0, seed=17)
+    prepare, simulate = ((prepare_riemann, riemann_simulate) if kappa is None
+                         else (prepare_hybrid, hybrid_simulate))
+    plan = prepare(k, p, half=half)
     S = 2 * (p.n_trunc + plan.half) + 1
     if modulated:
-        sigma = np.exp(0.3 * np.random.default_rng(kappa).standard_normal((S, S)))
+        rng = np.random.default_rng(3 if kappa is None else kappa)
+        sigma = np.exp(0.3 * rng.standard_normal((S, S)))
         vol = ProvidedGridVol(sigma)
     else:
         sigma, vol = np.ones((S, S)), ConstantVol(1.0)
-    got = hybrid_simulate(k, p, vol, plan=plan, replicate=4).values
-    ref = _hybrid_reference(plan, sigma, rng_stream(17, 0, 4))
+    got = simulate(k, p, vol, plan=plan, replicate=4).values
+    rng = rng_stream(17, 0, 4)
+    if kappa is None:
+        plain = rng.standard_normal((S, S)) / p.n
+        ref = _far_field_direct(riemann_kernel_matrix(k, p), sigma * plain,
+                                p.n_trunc, plan.half)
+    else:
+        ref = _hybrid_reference(plan, sigma, rng)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
 
 
