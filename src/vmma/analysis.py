@@ -48,10 +48,10 @@ import numpy as np
 from .covariance import (
     DEFAULT_POLICY,
     EvaluationPolicy,
-    box_power_integrals,
-    central_L_coefficient,
+    cell_weight,
     j_constant,
-    representative_radius,
+    octant_cells,
+    representative_radii,
 )
 from .errors import DegenerateDataError, QuadratureError, ValidationError
 from .fields import (
@@ -393,11 +393,6 @@ class MseReport:
         return lines
 
 
-def _cell_multiplicity(a_arr, b_arr):
-    """Number of cells in the octant orbit of each representative (a, b)."""
-    return np.where((a_arr == b_arr) | (b_arr == 0), 4.0, 8.0)
-
-
 def _near_mask(a_arr, b_arr, kinks_cells):
     """Cells that take adaptive quadrature: a <= _NEAR_CUTOFF, or within a
     cell circumradius of a kink circle (radii in cell units)."""
@@ -424,7 +419,7 @@ def _far_cell_integrals(kernel, n, af, bf, g0, order):
     return acc
 
 
-def _far_order_probe(kernel, n, rep_radii, kinks_cells):
+def _far_order_probe(kernel, n, policy, kinks_cells):
     """Lowest far-cell order that reproduces the _FAR_ORDER rule.
 
     Integrates the innermost far cells (a = _NEAR_CUTOFF + 1, b = 0..a,
@@ -435,14 +430,13 @@ def _far_order_probe(kernel, n, rep_radii, kinks_cells):
     (order, largest per-cell relative discrepancy), or (_FAR_ORDER, 0.0)
     when no lower order is accepted.
     """
-    a = np.full(_NEAR_CUTOFF + 2, _NEAR_CUTOFF + 1)
-    b = np.arange(_NEAR_CUTOFF + 2)
+    a, b, _ = octant_cells(_NEAR_CUTOFF + 1, _NEAR_CUTOFF)
     far = ~_near_mask(a, b, kinks_cells)
     if not np.any(far):
         return _FAR_ORDER, 0.0
     a, b = a[far], b[far]
     af, bf = a.astype(float), b.astype(float)
-    g0 = kernel.eval_g(rep_radii(a, b) / n)
+    g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
     ref = _far_cell_integrals(kernel, n, af, bf, g0, _FAR_ORDER)
     nonzero = ref != 0.0
     for order in _FAR_CANDIDATES:
@@ -453,13 +447,14 @@ def _far_order_probe(kernel, n, rep_radii, kinks_cells):
     return _FAR_ORDER, 0.0
 
 
-def _step_cell_errors(kernel, n, a_arr, b_arr, near, r_arr, tol_cell,
+def _step_cell_errors(kernel, n, a_arr, b_arr, mult, near, r_arr, tol_cell,
                       kinks_cells, far_order, far_rel):
     """Sum over octant-representative cells of
     mult * integral over the unit cell at (a, b) of (g((j+u)/n) - g(r_j/n))^2,
     in units of the unit cell (caller divides by n^2).
 
-    a_arr >= b_arr >= 0 integer arrays; near their _near_mask; r_arr the
+    a_arr >= b_arr >= 0 integer arrays and mult their multiplicities, as
+    octant_cells returns them; near their _near_mask; r_arr the
     representative radii (in cells); kinks_cells lists kernel kink radii in
     cell units.  Near cells — within _NEAR_CUTOFF, and every cell the kink
     circle may cross — use the exact radial reduction (adaptive 1D with
@@ -470,10 +465,6 @@ def _step_cell_errors(kernel, n, a_arr, b_arr, near, r_arr, tol_cell,
     _FAR_ROUNDOFF) of itself as its error.
     Returns (weighted sum, accumulated error estimate).
     """
-    a_arr = np.asarray(a_arr)
-    b_arr = np.asarray(b_arr)
-    r_arr = np.asarray(r_arr, dtype=float)
-    mult = _cell_multiplicity(a_arr, b_arr)
     g_rep = kernel.eval_g(r_arr / n)
     total = 0.0
     err = 0.0
@@ -483,7 +474,7 @@ def _step_cell_errors(kernel, n, a_arr, b_arr, near, r_arr, tol_cell,
             g0 = float(g0)
 
             def fr(r):
-                d = float(kernel.eval_g(np.asarray([r / n]))[0]) - g0
+                d = kernel.eval_g(r / n) - g0
                 return d * d
 
             v, e = radial_cell_integral(fr, int(a), int(b), tol=tol_cell,
@@ -515,8 +506,9 @@ def hybrid_mse(
     E_n = sigma^2 * (D1 + D2 + D3 + D4):
 
       D1: inner cells j with max|j| <= kappa, integral of
-          (w_j * |s|^alpha - g(|s|))^2 over the physical cell; w_j are
-          exactly the engine's inner weights (central cell included).
+          (w_j * |s|^alpha - g(|s|))^2 over the physical cell; w_j come
+          from covariance.cell_weight, the function the engine's inner
+          weights come from (central cell included).
       D2: step-kernel cells with kappa < max|j| <= n.
       D3: step-kernel cells with n < max|j| <= n_trunc.
       D4: integral of g^2 outside the truncation square (radial).
@@ -553,60 +545,39 @@ def hybrid_mse(
     err1 = 0.0
     n_inner = (2 * kappa + 1) ** 2
     tol_inner = tol * n**2 / (4.0 * max(n_inner, 1))
-    for a in range(0, kappa + 1):
-        for b in range(0, a + 1):
-            if a == 0 and b == 0:
-                if policy.central_mode == "optimal_L":
-                    w = central_L_coefficient(kernel, n)
-                else:
-                    w = float(kernel.eval_L(np.asarray(
-                        representative_radius((0, 0), alpha, policy) / n)))
-                mult = 1.0
+    a1, b1, m1 = octant_cells(kappa)
+    for a, b, mult in zip(a1.tolist(), b1.tolist(), m1.tolist()):
+        w = cell_weight(kernel, n, (a, b), policy)
+        if a == 0:
 
-                def fr0(r, _w=w):
-                    r = np.asarray(r, dtype=float)
-                    rp = r / n
-                    out = np.zeros_like(r)
-                    pos = r > 0.0
-                    d = _w * rp[pos] ** alpha - kernel.eval_g(rp[pos])
-                    out[pos] = d * d
-                    return out
+            def fr0(r):
+                r = np.asarray(r, dtype=float)
+                rp = r / n
+                out = np.zeros_like(r)
+                pos = r > 0.0
+                d = w * rp[pos] ** alpha - kernel.eval_g(rp[pos])
+                out[pos] = d * d
+                return out
 
-                v, e = radial_unit_box_integral(fr0, tol=tol_inner,
-                                                breakpoints=kinks_cells)
-            else:
-                rrep = representative_radius((a, b), alpha, policy)
-                w = float(kernel.eval_L(np.asarray(rrep / n)))
-                mult = 4.0 if (a == b or b == 0) else 8.0
-
-                def fr(r, _w=w):
-                    rp = r / n
-                    d = _w * rp**alpha - float(kernel.eval_g(np.asarray([rp]))[0])
-                    return d * d
-
-                v, e = radial_cell_integral(fr, a, b, tol=tol_inner,
+            v, e = radial_unit_box_integral(fr0, tol=tol_inner,
                                             breakpoints=kinks_cells)
-            d1 += mult * v
-            err1 += mult * e
+        else:
+
+            def fr(r):
+                rp = r / n
+                d = w * rp**alpha - kernel.eval_g(rp)
+                return d * d
+
+            v, e = radial_cell_integral(fr, a, b, tol=tol_inner,
+                                        breakpoints=kinks_cells)
+        d1 += mult * v
+        err1 += mult * e
     d1 /= n**2
     err1 /= n**2
 
     # ---- D2 and D3: step-kernel cells, octant representatives
-    def _octant(lo, hi):
-        """Representatives (a, b), 0 <= b <= a, with lo < max = a <= hi, in
-        row-major order."""
-        a, b = np.tril_indices(hi + 1)
-        keep = a > lo
-        return a[keep], b[keep]
-
-    def _rep_radii(a_arr, b_arr):
-        if policy.mode == "midpoint":
-            return np.hypot(a_arr.astype(float), b_arr.astype(float))
-        return box_power_integrals(a_arr.astype(float), b_arr.astype(float),
-                                   alpha) ** (1.0 / alpha)
-
-    a2, b2 = _octant(kappa, min(n, N))
-    a3, b3 = _octant(min(n, N), N)
+    a2, b2, m2 = octant_cells(min(n, N), kappa)
+    a3, b3, m3 = octant_cells(N, min(n, N))
 
     # the adaptive budget is split over the cells that take the adaptive
     # path, counted with their multiplicities: those within _NEAR_CUTOFF and
@@ -616,24 +587,24 @@ def hybrid_mse(
     # units, hence the n^2 Jacobian factor.
     near2 = _near_mask(a2, b2, kinks_cells)
     near3 = _near_mask(a3, b3, kinks_cells)
-    n_near = int(np.sum(_cell_multiplicity(a2, b2)[near2])
-                 + np.sum(_cell_multiplicity(a3, b3)[near3]))
+    n_near = int(np.sum(m2[near2]) + np.sum(m3[near3]))
     tol_cell = tol * n**2 / (4.0 * max(n_near, 1))
 
     far_order, far_rel = _FAR_ORDER, 0.0
     if not (np.all(near2) and np.all(near3)):
-        far_order, far_rel = _far_order_probe(kernel, n, _rep_radii,
-                                              kinks_cells)
+        far_order, far_rel = _far_order_probe(kernel, n, policy, kinks_cells)
 
     d2 = err2 = 0.0
     if a2.size:
-        v, e = _step_cell_errors(kernel, n, a2, b2, near2, _rep_radii(a2, b2),
+        v, e = _step_cell_errors(kernel, n, a2, b2, m2, near2,
+                                 representative_radii(a2, b2, alpha, policy),
                                  tol_cell, kinks_cells, far_order, far_rel)
         d2, err2 = float(v / n**2), e / n**2
 
     d3 = err3 = 0.0
     if a3.size:
-        v, e = _step_cell_errors(kernel, n, a3, b3, near3, _rep_radii(a3, b3),
+        v, e = _step_cell_errors(kernel, n, a3, b3, m3, near3,
+                                 representative_radii(a3, b3, alpha, policy),
                                  tol_cell, kinks_cells, far_order, far_rel)
         d3, err3 = float(v / n**2), e / n**2
 

@@ -12,7 +12,7 @@ Four subcommands:
 
 Every command accepts ``--config FILE`` (JSON with long option names as
 keys; explicit flags always win) and ``--verbose`` (echoes the effective
-configuration to stderr).  ``simulate`` and ``roughness`` also accept
+configuration to stderr as JSON that ``--config`` accepts back).  ``simulate`` and ``roughness`` also accept
 ``--threads``, which caps the FFT worker count of that call (without it the
 VMMA_THREADS environment variable, else 1) and never changes any output
 value; ``mse`` and ``covariance`` run no FFT and take no ``--threads``.
@@ -26,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from .analysis import (
     mse_study,
@@ -47,7 +46,7 @@ from .fields import (
 from .gridio import write_grid
 from .kernels import Matern, format_kernel, matern_correlation, parse_kernel
 
-__all__ = ["main", "StudyConfig", "parse_volatility", "format_volatility"]
+__all__ = ["main", "parse_volatility", "format_volatility"]
 
 _PROG = "vmma"
 
@@ -101,55 +100,6 @@ def _parse_policy(name: str) -> EvaluationPolicy:
 # Configuration plumbing
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Effective configuration of one CLI invocation.
-
-    Keys mirror the long option names; to_dict/from_dict round-trip exactly,
-    so a config echoed by --verbose can be fed back via --config.
-    """
-
-    command: str
-    kernel: str | None = None
-    scheme: str = "hybrid"
-    schemes: tuple = ()
-    alphas: tuple = ()
-    n: int = 100
-    n_list: tuple = ()
-    gamma: float = 0.3
-    kappa: int = 1
-    alpha: float | None = None
-    seed: int = 0
-    replicate: int = 0
-    replicates: int = 100
-    vol: str = "const:1"
-    policy: str = "midpoint"
-    out: str | None = None
-    formats: tuple = ("vmg",)
-    plot_data: str | None = None
-    timing_out: str | None = None
-    threads: int | None = None
-    verbose: bool = False
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for k in ("schemes", "alphas", "n_list", "formats"):
-            d[k] = list(d[k])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudyConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        dd = dict(d)
-        for k in ("schemes", "alphas", "n_list", "formats"):
-            if k in dd and dd[k] is not None:
-                dd[k] = tuple(dd[k])
-        return cls(**dd)
-
-
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -167,9 +117,15 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flag > config file > command default.
 
     Flags parse with None sentinels so 'explicitly given' is detectable.
+    A "command" key, as the --verbose echo writes it, must name this
+    subcommand, so an echoed configuration can be fed back via --config.
     """
     cfg = _load_config(args.config) if args.config else {}
-    unknown = set(cfg) - set(defaults)
+    if cfg.get("command", args.command) != args.command:
+        raise ValidationError(
+            f"config is for the {cfg['command']!r} command, not {args.command!r}"
+        )
+    unknown = set(cfg) - set(defaults) - {"command"}
     if unknown:
         raise ValidationError(
             f"config keys not used by this command: {sorted(unknown)}"

@@ -15,9 +15,13 @@ integrals of ||x||**e over right triangles, which reduce to the Gauss
 hypergeometric 2F1(1/2, 3/2 + e/2; 3/2; z); that is the only special function
 the closed forms need.
 
-The module also provides the per-cell evaluation-point policy (midpoint vs
-L2-optimal radius), the optimal central-cell coefficient, and the
-discretization constant J that the scaled mean-squared error converges to.
+The module also owns the cell geometry that the engines, the MSE
+decomposition and the constant J share: octant_cells enumerates the
+canonical cells a >= b >= 0 with their multiplicities, representative_radii
+gives their radii under the per-cell evaluation-point policy (midpoint vs
+L2-optimal radius), and cell_weight gives the weight of an inner cell (L at
+its radius, or the optimal central-cell coefficient).  J is the constant the
+scaled mean-squared error converges to.
 """
 
 from __future__ import annotations
@@ -47,7 +51,10 @@ __all__ = [
     "build_block",
     "optimal_b_norm",
     "representative_radius",
+    "representative_radii",
     "central_L_coefficient",
+    "cell_weight",
+    "octant_cells",
     "j_constant",
 ]
 
@@ -399,7 +406,25 @@ def build_block(alpha: float, kappa: int, n: int, tol: float = 1e-10) -> Covaria
 
 
 # ---------------------------------------------------------------------------
-# Evaluation radii and the central-cell coefficient
+# Cell geometry: canonical cells, evaluation radii and inner weights
+
+
+def octant_cells(hi: int, lo: int = -1):
+    """Canonical cells a >= b >= 0 with lo < a <= hi, and their multiplicities.
+
+    Returns integer arrays (a, b, mult) in row-major order, so that over all
+    cells with a <= hi the cell (a, b) sits at index a(a+1)/2 + b.  mult is
+    the size of the cell's orbit under the eight symmetries of the grid: 1
+    at the origin, 4 on an axis or the diagonal, 8 elsewhere; the
+    multiplicities sum to (2hi+1)**2 - (2lo+1)**2, or (2hi+1)**2 for lo = -1.
+    """
+    if lo < -1:
+        raise ValidationError(f"octant_cells needs lo >= -1, got {lo}")
+    first = lo + 1
+    a = np.repeat(np.arange(first, hi + 1), np.arange(first + 1, hi + 2))
+    b = np.arange(a.size) + first * (first + 1) // 2 - a * (a + 1) // 2
+    mult = np.where(a == 0, 1, np.where((b == 0) | (b == a), 4, 8))
+    return a, b, mult
 
 
 def optimal_b_norm(j, alpha: float) -> float:
@@ -429,6 +454,23 @@ def representative_radius(j, alpha: float, policy: EvaluationPolicy) -> float:
     return optimal_b_norm(j, alpha)
 
 
+def representative_radii(a, b, alpha: float, policy: EvaluationPolicy) -> np.ndarray:
+    """representative_radius for arrays of canonical cells a >= b >= 0.
+
+    The origin takes the scalar optimal_b_norm((0, 0), alpha) under either
+    mode, so both forms agree there bit for bit; elsewhere the optimal radii
+    are the vectorised closed form, within an ulp of the scalar ones.
+    """
+    r0 = optimal_b_norm((0, 0), alpha)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if policy.mode == "midpoint":
+        r = np.hypot(a, b)
+    else:
+        r = box_power_integrals(a, b, alpha) ** (1.0 / alpha)
+    return np.where((a == 0.0) & (b == 0.0), r0, r)
+
+
 def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
     """L2-optimal constant weight for the central cell.
 
@@ -450,6 +492,19 @@ def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
 
     num, _ = radial_unit_box_integral(fr, tol=tol, breakpoints=breaks)
     return num / box_power_integral((0, 0), 2.0 * alpha)
+
+
+def cell_weight(kernel, n: int, j, policy: EvaluationPolicy) -> float:
+    """Weight of the exactly integrated inner cell j at resolution n.
+
+    L(r_j / n) at the policy's scalar representative_radius, except for the
+    central cell under central_mode="optimal_L", which takes
+    central_L_coefficient.  The hybrid engine's inner weights and the MSE's
+    D1 term both come from here.
+    """
+    if int(j[0]) == 0 and int(j[1]) == 0 and policy.central_mode == "optimal_L":
+        return central_L_coefficient(kernel, n)
+    return kernel.eval_L(representative_radius(j, kernel.alpha, policy) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +539,11 @@ def j_constant(
             f"for the tail estimate to hold"
         )
 
-    # Octant representatives j1 >= j2 >= 0 with kappa < j1 <= T.
-    j1s, j2s, mult = [], [], []
-    for a in range(int(kappa) + 1, T + 1):
-        for b in range(0, a + 1):
-            j1s.append(a)
-            j2s.append(b)
-            mult.append(4.0 if (b == 0 or b == a) else 8.0)
-    j1 = np.array(j1s, dtype=float)
-    j2 = np.array(j2s, dtype=float)
-    mult = np.array(mult)
-
+    j1, j2, mult = octant_cells(T, int(kappa))
     box2a = box_power_integrals(j1, j2, 2.0 * alpha)
     boxa = box_power_integrals(j1, j2, alpha)
     if policy.mode == "midpoint":
-        r_a = np.hypot(j1, j2) ** alpha
+        r_a = representative_radii(j1, j2, alpha, policy) ** alpha
         per_cell = box2a - 2.0 * r_a * boxa + r_a**2
     else:
         per_cell = box2a - boxa**2

@@ -76,11 +76,10 @@ from .covariance import (
     CovarianceBlock,
     EvaluationPolicy,
     box_power_integral,
-    box_power_integrals,
     build_block,
-    central_L_coefficient,
-    optimal_b_norm,
-    representative_radius,
+    cell_weight,
+    octant_cells,
+    representative_radii,
 )
 from .errors import EmbeddingError, RateHypothesisWarning, ValidationError
 from .kernels import KernelSpec
@@ -588,50 +587,25 @@ def _rate_warning(kernel: KernelSpec, params: SchemeParams):
             )
 
 
-def _inner_weights(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    """Weights multiplying the exactly-integrated power cells.
-
-    w_j = L(r_j / n) at the policy's representative radius; the central cell
-    uses either the optimal radius or the L2-optimal averaged coefficient.
-    """
-    n, kappa, policy = params.n, params.kappa, params.policy
-    offs = [(a, b) for a in range(-kappa, kappa + 1) for b in range(-kappa, kappa + 1)]
-    w = np.empty(len(offs))
-    for idx, j in enumerate(offs):
-        if j == (0, 0) and policy.central_mode == "optimal_L":
-            w[idx] = central_L_coefficient(kernel, n)
-        else:
-            r = representative_radius(j, kernel.alpha, policy)
-            w[idx] = kernel.eval_L(np.asarray(r / n))
-    return w
-
-
 def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
                         inner: bool) -> np.ndarray:
     """g(r_k / n) on the canonical cells a >= b >= 0 of the window max|k| <=
     N = n_trunc, cell (a, b) at index a(a+1)/2 + b.
 
+    r_k is the representative radius (covariance.representative_radii).
     With `inner` (hybrid), the inner block max|k| <= kappa is zero and r_k
-    is the policy's radius: the midpoint radius |k|, or under the "optimal"
-    mode the L2-optimal radius box(k, alpha)**(1/alpha).  Without (Riemann),
-    r_k is the midpoint radius, except at the central cell, where the
-    midpoint sits on the singularity and the optimal radius is used.  Both
-    radii depend on k only through its octant representative (a, b) =
-    (max|k_i|, min|k_i|), so g is evaluated once per canonical cell.
+    follows params.policy.  Without (Riemann), r_k is the midpoint policy's:
+    |k|, and at the central cell, where the midpoint sits on the
+    singularity, the optimal radius.  r_k depends on k only through its
+    octant representative (a, b) = (max|k_i|, min|k_i|), so g is evaluated
+    once per canonical cell.
     """
-    n, N, alpha = params.n, params.n_trunc, kernel.alpha
-    a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
-    b = np.arange(a.size) - a * (a + 1) // 2
-    first = (params.kappa + 1) * (params.kappa + 2) // 2 if inner else 0
-    a, b = a[first:].astype(float), b[first:].astype(float)
-    if inner and params.policy.mode == "optimal":
-        r = box_power_integrals(a, b, alpha) ** (1.0 / alpha)
-    else:
-        r = np.hypot(a, b)
-    if not inner:
-        r[0] = optimal_b_norm((0, 0), alpha)
-    octant = np.zeros(first + r.size)
-    octant[first:] = kernel.eval_g(r / n)
+    N = params.n_trunc
+    a, b = octant_cells(N, params.kappa if inner else -1)[:2]
+    r = representative_radii(a, b, kernel.alpha,
+                             params.policy if inner else DEFAULT_POLICY)
+    octant = np.zeros((N + 1) * (N + 2) // 2)
+    octant[octant.size - r.size:] = kernel.eval_g(r / params.n)
     return octant
 
 
@@ -649,14 +623,9 @@ def _octant_rows(octant: np.ndarray, N: int, r0: int = 0,
 
 
 def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
-    """Sum of squares over the (2N+1)^2 matrix an octant fills: a cell
-    a > b > 0 stands for 8 cells, one on an axis or the diagonal for 4, the
-    centre for 1."""
-    a = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
-    b = np.arange(a.size) - a * (a + 1) // 2
-    mult = np.where((b == 0) | (a == b), 4, 8)
-    mult[0] = 1
-    return float(np.sum(mult * octant**2))
+    """Sum of squares over the (2N+1)^2 matrix an octant fills, each
+    canonical cell counted with its octant_cells multiplicity."""
+    return float(np.sum(octant_cells(N)[2] * octant**2))
 
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
@@ -716,7 +685,8 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
     block = weights = None
     if inner:
         block = build_block(kernel.alpha, params.kappa, params.n)
-        weights = _inner_weights(kernel, params)
+        weights = np.array([cell_weight(kernel, params.n, j, params.policy)
+                            for j in block.offsets])
     octant = _step_kernel_octant(kernel, params, inner)
     fsh = _sheet_period(params, m0)
     return HybridPlan(
@@ -889,10 +859,8 @@ def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
     old = table.shape[0]
     out = np.empty((h + 1, h + 1))
     out[:old, :old] = table
-    a, b = np.tril_indices(h + 1)
-    keep = a >= old
-    a, b = a[keep], b[keep]
-    r = np.hypot(b.astype(float), a.astype(float)) / n
+    a, b = octant_cells(h, old - 1)[:2]
+    r = np.hypot(b, a) / n
     v = variance * np.asarray(correlation(r), dtype=float)
     out[a, b] = v
     out[b, a] = v

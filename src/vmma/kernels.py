@@ -82,7 +82,7 @@ class KernelSpec:
             raise ValidationError(f"tol must be positive, got {tol}")
 
         def f(r):
-            return float(self.eval_g(np.asarray([r]))[0] ** 2 * r)
+            return self.eval_g(r) ** 2 * r
 
         try:
             v1, e1 = _integrate.quad(f, 0.0, 1.0, epsabs=tol / 2, epsrel=1e-12,

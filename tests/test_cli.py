@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from vmma.cli import StudyConfig, format_volatility, main, parse_volatility
+from vmma.cli import format_volatility, main, parse_volatility
 from vmma.errors import QuadratureError, ValidationError
 from vmma.fields import ConstantVol, ExpVmmaVolatility
 from vmma.gridio import read_vmg
@@ -43,29 +43,6 @@ def test_parse_volatility_rejects_malformed():
     for bad in ("const", "const:0", "const:-1", "gauss:1", "expvmma:", ""):
         with pytest.raises(ValidationError):
             parse_volatility(bad)
-
-
-# ---------------------------------------------------------------------------
-# StudyConfig
-# ---------------------------------------------------------------------------
-
-
-def test_study_config_round_trip():
-    cfg = StudyConfig(
-        command="roughness",
-        alphas=(-0.5, -0.3),
-        schemes=("hybrid:1", "riemann"),
-        n=50,
-        replicates=10,
-    )
-    assert StudyConfig.from_dict(cfg.to_dict()) == cfg
-    # to_dict emits JSON-serializable values
-    json.dumps(cfg.to_dict())
-
-
-def test_study_config_rejects_unknown_keys():
-    with pytest.raises(ValidationError):
-        StudyConfig.from_dict({"command": "simulate", "bogus": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +219,34 @@ def test_verbose_echoes_config_json(tmp_path, capsys):
     assert echoed["command"] == "simulate"
     assert echoed["n"] == 12
     assert echoed["kernel"] == "matern:nu=0.5,lambda=1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kernel", "matern:nu=0.5,lambda=1", "--n", "8",
+     "--seed", "4", "--format", "vmg", "--format", "csv"],
+    ["roughness", "--alphas=-0.5", "--schemes", "hybrid:1,riemann",
+     "--n", "10", "--replicates", "2", "--seed", "1"],
+    ["mse", "--kernel", "matern:nu=0.5,lambda=1", "--n-list", "4,6,8"],
+    ["covariance", "--alpha=-0.5", "--kappa", "1", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_verbose_echo_feeds_back_as_config(tmp_path, capsys, argv):
+    run = tmp_path / "run"
+    run.mkdir()
+    assert main(argv + ["--out", str(run / "out"), "--verbose"]) == 0
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(capsys.readouterr().err)
+    first = {p.name: p.read_bytes() for p in run.iterdir()}
+    for p in run.iterdir():
+        p.unlink()
+    assert main([argv[0], "--config", str(cfg)]) == 0
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == first
+
+
+def test_config_for_another_command_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "mse", "alpha": -0.5}))
+    assert main(["covariance", "--config", str(cfg)]) == 2
+    assert "'mse' command" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,18 @@ from vmma.covariance import (
     box_power_integral,
     box_power_integrals,
     build_block,
+    cell_weight,
     central_L_coefficient,
     cross_covariance_integral,
     j_constant,
+    octant_cells,
     optimal_b_norm,
+    representative_radii,
     representative_radius,
     triangle_integral,
 )
 from vmma.errors import ValidationError
+from vmma.fields import SchemeParams, _octant_rows, prepare_hybrid
 from vmma.kernels import ExpDecay, Matern, PurePower
 
 OPTIMAL = EvaluationPolicy(mode="optimal", central_mode="optimal_L")
@@ -361,6 +365,82 @@ def test_representative_radius_policies():
     assert representative_radius((0, 0), -0.5, DEFAULT_POLICY) == pytest.approx(
         optimal_b_norm((0, 0), -0.5)
     )
+
+
+@pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
+def test_representative_radii_match_scalar_radius(alpha):
+    a, b, _ = octant_cells(12)
+    for policy in (DEFAULT_POLICY, OPTIMAL):
+        r = representative_radii(a, b, alpha, policy)
+        ref = np.array([representative_radius((i, j), alpha, policy)
+                        for i, j in zip(a, b)])
+        assert r[0] == ref[0]  # the origin, bit for bit under both modes
+        if policy.mode == "midpoint":
+            assert np.array_equal(r, ref)
+        else:
+            assert np.all(np.abs(r - ref) <= np.spacing(ref))
+
+
+def test_representative_radii_origin_is_scalar_optimal_radius():
+    # the vectorised closed form differs from the scalar one in the last bit
+    # for some alpha; the origin must take the scalar value
+    for alpha in np.linspace(-0.99, -0.01, 99):
+        r0 = optimal_b_norm((0, 0), alpha)
+        for policy in (DEFAULT_POLICY, OPTIMAL):
+            assert representative_radii([0], [0], alpha, policy)[0] == r0
+
+
+# ---------------------------------------------------------------------------
+# octant_cells
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hi", [0, 1, 2, 7])
+def test_octant_cells_index_and_orbit_sizes(hi):
+    a, b, mult = octant_cells(hi)
+    assert np.all((0 <= b) & (b <= a) & (a <= hi))
+    # cell k sits at index a(a+1)/2 + b, the index _octant_rows reads: the
+    # matrix it fills holds k exactly on cell (a[k], b[k]) and its mult[k]
+    # images under the grid's symmetries
+    assert np.array_equal(a * (a + 1) // 2 + b, np.arange(a.size))
+    filled = _octant_rows(np.arange(a.size), hi)
+    assert np.array_equal(filled[hi + b, hi + a], np.arange(a.size))
+    assert np.array_equal(np.bincount(filled.ravel()), mult)
+    assert mult.sum() == (2 * hi + 1) ** 2
+
+
+@pytest.mark.parametrize("hi,lo", [(5, 0), (7, 3), (3, 3), (2, 4)])
+def test_octant_cells_annulus(hi, lo):
+    a, b, mult = octant_cells(hi, lo)
+    full = octant_cells(hi)
+    keep = full[0] > lo
+    for got, ref in zip((a, b, mult), full):
+        assert np.array_equal(got, ref[keep])
+    assert mult.sum() == max(0, (2 * hi + 1) ** 2 - (2 * lo + 1) ** 2)
+
+
+def test_octant_cells_validation():
+    with pytest.raises(ValidationError):
+        octant_cells(3, -2)
+
+
+# ---------------------------------------------------------------------------
+# cell_weight
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["midpoint", "optimal"])
+@pytest.mark.parametrize("central_mode", ["optimal_L", "optimal_norm"])
+def test_cell_weight_is_the_engine_weight(kappa, mode, central_mode):
+    k = Matern(0.4, 1.0)
+    policy = EvaluationPolicy(mode=mode, central_mode=central_mode)
+    plan = prepare_hybrid(k, SchemeParams(n=12, gamma=0.4, kappa=kappa,
+                                          policy=policy))
+    w = [cell_weight(k, 12, j, policy) for j in plan.block.offsets]
+    assert np.array_equal(w, plan.weights)
+    if central_mode == "optimal_L":
+        assert cell_weight(k, 12, (0, 0), policy) == central_L_coefficient(k, 12)
 
 
 # ---------------------------------------------------------------------------
