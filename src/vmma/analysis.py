@@ -21,19 +21,23 @@ Three groups of tools:
   Normalising by L(0+)**2 instead removes that factor and converges much
   faster, because the constant -C in g drops out of the step-kernel errors.
 
-  The step-kernel cells within _NEAR_CUTOFF cells of the origin, and every
-  cell a kernel kink may cross, take adaptive radial quadrature; the adaptive
-  budget is split over exactly those cells, with their multiplicities.  The
-  remaining far cells take one tensor-Gauss rule whose order is chosen once
-  per hybrid_mse call by a probe: the innermost far cells (a = _NEAR_CUTOFF
-  + 1, kink cells excluded) are integrated with the 12-point reference rule
-  and with each lower order in _FAR_CANDIDATES, and the lowest order whose
-  per-cell values agree with the reference to _FAR_AGREEMENT relative is
-  used for every far cell.  Those cells are the hardest far cells: the
-  kernel's only singularity is at the origin and its exponential scale is
-  the same in every cell, so a cell farther out is integrated at least as
-  accurately.  If no lower order agrees, the 12-point rule is used, and
-  MseEntry.far_order reports the order either way.
+  The step-kernel cells fall into three bands of rings by their canonical
+  index a: near (kappa < a <= _NEAR_CUTOFF), inner far (up to _OUTER_FIRST)
+  and outer far.  Every cell takes its band's tensor-Gauss rule, except the
+  cells a kernel kink may cross, which take adaptive radial quadrature and
+  alone share the adaptive budget.  Each band's order is chosen once per
+  hybrid_mse call by a probe on the band's innermost ring: the lowest
+  candidate whose multiplicity-weighted ring sum agrees with the band's
+  reference to _GAUSS_AGREEMENT relative.  The near band's reference is the
+  adaptive radial reduction, and with no candidate accepted it takes the
+  adaptive path; the far bands' reference is the 12-point rule, which they
+  keep when no lower order agrees.  Gauss error is set by the distance to
+  the integrand's nearest singularity (Trefethen 2008, SIAM Rev. 50(1), the
+  Bernstein ellipse); the kernel's only singularity is at the origin and
+  its exponential scale is the same in every cell, so a band's innermost
+  ring is its hardest.  MseEntry.far_order reports the inner far band's
+  order.  The bands are summed in chunks of whole rings, so no per-cell
+  array grows with n.
 """
 
 from __future__ import annotations
@@ -334,17 +338,24 @@ def roughness_study(
 # Deterministic MSE decomposition
 
 
-# cells whose octant representative lies within this many cells of the origin
-# get adaptive per-cell quadrature; farther cells use a tensor-Gauss rule of
-# order _FAR_ORDER, or of the lowest order in _FAR_CANDIDATES whose per-cell
-# values on the innermost far cells agree with it to _FAR_AGREEMENT relative
+# The step-kernel cells fall into three bands of rings by the canonical index
+# a: near (a <= _NEAR_CUTOFF), inner far (a < _OUTER_FIRST) and outer far.
+# Each band takes the lowest tensor-Gauss order among its candidates whose
+# multiplicity-weighted sum over the band's innermost ring agrees with the
+# band's reference to _GAUSS_AGREEMENT relative: the adaptive radial
+# reduction for the near band, the _FAR_ORDER rule for the far bands.
 _NEAR_CUTOFF = 12
+_OUTER_FIRST = 52
+_NEAR_CANDIDATES = (12, 16, 24)
 _FAR_ORDER = 12
 _FAR_CANDIDATES = (6, 8)
-_FAR_AGREEMENT = 1e-13
-# relative error charged to the far-cell sum at the least: the reference
-# rule's own roundoff, which the probe cannot resolve
-_FAR_ROUNDOFF = 1e-14
+_OUTER_CANDIDATES = (4, 6, 8)
+_GAUSS_AGREEMENT = 1e-13
+# relative error charged to a band's tensor-Gauss sum at the least: the
+# reference's own roundoff, which the probe cannot resolve
+_GAUSS_ROUNDOFF = 1e-14
+# canonical cells per chunk of whole rings in the step-kernel sums
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -361,8 +372,8 @@ class MseEntry:
     # n^(2(1+alpha)) * L(1/n)^(-2) * e_n; tends to J only as fast as
     # L(1/n) -> L(0+), i.e. with a relative offset O(n^alpha) for Matern
     scaled: float
-    # tensor-Gauss order of the far step-kernel cells (_FAR_ORDER when the
-    # probe accepts no lower order or there are no far cells)
+    # tensor-Gauss order of the inner far band, 13 <= a < 52 (_FAR_ORDER
+    # when its probe accepts no lower order or the band has no cells)
     far_order: int = _FAR_ORDER
 
 
@@ -393,104 +404,124 @@ class MseReport:
         return lines
 
 
-def _near_mask(a_arr, b_arr, kinks_cells):
-    """Cells that take adaptive quadrature: a <= _NEAR_CUTOFF, or within a
-    cell circumradius of a kink circle (radii in cell units)."""
-    near = a_arr <= _NEAR_CUTOFF
+def _kink_mask(a, b, kinks_cells):
+    """Cells within a cell circumradius of a kink circle (radii in cell
+    units): the cells that keep the adaptive path."""
+    mask = np.zeros(np.shape(a), dtype=bool)
     if kinks_cells:
-        d = np.hypot(a_arr, b_arr)
+        d = np.hypot(a, b)
         for q in kinks_cells:
-            near |= np.abs(d - q) <= 0.7072
-    return near
+            mask |= np.abs(d - q) <= 0.7072
+    return mask
 
 
-def _far_cell_integrals(kernel, n, af, bf, g0, order):
+def _tensor_cell_integrals(kernel, n, a, b, g0, order):
     """Per cell, the order x order tensor-Gauss value of the integral over
-    the unit cell at (af, bf) of (g(|j+u|/n) - g0)^2, accumulated node by
+    the unit cell at (a, b) of (g(|j+u|/n) - g0)^2, accumulated node by
     node over (cells,) arrays."""
     nodes, wts = gauss_nodes(order)  # on [0, 1]
     x = nodes - 0.5
-    acc = np.zeros_like(af)
+    acc = np.zeros(np.shape(a))
     for i in range(order):
         for k in range(order):
-            r = np.hypot(af + x[i], bf + x[k]) / n
+            r = np.hypot(a + x[i], b + x[k]) / n
             d = kernel.eval_g(r) - g0
             acc += (wts[i] * wts[k]) * d * d
     return acc
 
 
-def _far_order_probe(kernel, n, policy, kinks_cells):
-    """Lowest far-cell order that reproduces the _FAR_ORDER rule.
+def _adaptive_cell_integrals(kernel, n, a, b, g0, tol, kinks_cells):
+    """Per cell, the same integral by the adaptive radial reduction with
+    absolute tolerance tol: arrays (values, error estimates)."""
+    out = np.zeros((2, len(a)))
+    for i, (ai, bi, gi) in enumerate(zip(a.tolist(), b.tolist(), g0.tolist())):
 
-    Integrates the innermost far cells (a = _NEAR_CUTOFF + 1, b = 0..a,
-    kink cells excluded) at their representative radii with the reference
-    rule and with each order of _FAR_CANDIDATES, cheapest first.  An order
-    is accepted when every cell agrees with the reference to _FAR_AGREEMENT
-    relative; a zero reference cell passes only on an exact zero.  Returns
-    (order, largest per-cell relative discrepancy), or (_FAR_ORDER, 0.0)
-    when no lower order is accepted.
+        def fr(r):
+            d = kernel.eval_g(r / n) - gi
+            return d * d
+
+        out[:, i] = radial_cell_integral(fr, ai, bi, tol=tol,
+                                         breakpoints=kinks_cells)
+    return out
+
+
+def _band_order(kernel, n, policy, kinks_cells, ring, candidates, reference):
+    """Tensor-Gauss order for a band whose innermost ring is `ring`.
+
+    Integrates the ring's cells (kink cells excluded) at their
+    representative radii with the reference -- an order, or None for the
+    adaptive radial reduction -- and with each candidate order, cheapest
+    first.  A candidate is accepted when its signed, multiplicity-weighted
+    ring sum agrees with the reference's to _GAUSS_AGREEMENT relative; a
+    zero reference passes only on an exact zero.  The ring sum is compared,
+    not each cell: far out, g(|j+u|/n) - g0 loses digits in proportion to
+    the distance in cells, and that roundoff (about 1e-13 per cell beyond
+    a = 50) would reject every order cell by cell.  Returns (order, its
+    relative discrepancy), or (reference, 0.0) when no candidate agrees or
+    the ring has only kink cells.
     """
-    a, b, _ = octant_cells(_NEAR_CUTOFF + 1, _NEAR_CUTOFF)
-    far = ~_near_mask(a, b, kinks_cells)
-    if not np.any(far):
-        return _FAR_ORDER, 0.0
-    a, b = a[far], b[far]
-    af, bf = a.astype(float), b.astype(float)
+    a, b, mult = octant_cells(ring, ring - 1)
+    keep = ~_kink_mask(a, b, kinks_cells)
+    if not np.any(keep):
+        return reference, 0.0
+    a, b, mult = a[keep], b[keep], mult[keep]
     g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
-    ref = _far_cell_integrals(kernel, n, af, bf, g0, _FAR_ORDER)
-    nonzero = ref != 0.0
-    for order in _FAR_CANDIDATES:
-        diff = np.abs(_far_cell_integrals(kernel, n, af, bf, g0, order) - ref)
-        if np.all(diff <= _FAR_AGREEMENT * np.abs(ref)):
-            rel = diff[nonzero] / np.abs(ref[nonzero])
-            return order, float(rel.max(initial=0.0))
-    return _FAR_ORDER, 0.0
+    if reference is None:
+        cells = _adaptive_cell_integrals(kernel, n, a, b, g0, 0.0, kinks_cells)[0]
+    else:
+        cells = _tensor_cell_integrals(kernel, n, a, b, g0, reference)
+    ref = float(np.sum(mult * cells))
+    for order in candidates:
+        s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, order)))
+        diff = abs(s - ref)
+        if diff <= _GAUSS_AGREEMENT * abs(ref):
+            return order, diff / abs(ref) if ref else 0.0
+    return reference, 0.0
 
 
-def _step_cell_errors(kernel, n, a_arr, b_arr, mult, near, r_arr, tol_cell,
-                      kinks_cells, far_order, far_rel):
-    """Sum over octant-representative cells of
-    mult * integral over the unit cell at (a, b) of (g((j+u)/n) - g(r_j/n))^2,
+def _ring_chunks(lo, hi):
+    """Ring ranges (c_lo, c_hi] covering lo < a <= hi, each of whole rings
+    holding at most _CHUNK_CELLS canonical cells (ring a holds a + 1), or of
+    one ring when that ring alone holds more."""
+    while lo < hi:
+        top, cells = lo + 1, lo + 2
+        while top < hi and cells + top + 2 <= _CHUNK_CELLS:
+            top += 1
+            cells += top + 1
+        yield lo, top
+        lo = top
+
+
+def _step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells):
+    """Tensor-Gauss part of the sum over canonical cells lo < a <= hi of
+    mult * integral over the unit cell at (a, b) of (g(|j+u|/n) - g(r_j/n))^2,
     in units of the unit cell (caller divides by n^2).
 
-    a_arr >= b_arr >= 0 integer arrays and mult their multiplicities, as
-    octant_cells returns them; near their _near_mask; r_arr the
-    representative radii (in cells); kinks_cells lists kernel kink radii in
-    cell units.  Near cells — within _NEAR_CUTOFF, and every cell the kink
-    circle may cross — use the exact radial reduction (adaptive 1D with
-    breakpoints, tol_cell each); the remaining far cells use the far_order
-    x far_order tensor-Gauss rule that _far_order_probe chose, with far_rel
-    its measured relative discrepancy from the 12-point rule on the
-    innermost far cells.  The far sum is charged max(far_rel,
-    _FAR_ROUNDOFF) of itself as its error.
-    Returns (weighted sum, accumulated error estimate).
+    bands lists (b_lo, b_hi, order, rel): the rings b_lo < a <= b_hi take the
+    order x order rule, whose sum is charged max(rel, _GAUSS_ROUNDOFF) of
+    itself as its error; order None sends the band's cells to the adaptive
+    path.  The rings are walked in chunks of _ring_chunks, so no per-cell
+    array grows with hi.  Returns (sum, error charged, adaptive cells),
+    the last a list of (a, b, g0, mult) arrays: the band cells without an
+    order and every cell a kink circle may cross.
     """
-    g_rep = kernel.eval_g(r_arr / n)
-    total = 0.0
-    err = 0.0
-
-    if np.any(near):
-        for a, b, g0, m in zip(a_arr[near], b_arr[near], g_rep[near], mult[near]):
-            g0 = float(g0)
-
-            def fr(r):
-                d = kernel.eval_g(r / n) - g0
-                return d * d
-
-            v, e = radial_cell_integral(fr, int(a), int(b), tol=tol_cell,
-                                        breakpoints=kinks_cells)
-            total += m * v
-            err += m * e
-
-    if np.any(~near):
-        acc = _far_cell_integrals(kernel, n, a_arr[~near].astype(float),
-                                  b_arr[~near].astype(float), g_rep[~near],
-                                  far_order)
-        far_sum = float(np.sum(mult[~near] * acc))
-        total += far_sum
-        err += far_sum * max(far_rel, _FAR_ROUNDOFF)
-
-    return total, err
+    total = err = 0.0
+    adaptive = []
+    for b_lo, b_hi, order, rel in bands:
+        for c_lo, c_hi in _ring_chunks(max(lo, b_lo), min(hi, b_hi)):
+            a, b, mult = octant_cells(c_hi, c_lo)
+            g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
+            if order is None:
+                adaptive.append((a, b, g0, mult))
+                continue
+            kink = _kink_mask(a, b, kinks_cells)
+            if np.any(kink):
+                adaptive.append((a[kink], b[kink], g0[kink], mult[kink]))
+                a, b, g0, mult = a[~kink], b[~kink], g0[~kink], mult[~kink]
+            s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, order)))
+            total += s
+            err += s * max(rel, _GAUSS_ROUNDOFF)
+    return total, err, adaptive
 
 
 def hybrid_mse(
@@ -514,12 +545,17 @@ def hybrid_mse(
       D4: integral of g^2 outside the truncation square (radial).
 
     tol bounds the summed ABSOLUTE error estimate of E_n (a quarter of tol
-    per term, split evenly over that term's adaptively integrated cells); it
-    is not a relative tolerance per term.  A component is therefore only
-    guaranteed to about tol/component relative, no accuracy at all for one far
-    below tol, and pass a smaller tol when a small term matters on its own.
-    Measured: for Matern(0.5, 60) at n = 20, D2 = 1.44e-7 agrees with a
-    24-point product-Gauss sum to about 5e-9 relative.
+    per term); it is not a relative tolerance per term.  D1's quarter is
+    split evenly over its cells.  In D2 and D3 each tensor-Gauss band is
+    charged max(its probe's relative discrepancy, _GAUSS_ROUNDOFF) of its
+    own sum; the adaptively integrated cells -- the kink cells, and the near
+    band's when its probe accepts no order -- split a quarter of tol evenly,
+    counted with their multiplicities.  A component is therefore only
+    guaranteed to about tol/component relative, no accuracy at all for one
+    far below tol, and pass a smaller tol when a small term matters on its
+    own.  Measured: for Matern(0.5, 60) at n = 20, D2 = 1.44e-7 is 3e-15
+    relative off a 24-point product-Gauss sum on the tensor-Gauss near band,
+    but was 5e-9 off with its near cells on the adaptive path.
 
     Emits the rate-hypothesis warning when the kernel's decay exponent makes
     the truncation growth too slow (same check as the engine).
@@ -575,38 +611,41 @@ def hybrid_mse(
     d1 /= n**2
     err1 /= n**2
 
-    # ---- D2 and D3: step-kernel cells, octant representatives
-    a2, b2, m2 = octant_cells(min(n, N), kappa)
-    a3, b3, m3 = octant_cells(N, min(n, N))
+    # ---- D2 and D3: step-kernel cells, octant representatives, by band.
+    # Each band's order comes from a probe on its innermost ring.
+    specs = ((kappa, _NEAR_CUTOFF, _NEAR_CANDIDATES, None),
+             (_NEAR_CUTOFF, _OUTER_FIRST - 1, _FAR_CANDIDATES, _FAR_ORDER),
+             (_OUTER_FIRST - 1, N, _OUTER_CANDIDATES, _FAR_ORDER))
+    bands = []
+    far_order = _FAR_ORDER
+    for i, (lo, hi, candidates, reference) in enumerate(specs):
+        lo, hi = max(lo, kappa), min(hi, N)
+        if lo < hi:
+            order, rel = _band_order(kernel, n, policy, kinks_cells, lo + 1,
+                                     candidates, reference)
+            bands.append((lo, hi, order, rel))
+            if i == 1:
+                far_order = order
+    parts = [_step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells)
+             for lo, hi in ((kappa, min(n, N)), (min(n, N), N))]
 
     # the adaptive budget is split over the cells that take the adaptive
-    # path, counted with their multiplicities: those within _NEAR_CUTOFF and
-    # those a kink circle may cross.  The far cells' error is the probe's
-    # measured discrepancy, far below tol_cell per cell, so charging them
-    # would starve the near cells.  Cell integrals are computed in cell
-    # units, hence the n^2 Jacobian factor.
-    near2 = _near_mask(a2, b2, kinks_cells)
-    near3 = _near_mask(a3, b3, kinks_cells)
-    n_near = int(np.sum(m2[near2]) + np.sum(m3[near3]))
-    tol_cell = tol * n**2 / (4.0 * max(n_near, 1))
-
-    far_order, far_rel = _FAR_ORDER, 0.0
-    if not (np.all(near2) and np.all(near3)):
-        far_order, far_rel = _far_order_probe(kernel, n, policy, kinks_cells)
-
-    d2 = err2 = 0.0
-    if a2.size:
-        v, e = _step_cell_errors(kernel, n, a2, b2, m2, near2,
-                                 representative_radii(a2, b2, alpha, policy),
-                                 tol_cell, kinks_cells, far_order, far_rel)
-        d2, err2 = float(v / n**2), e / n**2
-
-    d3 = err3 = 0.0
-    if a3.size:
-        v, e = _step_cell_errors(kernel, n, a3, b3, m3, near3,
-                                 representative_radii(a3, b3, alpha, policy),
-                                 tol_cell, kinks_cells, far_order, far_rel)
-        d3, err3 = float(v / n**2), e / n**2
+    # path, counted with their multiplicities: the kink cells, and the near
+    # band's when its probe accepts no order.  The tensor-Gauss bands are
+    # charged their probes' discrepancies, far below tol_cell per cell, so
+    # charging them would starve the adaptive cells.  Cell integrals are
+    # computed in cell units, hence the n^2 Jacobian factor.
+    n_adaptive = sum(int(np.sum(c[3])) for part in parts for c in part[2])
+    tol_cell = tol * n**2 / (4.0 * max(n_adaptive, 1))
+    sums = []
+    for v, e, adaptive in parts:
+        for a, b, g0, mult in adaptive:
+            cv, ce = _adaptive_cell_integrals(kernel, n, a, b, g0, tol_cell,
+                                              kinks_cells)
+            v += float(np.sum(mult * cv))
+            e += float(np.sum(mult * ce))
+        sums.append((v / n**2, e / n**2))
+    (d2, err2), (d3, err3) = sums
 
     # ---- D4: tail outside the truncation square
     def g2(r):

@@ -75,7 +75,7 @@ from .covariance import (
     DEFAULT_POLICY,
     CovarianceBlock,
     EvaluationPolicy,
-    box_power_integral,
+    box_power_integrals,
     build_block,
     cell_weight,
     octant_cells,
@@ -518,18 +518,33 @@ def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.nd
     return _circular_convolve(fa, b, fsh, 0, out, workers)
 
 
-def _available_memory() -> int:
-    """Bytes a new allocation can get without swapping: MemAvailable (free
-    plus reclaimable page cache) from /proc/meminfo where it exists, else the
-    free pages from os.sysconf."""
+def _available_memory(meminfo: str = "/proc/meminfo",
+                      cgroup: str = "/sys/fs/cgroup") -> int:
+    """Bytes a new allocation can get without swapping or hitting a memory
+    limit: MemAvailable (free plus reclaimable page cache) from meminfo, else
+    the free pages from os.sysconf, capped by the cgroup v2 headroom
+    memory.max - memory.current when that limit is set ("max" means none)."""
+    avail = None
     try:
-        with open("/proc/meminfo") as fh:
+        with open(meminfo) as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    avail = int(line.split()[1]) * 1024
+                    break
     except OSError:
         pass
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if avail is None:
+        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open(os.path.join(cgroup, "memory.max")) as fh:
+            limit = fh.read().strip()
+        with open(os.path.join(cgroup, "memory.current")) as fh:
+            current = int(fh.read())
+        if limit != "max":
+            avail = min(avail, max(int(limit) - current, 0))
+    except (OSError, ValueError):
+        pass
+    return avail
 
 
 def _check_memory(params: SchemeParams, half: int, kappa: int | None):
@@ -949,10 +964,11 @@ def scheme_variance(plan: HybridPlan) -> float:
     if plan.block is None:
         return outer
     alpha = plan.kernel.alpha
-    inner = 0.0
-    for idx, j in enumerate(plan.block.offsets):
-        a, b = abs(j[0]), abs(j[1])
-        box = box_power_integral((max(a, b), min(a, b)), 2.0 * alpha)
-        inner += plan.weights[idx] ** 2 * box
+    kappa = plan.block.kappa
+    # a weight depends on its cell's canonical representative only, and
+    # block.offsets run row-major over [-kappa, kappa]^2
+    a, b, mult = octant_cells(kappa)
+    w = plan.weights[(a + kappa) * (2 * kappa + 1) + b + kappa]
+    inner = float(np.sum(mult * w**2 * box_power_integrals(a, b, 2.0 * alpha)))
     inner *= float(n) ** (-2.0 - 2.0 * alpha)
     return inner + outer

@@ -8,11 +8,13 @@ frozen decomposition values for one configuration.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vmma import analysis
 from vmma.analysis import (
     MseEntry,
     MseReport,
@@ -26,10 +28,17 @@ from vmma.analysis import (
     roughness_study,
     square_increment_dim,
 )
-from vmma.covariance import EvaluationPolicy, box_power_integrals, j_constant
+from vmma.covariance import (
+    EvaluationPolicy,
+    box_power_integrals,
+    j_constant,
+    octant_cells,
+    representative_radii,
+)
 from vmma.errors import DegenerateDataError, ValidationError
 from vmma.fields import FieldGrid, SchemeParams, circulant_simulate
 from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
+from vmma.quadrature import radial_cell_integral
 
 
 def _grid(values, spacing=0.1):
@@ -424,6 +433,99 @@ def test_mse_far_order_falls_back_for_steep_kernel():
     d23, d3 = _step_kernel_reference(k, 20, p.n_trunc, 1, policy)
     assert e.d3 == pytest.approx(d3, rel=1e-13, abs=0.0)
     assert e.d2 + e.d3 == pytest.approx(d23, rel=0.0, abs=1e-9)
+
+
+def _adaptive_cells(kernel, n, a, b, policy, tol):
+    """Per cell, the adaptive radial reduction of the integral over the unit
+    cell at (a, b) of (g(|j+u|/n) - g(r_j/n))^2 (cell units)."""
+    g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
+    out = []
+    for ai, bi, gi in zip(a.tolist(), b.tolist(), g0.tolist()):
+        v, _ = radial_cell_integral(lambda r: (kernel.eval_g(r / n) - gi) ** 2,
+                                    ai, bi, tol=tol)
+        out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("policy", [EvaluationPolicy(),
+                                    EvaluationPolicy(mode="optimal")],
+                         ids=["midpoint", "optimal"])
+@pytest.mark.parametrize("kernel", [Matern(0.5, 1.0), Matern(0.05, 1.0),
+                                    ExpDecay(-0.5)], ids=repr)
+def test_mse_near_band_cells_match_radial_reduction(kernel, policy):
+    # The near band's order is chosen on its innermost ring a = kappa + 1,
+    # the ring nearest the origin's singularity; there its tensor-Gauss cell
+    # values reproduce the adaptive radial reduction cell by cell.
+    n, kappa = 20, 1
+    ring = kappa + 1
+    order, _ = analysis._band_order(kernel, n, policy, (), ring,
+                                    analysis._NEAR_CANDIDATES, None)
+    assert order in analysis._NEAR_CANDIDATES
+    a, b, _ = octant_cells(ring, ring - 1)
+    g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
+    got = analysis._tensor_cell_integrals(kernel, n, a, b, g0, order)
+    ref = _adaptive_cells(kernel, n, a, b, policy, tol=0.0)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_mse_near_band_falls_back_to_adaptive(monkeypatch):
+    # A near candidate that cannot match the adaptive reference (2 points)
+    # sends every near-band cell, 1 < a <= 12, to the adaptive path: one
+    # more radial_cell_integral call per canonical cell there.  D2 then
+    # equals the all-adaptive sum over its cells within tol, and D3 (far
+    # bands only at n = 20) is untouched.
+    k = Matern(0.5, 1.0)
+    policy = EvaluationPolicy()
+    p = SchemeParams(n=20, gamma=0.5, kappa=1, policy=policy)
+    calls = []
+    real = analysis.radial_cell_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "radial_cell_integral", counting)
+    tensor = hybrid_mse(k, p)
+    base = len(calls)
+    monkeypatch.setattr(analysis, "_NEAR_CANDIDATES", (2,))
+    calls.clear()
+    fallback = hybrid_mse(k, p)
+    assert len(calls) - base == sum(a + 1 for a in range(2, 13))
+    a, b, mult = octant_cells(20, 1)
+    d2 = float(np.sum(mult * _adaptive_cells(k, 20, a, b, policy, 1e-13))) / 20**2
+    assert fallback.d2 == pytest.approx(d2, rel=0.0, abs=1e-9)
+    assert fallback.d3 == tensor.d3
+
+
+def test_mse_ring_chunks_do_not_change_sums(monkeypatch):
+    # At n = 40 the outer band (52 <= a <= 252) spans two default chunks;
+    # one ring per chunk changes only the summation order.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=40, gamma=0.5, kappa=1)
+    whole = hybrid_mse(k, p)
+    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 1)
+    rings = hybrid_mse(k, p)
+    assert rings.d2 == pytest.approx(whole.d2, rel=1e-15, abs=0.0)
+    assert rings.d3 == pytest.approx(whole.d3, rel=1e-15, abs=0.0)
+
+
+def test_mse_peak_memory_flat_in_n():
+    # The step-kernel sums walk the rings in chunks, so no per-cell array
+    # grows with n: from n = 40 (31 k canonical cells) to n = 80 (257 k) the
+    # traced peak grows by at most one chunk's worth, taken as eight float64
+    # arrays of _CHUNK_CELLS entries.  Unchunked it grows by about 17 MB.
+    k = Matern(0.5, 1.0)
+    hybrid_mse(k, SchemeParams(n=20, gamma=0.5, kappa=1))  # warm the caches
+    peaks = {}
+    for n in (40, 80):
+        tracemalloc.start()
+        try:
+            hybrid_mse(k, SchemeParams(n=n, gamma=0.5, kappa=1))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    chunk = 8 * 8 * analysis._CHUNK_CELLS
+    assert peaks[80] <= peaks[40] + chunk, peaks
 
 
 def test_mse_study_report_and_csv():

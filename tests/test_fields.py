@@ -26,6 +26,7 @@ from vmma.fields import (
     RateHypothesisWarning,
     SchemeParams,
     _ROW_BLOCK,
+    _available_memory,
     _circular_convolve,
     circulant_simulate,
     conv2_fft,
@@ -704,6 +705,30 @@ def test_memory_preflight_refuses_before_allocating(prepare):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_available_memory_caps_by_cgroup_limit(tmp_path):
+    # MemAvailable, capped by the cgroup v2 headroom memory.max -
+    # memory.current when a limit is set; "max" or no cgroup files leave it.
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:  8000000 kB\nMemAvailable:  4000000 kB\n")
+    cgroup = tmp_path / "cgroup"
+    cgroup.mkdir()
+    host = 4000000 * 1024
+
+    def avail():
+        return _available_memory(str(meminfo), str(cgroup))
+
+    assert avail() == host
+    (cgroup / "memory.current").write_text("5000\n")
+    (cgroup / "memory.max").write_text("max\n")
+    assert avail() == host
+    (cgroup / "memory.max").write_text(f"{5000 + 2**30}\n")
+    assert avail() == 2**30
+    (cgroup / "memory.max").write_text(f"{5000 + 2 * host}\n")
+    assert avail() == host
+    (cgroup / "memory.max").write_text("4000\n")
+    assert avail() == 0
 
 
 def _dense_radii(N):
