@@ -12,10 +12,10 @@ Four subcommands:
 
 Every command accepts ``--config FILE`` (JSON with long option names as
 keys; explicit flags always win) and ``--verbose`` (echoes the effective
-configuration to stderr as JSON that ``--config`` accepts back).  ``simulate`` and ``roughness`` also accept
-``--threads``, which caps the FFT worker count of that call (without it the
-VMMA_THREADS environment variable, else 1) and never changes any output
-value; ``mse`` and ``covariance`` run no FFT and take no ``--threads``.
+configuration to stderr as JSON that ``--config`` accepts back).
+``simulate`` and ``roughness`` also accept ``--threads``, which caps the FFT
+worker count of that call (1 without it) and never changes any output value;
+``mse`` and ``covariance`` run no FFT and take no ``--threads``.
 
 Exit codes: 0 success, 2 argument/usage errors, 3 numeric failures.
 """
@@ -150,7 +150,7 @@ def _echo_config(eff: dict, command: str, verbose: bool):
 
 
 def _workers(threads) -> int | None:
-    """FFT worker count from --threads; None defers to VMMA_THREADS."""
+    """FFT worker count from --threads; None leaves the default of 1."""
     if threads is None:
         return None
     if int(threads) < 1:
@@ -336,8 +336,8 @@ def _add_common(sp, threads=False):
                     help="echo the effective configuration to stderr")
     if threads:
         sp.add_argument("--threads", type=int, default=None,
-                        help="cap FFT worker count (fallback: VMMA_THREADS); "
-                             "never changes results")
+                        help="cap FFT worker count (default 1); never changes "
+                             "results")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -209,16 +209,8 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def fft_workers(workers: int | None = None) -> int:
-    """Worker count for FFT calls: explicit argument, else VMMA_THREADS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("VMMA_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer VMMA_THREADS={env!r}")
-    return 1
+    """Worker count for FFT calls: the explicit argument, else 1."""
+    return 1 if workers is None else max(1, int(workers))
 
 
 # ---------------------------------------------------------------------------

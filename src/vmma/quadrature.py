@@ -1,21 +1,15 @@
-"""Adaptive 2D quadrature over rectangles, plus radial helpers on squares.
+"""Radial quadrature on squares and cells, plus cached Gauss-Legendre nodes.
 
-The integrands we meet are smooth away from a single known algebraic
-singularity (a power of the distance to a grid point), so a tensor
-Gauss-Legendre panel rule with adaptive bisection of the worst panel is both
-simple and fast.  Panels never straddle the singular point: the initial
-subdivision splits the rectangle there, so every panel sees a smooth (though
-possibly steep) integrand.
-
-Error control is the classic embedded-rule estimate: each panel is evaluated
-with 16- and 24-point tensor rules and the difference is taken as the panel
-error.  Panels are refined worst-first until the summed estimate meets the
-absolute tolerance or the panel budget is exhausted.
+The integrands we meet are functions of the distance to a grid point, often
+with an algebraic singularity or a kink on a circle.  Reducing an integral
+over a square, a square's exterior or a grid cell to one radial integral
+against the angular measure of the circle inside the region puts every
+non-smooth point at a known radius, where the adaptive 1-D quadrature
+(QUADPACK via scipy) splits.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import lru_cache
 
@@ -25,7 +19,6 @@ from scipy import integrate as _integrate
 from .errors import QuadratureError
 
 __all__ = [
-    "integrate_box",
     "radial_unit_box_integral",
     "square_exterior_radial_integral",
     "gauss_nodes",
@@ -37,90 +30,6 @@ def gauss_nodes(m: int):
     """Gauss-Legendre nodes/weights on [0, 1], cached."""
     x, w = np.polynomial.legendre.leggauss(m)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-def _panel_pair(f, x0, x1, y0, y1):
-    """Return (fine, fine-coarse) tensor-Gauss estimates on one rectangle."""
-    est = []
-    for m in (16, 24):
-        xn, xw = gauss_nodes(m)
-        X = x0 + (x1 - x0) * xn
-        Y = y0 + (y1 - y0) * xn
-        XX, YY = np.meshgrid(X, Y, indexing="ij")
-        vals = f(XX, YY)
-        est.append((x1 - x0) * (y1 - y0) * (xw[:, None] * xw[None, :] * vals).sum())
-    return est[1], abs(est[1] - est[0])
-
-
-def integrate_box(
-    f,
-    rect,
-    tol_abs: float = 1e-12,
-    max_panels: int = 4096,
-    singular_point=None,
-):
-    """Integrate f(x, y) over rect = (x0, x1, y0, y1).
-
-    f must accept broadcast 2D arrays.  If `singular_point` lies strictly
-    inside the rectangle the initial mesh is split so the point sits on panel
-    corners (the integrand is then evaluated only in panel interiors, never at
-    the singularity itself).  Raises QuadratureError if the summed error
-    estimate is still above tol_abs after max_panels panel evaluations.
-
-    Returns (value, est_abs_error).
-    """
-    x0, x1, y0, y1 = (float(v) for v in rect)
-    if not (x1 > x0 and y1 > y0):
-        raise QuadratureError(f"degenerate rectangle {rect}")
-
-    xs = [x0, x1]
-    ys = [y0, y1]
-    if singular_point is not None:
-        sx, sy = (float(v) for v in singular_point)
-        if x0 < sx < x1:
-            xs = [x0, sx, x1]
-        if y0 < sy < y1:
-            ys = [y0, sy, y1]
-
-    # Max-heap on the error estimate (negated for heapq).
-    heap = []
-    total = 0.0
-    err = 0.0
-    n_panels = 0
-    counter = 0  # tie-breaker so heapq never compares tuples of floats only
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            v, e = _panel_pair(f, xs[i], xs[i + 1], ys[j], ys[j + 1])
-            total += v
-            err += e
-            heapq.heappush(heap, (-e, counter, xs[i], xs[i + 1], ys[j], ys[j + 1], v, e))
-            counter += 1
-            n_panels += 1
-
-    while err > tol_abs and heap:
-        if n_panels >= max_panels:
-            raise QuadratureError(
-                f"integrate_box: {n_panels} panels, est error {err:.3e} > tol {tol_abs:.3e}"
-            )
-        _, _, px0, px1, py0, py1, pv, pe = heapq.heappop(heap)
-        total -= pv
-        err -= pe
-        # Bisect the longer side.
-        if (px1 - px0) >= (py1 - py0):
-            mid = 0.5 * (px0 + px1)
-            kids = [(px0, mid, py0, py1), (mid, px1, py0, py1)]
-        else:
-            mid = 0.5 * (py0 + py1)
-            kids = [(px0, px1, py0, mid), (px0, px1, mid, py1)]
-        for kx0, kx1, ky0, ky1 in kids:
-            v, e = _panel_pair(f, kx0, kx1, ky0, ky1)
-            total += v
-            err += e
-            heapq.heappush(heap, (-e, counter, kx0, kx1, ky0, ky1, v, e))
-            counter += 1
-            n_panels += 1
-
-    return total, err
 
 
 def radial_unit_box_integral(fr, tol: float = 1e-12, breakpoints=()):

@@ -29,7 +29,7 @@ from vmma.covariance import (
     representative_radius,
     triangle_integral,
 )
-from vmma.errors import ValidationError
+from vmma.errors import QuadratureError, ValidationError
 from vmma.fields import SchemeParams, _octant_rows, prepare_hybrid
 from vmma.kernels import ExpDecay, Matern, PurePower
 
@@ -190,35 +190,39 @@ def test_cross_frozen_values(ja, jb, frozen):
     )
 
 
-def test_cross_vs_dblquad_nonsingular():
-    ja, jb, a = (1, 0), (0, 1), -0.6
-
+def _cross_dblquad(ja, jb, a):
+    # dblquad struggles at a singularity inside the cell; integrate the four
+    # quadrants around the centre separately, at a tight tolerance.
     def f(y, x):
         ra = math.hypot(ja[0] - x, ja[1] - y)
         rb = math.hypot(jb[0] - x, jb[1] - y)
         return ra**a * rb**a
 
-    ref, _ = dblquad(f, -0.5, 0.5, -0.5, 0.5, epsabs=1e-11)
-    assert cross_covariance_integral(ja, jb, a) == pytest.approx(ref, rel=1e-8)
+    ref = 0.0
+    for xs in [(-0.5, 0.0), (0.0, 0.5)]:
+        for ys in [(-0.5, 0.0), (0.0, 0.5)]:
+            v, _ = dblquad(f, xs[0], xs[1], ys[0], ys[1], epsabs=1e-14,
+                           epsrel=1e-13)
+            ref += v
+    return ref
+
+
+def _check_cross(pairs):
+    for a in (-0.95, -0.5, -0.05):
+        for ja, jb in pairs:
+            ref = _cross_dblquad(ja, jb, a)
+            assert cross_covariance_integral(ja, jb, a) == pytest.approx(
+                ref, rel=0.0, abs=1e-13
+            ), (a, ja, jb)
+
+
+def test_cross_vs_dblquad_nonsingular():
+    _check_cross([((1, 0), (0, 1))])
 
 
 def test_cross_vs_dblquad_singular():
     # One anchor at the origin: integrand ~ ||u||^a near 0, integrable.
-    ja, jb, a = (0, 0), (1, 1), -0.5
-
-    def f(y, x):
-        ru = math.hypot(x, y)
-        rb = math.hypot(jb[0] - x, jb[1] - y)
-        return ru**a * rb**a
-
-    # dblquad struggles at the singularity; integrate the four quadrants
-    # around it separately.
-    ref = 0.0
-    for xs in [(-0.5, 0.0), (0.0, 0.5)]:
-        for ys in [(-0.5, 0.0), (0.0, 0.5)]:
-            v, _ = dblquad(f, xs[0], xs[1], ys[0], ys[1], epsabs=1e-11)
-            ref += v
-    assert cross_covariance_integral(ja, jb, a) == pytest.approx(ref, rel=1e-7)
+    _check_cross([((0, 0), (1, 0)), ((0, 0), (1, 1))])
 
 
 def test_cross_dihedral_invariance_bit_identical():
@@ -308,6 +312,13 @@ def test_block_dihedral_diagonal_entries_bit_identical():
     assert len(vals) == 1  # bitwise identical across symmetric offsets
     corners = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     assert len({diag[idx[o]] for o in corners}) == 1
+
+
+def test_block_tolerance_below_rule_error_raises():
+    # The polar rule's orders 16 and 24 differ by up to ~1e-15 on this
+    # block, so a tolerance of 1e-18 cannot be met.
+    with pytest.raises(QuadratureError):
+        build_block(-0.5, 1, 10, tol=1e-18)
 
 
 def test_block_validation():

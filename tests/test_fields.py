@@ -108,16 +108,9 @@ def test_rng_stream_reproducible_and_disjoint():
         assert not np.array_equal(a1, other)
 
 
-def test_fft_workers_resolution(monkeypatch):
-    monkeypatch.delenv("VMMA_THREADS", raising=False)
+def test_fft_workers_resolution():
     assert fft_workers() == 1
     assert fft_workers(4) == 4
-    monkeypatch.setenv("VMMA_THREADS", "3")
-    assert fft_workers() == 3
-    assert fft_workers(2) == 2  # explicit argument wins
-    monkeypatch.setenv("VMMA_THREADS", "not-a-number")
-    with pytest.warns(UserWarning):
-        assert fft_workers() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Module boundaries of the package: no module reaches into a sibling's
-private names, either by importing them or by attribute access."""
+private names, either by importing them or by attribute access, and no
+module keeps process-global state (an unbounded cache, or configuration
+read from the environment)."""
 
 import ast
 from pathlib import Path
@@ -46,6 +48,58 @@ def private_cross_imports(source: str) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_cross_imports(path.read_text()) == []
+
+
+def _unbounded_lru(node) -> bool:
+    if not (isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("lru_cache", "functools.lru_cache")):
+        return False
+    size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+    return bool(size) and isinstance(size[0], ast.Constant) and size[0].value is None
+
+
+def process_global_state(source: str) -> list:
+    """Each unbounded cache (`functools.cache`, `lru_cache(maxsize=None)`)
+    and each read of the environment (`os.environ`, `os.getenv`) in
+    `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("functools", "os"):
+            found += [f"from {node.module} import {alias.name}"
+                      for alias in node.names
+                      if alias.name in ("cache", "environ", "getenv")]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in (
+                "functools.cache", "os.environ", "os.getenv"):
+            found.append(ast.unparse(node))
+        elif _unbounded_lru(node):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_global_state(path):
+    assert process_global_state(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass",
+    "import functools\n@functools.lru_cache(None)\ndef f(x): pass",
+    "import functools\n@functools.cache\ndef f(x): pass",
+    "from functools import cache",
+    "import os\nn = os.environ.get('N', '1')",
+    "import os\nn = os.getenv('N')",
+    "from os import environ",
+])
+def test_process_global_state_is_detected(source):
+    assert process_global_state(source)
+
+
+def test_bounded_cache_and_os_calls_pass():
+    source = ("import functools, os\nfrom functools import lru_cache\n"
+              "@lru_cache(maxsize=32)\ndef f(m): pass\n"
+              "@functools.lru_cache\ndef g(m): pass\n"
+              "cache = {}\nn = os.sysconf('SC_PAGE_SIZE')\n")
+    assert process_global_state(source) == []
 
 
 @pytest.mark.parametrize("source", [

@@ -1,4 +1,4 @@
-"""Tests for the adaptive and radial quadrature helpers.
+"""Tests for the Gauss nodes and the radial quadrature helpers.
 
 Oracles: elementary closed forms (polynomials, powers of the radius over
 squares and annular regions) plus scipy.integrate.dblquad as an independent
@@ -16,7 +16,6 @@ from scipy.integrate import dblquad
 from vmma.errors import QuadratureError
 from vmma.quadrature import (
     gauss_nodes,
-    integrate_box,
     radial_cell_integral,
     radial_unit_box_integral,
     square_exterior_radial_integral,
@@ -28,7 +27,7 @@ CENTRAL_INVERSE_RADIUS = 4.0 * math.asinh(1.0)
 
 
 # ---------------------------------------------------------------------------
-# gauss_nodes / integrate_box
+# gauss_nodes
 # ---------------------------------------------------------------------------
 
 
@@ -37,48 +36,6 @@ def test_gauss_nodes_integrate_polynomials_exactly():
     x, w = gauss_nodes(6)
     for k in range(0, 12):
         assert np.dot(w, x**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
-
-
-def test_integrate_box_separable_polynomial():
-    val, err = integrate_box(lambda x, y: x * y, (0.0, 1.0, 0.0, 1.0))
-    assert val == pytest.approx(0.25, abs=1e-13)
-    assert err <= 1e-12
-
-
-def test_integrate_box_smooth_vs_dblquad():
-    f = lambda x, y: np.exp(-(x**2) - 0.5 * y**2) * np.cos(x + y)
-    val, _ = integrate_box(f, (-1.0, 2.0, 0.0, 1.5), tol_abs=1e-11)
-    ref, _ = dblquad(lambda y, x: f(x, y), -1.0, 2.0, 0.0, 1.5, epsabs=1e-12)
-    assert val == pytest.approx(ref, abs=1e-10)
-
-
-def test_integrate_box_corner_singularity():
-    # ||u||^-1 over the unit square, singular point at the origin placed on
-    # panel corners; closed form 4*asinh(1).
-    def f(x, y):
-        return 1.0 / np.hypot(x, y)
-
-    val, err = integrate_box(
-        f, (-0.5, 0.5, -0.5, 0.5), tol_abs=1e-9, max_panels=200000,
-        singular_point=(0.0, 0.0),
-    )
-    assert val == pytest.approx(CENTRAL_INVERSE_RADIUS, abs=5e-9)
-
-
-def test_integrate_box_budget_exhaustion_raises():
-    def f(x, y):
-        return 1.0 / np.hypot(x, y)
-
-    with pytest.raises(QuadratureError):
-        integrate_box(
-            f, (-0.5, 0.5, -0.5, 0.5), tol_abs=1e-14, max_panels=64,
-            singular_point=(0.0, 0.0),
-        )
-
-
-def test_integrate_box_rejects_degenerate_rectangle():
-    with pytest.raises(QuadratureError):
-        integrate_box(lambda x, y: x, (1.0, 1.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
