@@ -73,7 +73,6 @@ from .kernels import KernelSpec, Matern
 from .quadrature import (
     gauss_nodes,
     radial_cell_integral,
-    radial_unit_box_integral,
     square_exterior_radial_integral,
 )
 
@@ -571,11 +570,19 @@ def hybrid_mse(
     alpha = kernel.alpha
     n, kappa, N = params.n, params.kappa, params.n_trunc
     policy = params.policy
+    l_inv_n = float(kernel.eval_L(np.asarray(1.0 / n)))
+    if not l_inv_n > 0.0:
+        raise ValidationError(
+            f"L(1/n) = {l_inv_n} at n = {n}: the scaled error normalises by "
+            f"L(1/n)^2, so the kernel must not vanish at 1/n"
+        )
 
     # ---- D1: inner cells, octant representatives.  The integrand
-    # (w * |s|^alpha - g(|s|))^2 is radial, so every cell reduces to a 1D
-    # radial quadrature (in cell units; the n^-2 Jacobian is applied at the
-    # end).  Kink radii are passed through in cell units.
+    # (w * |s|^alpha - g(|s|))^2 is radial, so every cell, the origin cell
+    # included, is one radial_cell_integral (in cell units; the n^-2
+    # Jacobian is applied at the end).  The origin cell's singularity sits
+    # at the endpoint r = 0, which QUADPACK never evaluates.  Kink radii are
+    # passed through in cell units.
     kinks_cells = tuple(q * n for q in kernel.kink_radii)
     d1 = 0.0
     err1 = 0.0
@@ -584,28 +591,14 @@ def hybrid_mse(
     a1, b1, m1 = octant_cells(kappa)
     for a, b, mult in zip(a1.tolist(), b1.tolist(), m1.tolist()):
         w = cell_weight(kernel, n, (a, b), policy)
-        if a == 0:
 
-            def fr0(r):
-                r = np.asarray(r, dtype=float)
-                rp = r / n
-                out = np.zeros_like(r)
-                pos = r > 0.0
-                d = w * rp[pos] ** alpha - kernel.eval_g(rp[pos])
-                out[pos] = d * d
-                return out
+        def fr(r):
+            rp = r / n
+            d = w * rp**alpha - kernel.eval_g(rp)
+            return d * d
 
-            v, e = radial_unit_box_integral(fr0, tol=tol_inner,
-                                            breakpoints=kinks_cells)
-        else:
-
-            def fr(r):
-                rp = r / n
-                d = w * rp**alpha - kernel.eval_g(rp)
-                return d * d
-
-            v, e = radial_cell_integral(fr, a, b, tol=tol_inner,
-                                        breakpoints=kinks_cells)
+        v, e = radial_cell_integral(fr, a, b, tol=tol_inner,
+                                    breakpoints=kinks_cells)
         d1 += mult * v
         err1 += mult * e
     d1 /= n**2
@@ -661,7 +654,6 @@ def hybrid_mse(
         )
 
     e_n = sigma**2 * (d1 + d2 + d3 + d4)
-    l_inv_n = float(kernel.eval_L(np.asarray(1.0 / n)))
     scaled = float(n) ** (2.0 * (1.0 + alpha)) * l_inv_n ** (-2.0) * e_n
     return MseEntry(n=n, d1=d1, d2=d2, d3=d3, d4=d4, e_n=float(e_n),
                     scaled=float(scaled), far_order=far_order)

@@ -158,28 +158,16 @@ def _workers(threads) -> int | None:
     return int(threads)
 
 
-def _csv_floats(text) -> tuple:
+def _csv(text, cast, what) -> tuple:
+    """A list from a config value (a JSON list) or a comma-separated flag."""
     if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
+        items = text
+    else:
+        items = [x.strip() for x in str(text).split(",") if x.strip()]
     try:
-        return tuple(float(x) for x in str(text).split(",") if x.strip())
-    except ValueError:
-        raise ValidationError(f"bad number list {text!r}") from None
-
-
-def _csv_ints(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    try:
-        return tuple(int(x) for x in str(text).split(",") if x.strip())
-    except ValueError:
-        raise ValidationError(f"bad integer list {text!r}") from None
-
-
-def _csv_strs(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(str(x) for x in text)
-    return tuple(x.strip() for x in str(text).split(",") if x.strip())
+        return tuple(cast(x) for x in items)
+    except (TypeError, ValueError):
+        raise ValidationError(f"bad {what} list {text!r}") from None
 
 
 def _write_lines(lines, out):
@@ -210,7 +198,7 @@ def cmd_simulate(args) -> int:
     n = int(eff["n"])
     seed = int(eff["seed"])
     replicate = int(eff["replicate"])
-    formats = _csv_strs(eff["formats"])
+    formats = _csv(eff["formats"], str, "format")
 
     t0 = time.perf_counter()
     if scheme == "circulant":
@@ -261,8 +249,8 @@ def cmd_roughness(args) -> int:
     eff = _effective(args, defaults)
     _echo_config(eff, "roughness", args.verbose)
     workers = _workers(eff["threads"])
-    alphas = _csv_floats(eff["alphas"])
-    schemes = [parse_scheme(s) for s in _csv_strs(eff["schemes"])]
+    alphas = _csv(eff["alphas"], float, "number")
+    schemes = [parse_scheme(s) for s in _csv(eff["schemes"], str, "scheme")]
 
     report = roughness_study(
         alphas, schemes, n=int(eff["n"]), gamma=float(eff["gamma"]),
@@ -302,7 +290,7 @@ def cmd_mse(args) -> int:
     if not eff["kernel"]:
         raise ValidationError("--kernel is required")
     kernel = parse_kernel(eff["kernel"])
-    ns = _csv_ints(eff["n_list"])
+    ns = _csv(eff["n_list"], int, "integer")
     report = mse_study(kernel, ns, gamma=float(eff["gamma"]),
                        kappa=int(eff["kappa"]),
                        policy=_parse_policy(str(eff["policy"])))

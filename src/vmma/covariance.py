@@ -41,7 +41,7 @@ from scipy.special import roots_jacobi
 from .errors import NotPositiveDefiniteError, QuadratureError, ValidationError
 from .quadrature import (
     gauss_nodes,
-    radial_unit_box_integral,
+    radial_cell_integral,
     square_exterior_radial_integral,
 )
 from .specfun import hyp2f1_half
@@ -538,15 +538,12 @@ def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
     both integrals over the unit cell (the denominator is box(0, 2a)).
     """
     alpha = kernel.alpha
-    breaks = ()
-    R = getattr(kernel, "R", None)
-    if R is not None and n * R < 1.0 / math.sqrt(2.0):
-        breaks = (n * R,)  # hard-cutoff kernels kink inside the cell
 
     def fr(r):
         return r ** (2.0 * alpha) * kernel.eval_L(r / n)
 
-    num, _ = radial_unit_box_integral(fr, tol=tol, breakpoints=breaks)
+    num, _ = radial_cell_integral(fr, 0, 0, tol=tol,
+                                  breakpoints=[n * q for q in kernel.kink_radii])
     return num / box_power_integral((0, 0), 2.0 * alpha)
 
 

@@ -662,10 +662,6 @@ class HybridPlan:
     a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
 
     @property
-    def out_side(self) -> int:
-        return 2 * self.half + 1
-
-    @property
     def a_matrix(self) -> np.ndarray:
         """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
         only its spectrum."""

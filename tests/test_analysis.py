@@ -354,6 +354,20 @@ def test_mse_purepower_cutoff_outside_window():
     assert e.d4 == pytest.approx(47.848502092464, rel=1e-9)
 
 
+def test_mse_rejects_kernel_vanishing_at_one_over_n(monkeypatch):
+    # scaled normalises by L(1/n)^2; a cutoff below 1/n makes that zero,
+    # and the check comes before any quadrature.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the L(1/n) check")
+
+    monkeypatch.setattr(analysis, "radial_cell_integral", no_quadrature)
+    monkeypatch.setattr(analysis, "square_exterior_radial_integral",
+                        no_quadrature)
+    k = PurePower(-0.3, R=0.02)
+    with pytest.raises(ValidationError, match=r"L\(1/n\)"):
+        hybrid_mse(k, SchemeParams(n=10, gamma=0.5, kappa=1))
+
+
 def test_mse_entry_fields_are_plain_numbers():
     cases = [(Matern(0.5, 1.0), 20), (ExpDecay(-0.3), 20), (ExpDecay(-0.3), 40)]
     for k, n in cases:

@@ -300,9 +300,17 @@ def test_roughness_bad_scheme_exits_2():
     assert main(argv) == 2
 
 
-def test_roughness_bad_alphas_exit_2():
-    argv = ["roughness", "--alphas=-0.5,zebra", "--schemes", "hybrid:1"]
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_roughness_bad_alphas_exit_2(tmp_path, capsys, form):
+    if form == "flag":
+        argv = ["roughness", "--alphas=-0.5,zebra", "--schemes", "hybrid:1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alphas": ["-0.5", "zebra"],
+                                        "schemes": ["hybrid:1"]}))
+        argv = ["roughness", "--config", str(cfg_path)]
     assert main(argv) == 2
+    assert "bad number list" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +342,20 @@ def test_mse_csv_output(tmp_path):
 
 def test_mse_requires_kernel():
     assert main(["mse", "--n-list", "8,12,16"]) == 2
+
+
+def test_mse_bad_n_list_in_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kernel": "matern:nu=0.5,lambda=1",
+                                    "n_list": [8, "twelve", 16]}))
+    assert main(["mse", "--config", str(cfg_path)]) == 2
+    assert "bad integer list" in capsys.readouterr().err
+
+
+def test_mse_kernel_vanishing_at_one_over_n_exits_2(capsys):
+    argv = ["mse", "--kernel", "power:alpha=-0.3,R=0.02", "--n-list", "10,20,40"]
+    assert main(argv) == 2
+    assert "L(1/n)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,18 @@ def test_central_L_coefficient_vs_direct_quadrature():
     assert central_L_coefficient(k, n) == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, -0.8])
+def test_central_L_coefficient_cutoff_inside_cell(alpha):
+    # PurePower's cutoff n*R <= 1/2 kinks L inside the central cell, and the
+    # numerator is the power integral over the disc of radius n*R.
+    n, R = 10, 0.03
+    e = 2.0 * alpha + 2.0
+    ref = 2.0 * math.pi * (n * R) ** e / e / box_power_integral((0, 0), 2.0 * alpha)
+    assert central_L_coefficient(PurePower(alpha, R=R), n) == pytest.approx(
+        ref, rel=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # j_constant
 # ---------------------------------------------------------------------------

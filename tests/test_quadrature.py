@@ -13,11 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from vmma.covariance import box_power_integral
 from vmma.errors import QuadratureError
 from vmma.quadrature import (
     gauss_nodes,
     radial_cell_integral,
-    radial_unit_box_integral,
     square_exterior_radial_integral,
 )
 
@@ -39,30 +39,30 @@ def test_gauss_nodes_integrate_polynomials_exactly():
 
 
 # ---------------------------------------------------------------------------
-# radial_unit_box_integral
+# radial_cell_integral on the origin cell (the unit box)
 # ---------------------------------------------------------------------------
 
 
 def test_radial_unit_box_constant_gives_area():
-    val, err = radial_unit_box_integral(lambda r: np.ones_like(r))
+    val, err = radial_cell_integral(lambda r: 1.0, 0, 0)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radial_unit_box_r_squared():
     # int_{[-1/2,1/2]^2} (x^2 + y^2) = 2 * 1/12 = 1/6.
-    val, _ = radial_unit_box_integral(lambda r: r**2)
+    val, _ = radial_cell_integral(lambda r: r**2, 0, 0)
     assert val == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_radial_unit_box_inverse_radius():
-    val, _ = radial_unit_box_integral(lambda r: 1.0 / r)
+    val, _ = radial_cell_integral(lambda r: 1.0 / r, 0, 0)
     assert val == pytest.approx(CENTRAL_INVERSE_RADIUS, abs=1e-11)
 
 
 def test_radial_unit_box_indicator_breakpoint():
     # Disc of radius 0.4 inside the square: area pi * 0.16.
-    val, _ = radial_unit_box_integral(
-        lambda r: (r <= 0.4).astype(float), breakpoints=(0.4,)
+    val, _ = radial_cell_integral(
+        lambda r: float(r <= 0.4), 0, 0, breakpoints=(0.4,)
     )
     assert val == pytest.approx(math.pi * 0.16, abs=1e-10)
 
@@ -177,7 +177,7 @@ def test_radial_cell_indicator_disc_area():
 
 
 @given(
-    a=st.integers(1, 6),
+    a=st.integers(0, 6),
     b=st.integers(0, 6),
     e=st.floats(-1.9, -0.1),
 )
@@ -187,12 +187,16 @@ def test_radial_cell_power_law_property(a, b, e):
     val, err = radial_cell_integral(lambda r: r**e, a, b)
     assert val > 0.0
     assert err < 1e-9
-    # The integrand is bounded by the min/max radius over the cell.
-    rmax = math.hypot(a + 0.5, b + 0.5)
-    rmin = max(a - 0.5, 1e-9) if b == 0 else math.hypot(a - 0.5, max(b - 0.5, 0.0))
-    assert rmax**e <= val <= rmin**e
+    # The closed form is the oracle; off the origin the integrand is also
+    # bounded by the min/max radius over the cell.
+    assert val == pytest.approx(box_power_integral((a, b), e), rel=1e-10)
+    if a > 0:
+        rmax = math.hypot(a + 0.5, b + 0.5)
+        rmin = a - 0.5 if b == 0 else math.hypot(a - 0.5, b - 0.5)
+        assert rmax**e <= val <= rmin**e
 
 
-def test_radial_cell_rejects_central_cell():
-    with pytest.raises(Exception):
-        radial_cell_integral(lambda r: 1.0, 0, 0)
+def test_radial_cell_rejects_non_octant_cells():
+    for a, b in [(1, 2), (-1, 0), (2, -1)]:
+        with pytest.raises(QuadratureError):
+            radial_cell_integral(lambda r: 1.0, a, b)
