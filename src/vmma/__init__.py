@@ -8,8 +8,8 @@ volatility field.  Sample surfaces have fractal dimension 3 - (1 + alpha).
 
 Layout:
 
-* kernels     — kernel families (Matern, exponential-decay, pure power) and
-  the kernel grammar used by the CLI.
+* kernels     — kernel families (Matern, exponential-decay, pure power),
+  Bessel K, and the kernel grammar used by the CLI.
 * covariance  — closed-form cell covariances of the singular part, the
   inner-block covariance matrix, optimal evaluation radii, and the limiting
   error constant of the hybrid scheme.
@@ -18,8 +18,6 @@ Layout:
 * analysis    — variograms, the square-increment dimension estimator,
   Monte-Carlo roughness studies, and the deterministic MSE decomposition.
 * gridio      — VMG1 binary grids, CSV, and PGM export.
-* specfun     — small special-function layer (Bessel K and a Gauss
-  hypergeometric slice).
 * cli         — the ``vmma`` command.
 """
 

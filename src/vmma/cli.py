@@ -149,25 +149,51 @@ def _echo_config(eff: dict, command: str, verbose: bool):
         print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr)
 
 
+_KINDS = {int: "integer", float: "number", str: "string"}
+
+
+def _cast(value, kind, key):
+    """`value` as `kind` (int, float or str), or ValidationError naming `key`.
+
+    Config values arrive as JSON types and flag lists as strings, so the
+    cast is strict: an integer is an int that is not a bool, or an integral
+    string; a number is an int or float that is not a bool, or a numeric
+    string; a string is a str.  Nothing is truncated or coerced from bool.
+    """
+    if not isinstance(value, bool):
+        if isinstance(value, kind) or (kind is float and isinstance(value, int)):
+            return kind(value)
+        if isinstance(value, str):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    raise ValidationError(f"bad {_KINDS[kind]} {value!r} for {key}")
+
+
 def _workers(threads) -> int | None:
     """FFT worker count from --threads; None leaves the default of 1."""
     if threads is None:
         return None
-    if int(threads) < 1:
+    threads = _cast(threads, int, "threads")
+    if threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {threads}")
-    return int(threads)
+    return threads
 
 
-def _csv(text, cast, what) -> tuple:
-    """A list from a config value (a JSON list) or a comma-separated flag."""
-    if isinstance(text, (list, tuple)):
-        items = text
+def _csv(value, kind, key) -> tuple:
+    """A list from a config value (a JSON list) or a comma-separated flag,
+    each item cast strictly to `kind`."""
+    if isinstance(value, (list, tuple)):
+        items = value
     else:
-        items = [x.strip() for x in str(text).split(",") if x.strip()]
+        items = [x.strip() for x in str(value).split(",") if x.strip()]
     try:
-        return tuple(cast(x) for x in items)
-    except (TypeError, ValueError):
-        raise ValidationError(f"bad {what} list {text!r}") from None
+        return tuple(_cast(x, kind, key) for x in items)
+    except ValidationError:
+        raise ValidationError(
+            f"bad {_KINDS[kind]} list {value!r} for {key}"
+        ) from None
 
 
 def _write_lines(lines, out):
@@ -195,10 +221,10 @@ def cmd_simulate(args) -> int:
     kernel = parse_kernel(eff["kernel"])
     vol = parse_volatility(eff["vol"]) if isinstance(eff["vol"], str) else eff["vol"]
     scheme = str(eff["scheme"]).lower()
-    n = int(eff["n"])
-    seed = int(eff["seed"])
-    replicate = int(eff["replicate"])
-    formats = _csv(eff["formats"], str, "format")
+    n = _cast(eff["n"], int, "n")
+    seed = _cast(eff["seed"], int, "seed")
+    replicate = _cast(eff["replicate"], int, "replicate")
+    formats = _csv(eff["formats"], str, "formats")
 
     t0 = time.perf_counter()
     if scheme == "circulant":
@@ -217,8 +243,8 @@ def cmd_simulate(args) -> int:
         )
         n_trunc = 0
     else:
-        params = SchemeParams(n=n, gamma=float(eff["gamma"]),
-                              kappa=int(eff["kappa"]), seed=seed,
+        params = SchemeParams(n=n, gamma=_cast(eff["gamma"], float, "gamma"),
+                              kappa=_cast(eff["kappa"], int, "kappa"), seed=seed,
                               policy=_parse_policy(str(eff["policy"])))
         n_trunc = params.n_trunc
         if scheme == "hybrid":
@@ -249,13 +275,14 @@ def cmd_roughness(args) -> int:
     eff = _effective(args, defaults)
     _echo_config(eff, "roughness", args.verbose)
     workers = _workers(eff["threads"])
-    alphas = _csv(eff["alphas"], float, "number")
-    schemes = [parse_scheme(s) for s in _csv(eff["schemes"], str, "scheme")]
+    alphas = _csv(eff["alphas"], float, "alphas")
+    schemes = [parse_scheme(s) for s in _csv(eff["schemes"], str, "schemes")]
 
     report = roughness_study(
-        alphas, schemes, n=int(eff["n"]), gamma=float(eff["gamma"]),
-        replicates=int(eff["replicates"]), seed=int(eff["seed"]),
-        workers=workers,
+        alphas, schemes, n=_cast(eff["n"], int, "n"),
+        gamma=_cast(eff["gamma"], float, "gamma"),
+        replicates=_cast(eff["replicates"], int, "replicates"),
+        seed=_cast(eff["seed"], int, "seed"), workers=workers,
     )
     _write_lines(report.to_csv_lines(), eff["out"])
 
@@ -290,9 +317,9 @@ def cmd_mse(args) -> int:
     if not eff["kernel"]:
         raise ValidationError("--kernel is required")
     kernel = parse_kernel(eff["kernel"])
-    ns = _csv(eff["n_list"], int, "integer")
-    report = mse_study(kernel, ns, gamma=float(eff["gamma"]),
-                       kappa=int(eff["kappa"]),
+    ns = _csv(eff["n_list"], int, "n_list")
+    report = mse_study(kernel, ns, gamma=_cast(eff["gamma"], float, "gamma"),
+                       kappa=_cast(eff["kappa"], int, "kappa"),
                        policy=_parse_policy(str(eff["policy"])))
     _write_lines(report.to_csv_lines(), eff["out"])
     return 0
@@ -304,7 +331,9 @@ def cmd_covariance(args) -> int:
     _echo_config(eff, "covariance", args.verbose)
     if eff["alpha"] is None:
         raise ValidationError("--alpha is required")
-    block = build_block(float(eff["alpha"]), int(eff["kappa"]), int(eff["n"]))
+    block = build_block(_cast(eff["alpha"], float, "alpha"),
+                        _cast(eff["kappa"], int, "kappa"),
+                        _cast(eff["n"], int, "n"))
     lines = ["i,j,value"]
     for i in range(block.dim):
         for j in range(block.dim):

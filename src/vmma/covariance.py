@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import hyp2f1, roots_jacobi
 
 from .errors import NotPositiveDefiniteError, QuadratureError, ValidationError
 from .quadrature import (
@@ -44,7 +44,6 @@ from .quadrature import (
     radial_cell_integral,
     square_exterior_radial_integral,
 )
-from .specfun import hyp2f1_half
 
 __all__ = [
     "EvaluationPolicy",
@@ -127,7 +126,7 @@ def _tr_array(p, q, e: float):
     out = np.zeros(p.shape, dtype=float)
 
     c = 1.5 + e / 2.0
-    f_half = hyp2f1_half(c, 0.5)
+    f_half = hyp2f1(0.5, c, 1.5, 0.5)
     s2 = math.sqrt(2.0)
 
     nz = p > q  # p == q is a zero-area triangle
@@ -141,8 +140,8 @@ def _tr_array(p, q, e: float):
         if np.any(pos):
             pq, qv, r2 = pp[pos], qq[pos], rho2[pos]
             rho = np.sqrt(r2)
-            f_p = hyp2f1_half(c, pq * pq / r2)  # z in (1/2, 1)
-            f_q = hyp2f1_half(c, qv * qv / r2)  # z in [0, 1/2)
+            f_p = hyp2f1(0.5, c, 1.5, pq * pq / r2)  # z in (1/2, 1)
+            f_q = hyp2f1(0.5, c, 1.5, qv * qv / r2)  # z in [0, 1/2)
             res = res.copy()
             res[pos] -= (pq * qv ** (e + 2.0) * f_p + qv * pq ** (e + 2.0) * f_q) / (
                 rho * (e + 2.0)

@@ -581,7 +581,7 @@ def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
 def _rate_warning(kernel: KernelSpec, params: SchemeParams):
     # two frames up from here is the caller of check_rate_hypothesis or, via
     # _prepare, of prepare_hybrid/prepare_riemann: stacklevel 4 names it
-    beta = getattr(kernel, "beta_decay", -math.inf)
+    beta = kernel.beta_decay
     if math.isfinite(beta):
         threshold = -(1.0 + kernel.alpha) / (1.0 + beta)
         if params.gamma <= threshold:

@@ -20,21 +20,36 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .errors import QuadratureError, ValidationError
-from .specfun import bessel_k
+from .quadrature import radial_integral
 
 __all__ = [
     "KernelSpec",
     "Matern",
     "ExpDecay",
     "PurePower",
+    "bessel_k",
     "matern_correlation",
     "parse_kernel",
     "format_kernel",
 ]
+
+
+def bessel_k(order: float, x):
+    """Modified Bessel function of the second kind, K_order(x), for x > 0.
+
+    Accepts scalar or array x.  Uses K_{-v} = K_v so negative orders are fine.
+    The only place vmma evaluates Bessel K.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValidationError("bessel_k requires x > 0 (K_v diverges at 0)")
+    out = _sp.kv(abs(float(order)), x)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 class KernelSpec:
@@ -44,59 +59,66 @@ class KernelSpec:
       alpha          roughness exponent in (-1, 0)
       beta_decay     declared large-x decay exponent (metadata: |g| <= C
                      x**beta_decay for large x, must be < -1 for square
-                     integrability at infinity); -inf means faster-than-
-                     polynomial decay or compact support.  Used only by the
-                     truncation-growth hypothesis check, not validated
-                     symbolically.
-      eval_L(x)      the slowly varying factor; defined at x = 0 by its limit
-      eval_g(x)      the kernel itself; requires x > 0
+                     integrability at infinity); -inf (the default) means
+                     faster-than-polynomial decay or compact support.  Used
+                     only by the truncation-growth hypothesis check, not
+                     validated symbolically.
+      _L(x)          the slowly varying factor on a float array x >= 0,
+                     defined at x = 0 by its limit; eval_L and eval_g
+                     validate x and unwrap scalars around it
+      _g(x)          (optional) the kernel on a float array x > 0, when a
+                     direct form beats x**alpha * _L(x)
       kink_radii     radii where g is not smooth (e.g. a hard cutoff);
                      quadrature routines split there
     """
 
     alpha: float
+    beta_decay: float = -math.inf
 
     @property
     def kink_radii(self) -> tuple:
         return ()
 
-    def eval_L(self, x):
+    def _L(self, x):
         raise NotImplementedError
+
+    def _g(self, x):
+        return x**self.alpha * self._L(x)
+
+    def eval_L(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
+            raise ValidationError("eval_L requires x >= 0")
+        out = self._L(x)
+        return float(out) if out.ndim == 0 else out
 
     def eval_g(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValidationError("eval_g requires x > 0")
-        out = x**self.alpha * self.eval_L(x)
+        out = self._g(x)
         return float(out) if out.ndim == 0 else out
 
     def g_squared_integral(self, tol: float = 1e-10) -> float:
         """2*pi * int_0^inf g(r)^2 r dr  (the variance of the stationary field).
 
-        Absolute error <= tol or QuadratureError.  Computed by quadrature
-        split at r = 1 (integrable algebraic singularity at 0, decay beyond);
-        subclasses with a kink override this, and tests compare every family
-        against independent exact values.
+        One radial integral, split at r = 1 (integrable algebraic
+        singularity at 0, decay beyond) and at the kink radii.  The
+        estimated absolute error of int_0^inf g(r)^2 r dr is <= tol, or
+        QuadratureError; tests compare every family against independent
+        exact values.
         """
         if not tol > 0.0:
             raise ValidationError(f"tol must be positive, got {tol}")
-
-        def f(r):
-            return self.eval_g(r) ** 2 * r
-
-        try:
-            v1, e1 = _integrate.quad(f, 0.0, 1.0, epsabs=tol / 2, epsrel=1e-12,
-                                     limit=200)
-            v2, e2 = _integrate.quad(f, 1.0, np.inf, epsabs=tol / 2,
-                                     epsrel=1e-12, limit=200)
-        except Exception as exc:  # pragma: no cover - quad raises rarely
-            raise QuadratureError(f"g_squared_integral failed: {exc}") from exc
-        if e1 + e2 > tol:
+        val, err = radial_integral(lambda r: self.eval_g(r) ** 2,
+                                   lambda r: 1.0, 0.0, math.inf,
+                                   (1.0, *self.kink_radii), tol / 2)
+        if err > tol:
             raise QuadratureError(
-                f"g_squared_integral did not converge (est err {e1 + e2:.2e} "
+                f"g_squared_integral did not converge (est err {err:.2e} "
                 f"> tol {tol:.2e})"
             )
-        return 2.0 * np.pi * (v1 + v2)
+        return 2.0 * np.pi * val
 
 
 def _check_alpha(alpha: float):
@@ -143,27 +165,20 @@ class Matern(KernelSpec):
         mu = self._mu
         return 2.0 ** (mu - 1.0) * math.gamma(mu) * self.lam ** (-mu)
 
-    def eval_L(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValidationError("eval_L requires x >= 0")
+    def _L(self, x):
         out = np.empty(x.shape, dtype=float)
         pos = x > 0.0
         out[~pos] = self.L_at_zero()
         if np.any(pos):
             xp = x[pos]
             out[pos] = xp**self._mu * bessel_k(self._mu, self.lam * xp)
-        return float(out) if out.ndim == 0 else out
+        return out
 
-    def eval_g(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValidationError("eval_g requires x > 0")
+    def _g(self, x):
         # Direct form avoids the cancellation of alpha + mu exponents.
-        out = x ** ((self.nu - 1.0) / 2.0) * bessel_k(
+        return x ** ((self.nu - 1.0) / 2.0) * bessel_k(
             (self.nu - 1.0) / 2.0, self.lam * x
         )
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -177,12 +192,8 @@ class ExpDecay(KernelSpec):
         _check_alpha(self.alpha)
         _check_beta(self.beta_decay)
 
-    def eval_L(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValidationError("eval_L requires x >= 0")
-        out = np.exp(-x)
-        return float(out) if out.ndim == 0 else out
+    def _L(self, x):
+        return np.exp(-x)
 
 
 @dataclass(frozen=True)
@@ -207,21 +218,8 @@ class PurePower(KernelSpec):
     def kink_radii(self) -> tuple:
         return (self.R,)
 
-    def eval_L(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValidationError("eval_L requires x >= 0")
-        out = (x <= self.R).astype(float)
-        return float(out) if out.ndim == 0 else out
-
-    def g_squared_integral(self, tol: float = 1e-10) -> float:
-        # quad handles the hard cutoff at R poorly without a breakpoint; the
-        # closed form is elementary, so use it here (tests still check it
-        # against an independent numeric route).
-        if not tol > 0.0:
-            raise ValidationError(f"tol must be positive, got {tol}")
-        e = 2.0 * self.alpha + 2.0
-        return 2.0 * np.pi * self.R**e / e
+    def _L(self, x):
+        return (x <= self.R).astype(float)
 
 
 def matern_correlation(nu: float, lam: float, r):
@@ -240,7 +238,7 @@ def matern_correlation(nu: float, lam: float, r):
     pos = r > 0.0
     if np.any(pos):
         z = lam * r[pos]
-        out[pos] = z**nu * _sp.kv(nu, z) / (2.0 ** (nu - 1.0) * math.gamma(nu))
+        out[pos] = z**nu * bessel_k(nu, z) / (2.0 ** (nu - 1.0) * math.gamma(nu))
     return float(out) if out.ndim == 0 else out
 
 
@@ -248,7 +246,7 @@ def matern_correlation(nu: float, lam: float, r):
 # CLI grammar
 
 
-def _parse_kv(argstr: str, spec: str) -> dict:
+def _parse_args(argstr: str, spec: str) -> dict:
     kwargs = {}
     if argstr.strip() == "":
         return kwargs
@@ -270,7 +268,7 @@ def parse_kernel(spec: str) -> KernelSpec:
     """Parse ``matern:nu=F,lambda=F`` | ``expdecay:alpha=F`` | ``power:alpha=F[,R=F]``."""
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
-    kw = _parse_kv(argstr, spec)
+    kw = _parse_args(argstr, spec)
     try:
         if name == "matern":
             return Matern(nu=kw.pop("nu"), lam=kw.pop("lambda", 1.0), **_none(kw, spec))

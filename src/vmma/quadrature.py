@@ -7,9 +7,10 @@ over a region to one radial integral, int fr(r) * theta(r) * r dr, against
 the angular measure theta(r) of the radius-r circle inside the region puts
 every non-smooth point at a known radius, where the adaptive 1-D quadrature
 (QUADPACK via scipy) splits.  One arc routine gives theta for every region
-(each is folded into the first quadrant first) and one routine makes every
-QUADPACK call; the origin cell is an ordinary cell, its singularity at r = 0
-an endpoint that QUADPACK never evaluates.
+(each is folded into the first quadrant first) and one routine,
+radial_integral, makes every QUADPACK call in the package (the kernels'
+squared integral over the plane included); the origin cell is an ordinary
+cell, its singularity at r = 0 an endpoint that QUADPACK never evaluates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy import integrate as _integrate
 from .errors import QuadratureError
 
 __all__ = [
+    "radial_integral",
     "radial_cell_integral",
     "square_exterior_radial_integral",
     "gauss_nodes",
@@ -46,7 +48,7 @@ def _quadrant_arc(r: float, x0: float, x1: float, y0: float, y1: float) -> float
     return max(0.0, hi - lo)
 
 
-def _radial(fr, theta, lo: float, hi: float, cuts, tol: float):
+def radial_integral(fr, theta, lo: float, hi: float, cuts, tol: float):
     """int_lo^hi fr(r) * theta(r) * r dr, split at the cuts inside (lo, hi).
 
     A finite interval takes one QUADPACK call with the cuts as `points`; an
@@ -92,7 +94,8 @@ def square_exterior_radial_integral(fr, half_side: float, tol: float = 1e-12,
     def theta(r: float) -> float:
         return 2.0 * math.pi - 4.0 * _quadrant_arc(r, 0.0, a, 0.0, a)
 
-    return _radial(fr, theta, a, upper, (a * math.sqrt(2.0), *breakpoints), tol)
+    return radial_integral(fr, theta, a, upper,
+                           (a * math.sqrt(2.0), *breakpoints), tol)
 
 
 def _fold(c: int) -> tuple:
@@ -132,4 +135,5 @@ def radial_cell_integral(fr, a: int, b: int, tol: float = 1e-12, breakpoints=())
     def theta(r: float) -> float:
         return mx * my * _quadrant_arc(r, x0, x1, y0, y1)
 
-    return _radial(fr, theta, min(radii), max(radii), (*radii, *breakpoints), tol)
+    return radial_integral(fr, theta, min(radii), max(radii),
+                           (*radii, *breakpoints), tol)

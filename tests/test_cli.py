@@ -242,6 +242,46 @@ def test_verbose_echo_feeds_back_as_config(tmp_path, capsys, argv):
     assert {p.name: p.read_bytes() for p in run.iterdir()} == first
 
 
+@pytest.mark.parametrize("command,cfg,key", [
+    ("covariance", {"alpha": -0.5, "kappa": 1.7}, "kappa"),
+    ("covariance", {"alpha": -0.5, "kappa": True}, "kappa"),
+    ("covariance", {"alpha": -0.5, "kappa": "1.5"}, "kappa"),
+    ("mse", {"kernel": "matern:nu=0.5,lambda=1", "n_list": [4, 6, 8],
+             "gamma": True}, "gamma"),
+    ("mse", {"kernel": "matern:nu=0.5,lambda=1", "n_list": [8.7, 12, 16]},
+     "n_list"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
+                  "threads": 1.5}, "threads"),
+], ids=["float-int", "bool-int", "fractional-string", "bool-number",
+        "float-in-int-list", "float-threads"])
+def test_config_values_are_cast_strictly(tmp_path, capsys, command, cfg, key):
+    # a config value of the wrong JSON type is refused like the flag
+    # would be, never truncated: kappa 1.7 used to run kappa = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_flag_rejects_fractional_kappa(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["covariance", "--alpha=-0.5", "--kappa", "1.7"])
+    assert exc.value.code == 2
+
+
+def test_config_accepts_integral_strings(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": -0.5, "kappa": "1", "n": "3"}))
+    out, ref = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+    assert main(["covariance", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert main(["covariance", "--alpha=-0.5", "--kappa", "1", "--n", "3",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_config_for_another_command_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "mse", "alpha": -0.5}))

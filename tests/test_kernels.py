@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vmma.errors import ValidationError
+from vmma.errors import QuadratureError, ValidationError
 from vmma.kernels import (
     ExpDecay,
+    KernelSpec,
     Matern,
     PurePower,
     format_kernel,
@@ -77,6 +78,25 @@ def test_kink_radii_default_empty():
     assert ExpDecay(-0.5).kink_radii == ()
 
 
+def test_family_supplies_only_L():
+    # the interface does the validation and scalar return around _L, and
+    # declares the default decay
+    class Flat(KernelSpec):
+        alpha = -0.5
+
+        def _L(self, x):
+            return np.ones_like(x)
+
+    k = Flat()
+    assert k.beta_decay == -math.inf
+    assert k.eval_g(4.0) == 0.5 and isinstance(k.eval_g(4.0), float)
+    assert k.eval_L(np.array([0.0, 1.0])).tolist() == [1.0, 1.0]
+    with pytest.raises(ValidationError):
+        k.eval_g(0.0)
+    with pytest.raises(ValidationError):
+        k.eval_L(-1.0)
+
+
 def test_eval_g_rejects_nonpositive():
     for k in (Matern(0.5), ExpDecay(-0.5), PurePower(-0.5)):
         with pytest.raises(ValidationError):
@@ -118,7 +138,7 @@ def test_g_squared_expdecay_closed_form():
 
 def test_g_squared_purepower_closed_form():
     # 2*pi R^(2a+2) / (2a+2), and an independent numeric route.
-    for a, R in [(-0.5, 1.0), (-0.8, 2.0)]:
+    for a, R in [(-0.5, 1.0), (-0.8, 2.0), (-0.6, 0.3), (-0.3, 7.5)]:
         e = 2 * a + 2
         expect = 2.0 * math.pi * R**e / e
         assert PurePower(a, R=R).g_squared_integral() == pytest.approx(
@@ -149,6 +169,13 @@ def test_g_squared_matern_vs_mpmath():
 def test_g_squared_rejects_bad_tol():
     with pytest.raises(ValidationError):
         ExpDecay(-0.5).g_squared_integral(tol=0.0)
+
+
+def test_g_squared_tol_below_error_estimate_raises():
+    # the estimate for ExpDecay(-0.9) is about 3e-13, far above 1e-16
+    with pytest.raises(QuadratureError):
+        ExpDecay(-0.9).g_squared_integral(tol=1e-16)
+    assert ExpDecay(-0.9).g_squared_integral(tol=1e-10) > 0.0
 
 
 # ---------------------------------------------------------------------------

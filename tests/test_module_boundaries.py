@@ -118,3 +118,81 @@ def test_public_and_own_names_pass():
               "import numpy as np\n_x = 1\nfields.prepare_hybrid\nnp._NoValue\n"
               "fields.__name__")
     assert private_cross_imports(source) == []
+
+
+# The one home of each numerical primitive: QUADPACK (scipy.integrate) is
+# driven only from quadrature.py, Bessel K (scipy.special.kv) is evaluated
+# only in kernels.py.
+HOMES = {"scipy.integrate": "quadrature.py", "scipy.special.kv": "kernels.py"}
+
+
+def primitive_uses(source: str) -> dict:
+    """Each import of scipy.integrate and each reference to
+    scipy.special.kv in `source`, keyed as in HOMES."""
+    tree = ast.parse(source)
+    special = {"scipy.special"}
+    found = {key: [] for key in HOMES}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.integrate"):
+                    found["scipy.integrate"].append(f"import {alias.name}")
+                elif alias.name == "scipy.special" and alias.asname:
+                    special.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [alias.name for alias in node.names]
+            if (node.module.startswith("scipy.integrate")
+                    or (node.module == "scipy" and "integrate" in names)):
+                found["scipy.integrate"].append(f"from {node.module} import ...")
+            if node.module == "scipy.special" and "kv" in names:
+                found["scipy.special.kv"].append("from scipy.special import kv")
+            if node.module == "scipy":
+                special.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "special")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "kv" and ast.unparse(node.value) in special:
+                found["scipy.special.kv"].append(ast.unparse(node))
+            elif ast.unparse(node) == "scipy.integrate":
+                found["scipy.integrate"].append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numerical_primitives_have_one_home(path):
+    uses = primitive_uses(path.read_text())
+    assert {key: found for key, found in uses.items()
+            if found and HOMES[key] != path.name} == {}
+
+
+def test_bessel_k_is_the_one_kv_call_site():
+    source = (SRC / "kernels.py").read_text()
+    bessel_k = [node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "bessel_k"]
+    assert len(bessel_k) == 1
+    assert primitive_uses(source)["scipy.special.kv"] == ["_sp.kv"]
+    assert [ast.unparse(node) for node in ast.walk(bessel_k[0])
+            if isinstance(node, ast.Attribute) and node.attr == "kv"] == ["_sp.kv"]
+
+
+@pytest.mark.parametrize("source,key", [
+    ("import scipy.integrate", "scipy.integrate"),
+    ("import scipy.integrate as si", "scipy.integrate"),
+    ("from scipy import integrate as _integrate", "scipy.integrate"),
+    ("from scipy.integrate import quad", "scipy.integrate"),
+    ("import scipy\nscipy.integrate.quad(f, 0, 1)", "scipy.integrate"),
+    ("from scipy.special import kv", "scipy.special.kv"),
+    ("from scipy import special as _sp\n_sp.kv(0.5, 1.0)", "scipy.special.kv"),
+    ("from scipy import special\nspecial.kv(0.5, 1.0)", "scipy.special.kv"),
+    ("import scipy.special as sp\nsp.kv(0.5, 1.0)", "scipy.special.kv"),
+    ("import scipy.special\nscipy.special.kv(0.5, 1.0)", "scipy.special.kv"),
+])
+def test_primitive_use_is_detected(source, key):
+    assert primitive_uses(source)[key]
+
+
+def test_other_scipy_uses_pass():
+    source = ("from scipy.special import hyp2f1, roots_jacobi\n"
+              "from scipy import fft as _fft, special as _sp\n"
+              "_sp.kve(0.5, 1.0)\nparams.kv\nfrom scipy import fft\n")
+    assert primitive_uses(source) == {key: [] for key in HOMES}

@@ -1,4 +1,7 @@
-"""Tests for the validated special-function shims.
+"""Tests for the special functions vmma evaluates: Bessel K, through
+`vmma.kernels.bessel_k` (the one place K is evaluated), and the Gauss
+hypergeometric slice 2F1(1/2, c; 3/2; z) that the covariance closed forms
+take from `scipy.special.hyp2f1`.
 
 Oracles used here:
   * closed forms for half-integer Bessel orders,
@@ -14,9 +17,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from vmma.errors import ValidationError
-from vmma.specfun import bessel_k, hyp2f1_half
+from vmma.kernels import bessel_k
 
 mpmath.mp.dps = 30
 
@@ -90,8 +94,12 @@ def test_bessel_k_rejects_nonpositive_x():
 
 
 # ---------------------------------------------------------------------------
-# hyp2f1_half
+# 2F1(1/2, c; 3/2; z), as covariance._tr_array calls it
 # ---------------------------------------------------------------------------
+
+
+def hyp2f1_half(c, z):
+    return hyp2f1(0.5, c, 1.5, z)
 
 
 def test_hyp2f1_half_atanh_identity():
@@ -141,20 +149,3 @@ def _series_reference(c: Fraction, z: Fraction, terms: int = 200) -> float:
 def test_hyp2f1_half_vs_exact_rational_series(c, z):
     ref = _series_reference(c, z)
     assert hyp2f1_half(float(c), float(z)) == pytest.approx(ref, rel=1e-10)
-
-
-def test_hyp2f1_half_array_input():
-    zs = np.array([0.0, 0.25, 0.5])
-    out = hyp2f1_half(1.0, zs)
-    assert out.shape == (3,)
-    assert out[0] == 1.0
-
-
-def test_hyp2f1_half_domain_errors():
-    with pytest.raises(ValidationError):
-        hyp2f1_half(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        hyp2f1_half(1.0, -0.1)
-    with pytest.raises(ValidationError):
-        hyp2f1_half(1.0, np.array([0.2, 1.5]))
-
