@@ -870,6 +870,21 @@ def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
     return out
 
 
+def _check_circulant_memory(M: int, doubling: int, max_doublings: int):
+    """Raise ValidationError, before the lag table and the arrays of torus
+    side M are allocated, when they would not fit in the available memory:
+    the (M/2+1)^2 lag table plus 24 bytes per torus point (the real base and
+    its complex spectrum, later sqrt(lam) and the complex draw)."""
+    need = 8 * (M // 2 + 1) ** 2 + 24 * M * M
+    avail = _available_memory()
+    if need > avail:
+        raise ValidationError(
+            f"circulant embedding on a torus of side M={M} (doubling "
+            f"{doubling} of {max_doublings}) needs about {need / 2**20:.0f} "
+            f"MiB, but only {avail / 2**20:.0f} MiB is available"
+        )
+
+
 def circulant_simulate(
     correlation,
     variance: float,
@@ -892,9 +907,23 @@ def circulant_simulate(
     eigenvalue.  Within-tolerance
     negative eigenvalues (roundoff) are zeroed, not clipped from a truly
     indefinite spectrum.
+
+    The working set at torus side M is the (M/2+1)^2 lag table plus 24
+    bytes per torus point: one real and one complex M^2 array at a time,
+    and only the first 2n+1 rows take the final transform's second pass
+    (tracemalloc peak 77.7 MB, 26.0 bytes per point with the table, at
+    M = 1728).  Before each M's table and arrays the estimate is checked
+    against the available memory, and ValidationError is raised when it
+    does not fit; ValidationError is also raised for a bool or
+    non-positive n, a bool, non-integer or negative max_doublings, and a
+    non-positive variance.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    if isinstance(max_doublings, bool) or not (
+            isinstance(max_doublings, (int, np.integer)) and max_doublings >= 0):
+        raise ValidationError(
+            f"max_doublings must be a nonnegative integer, got {max_doublings!r}")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ValidationError(f"variance must be positive, got {variance}")
     side = 2 * n + 1
@@ -904,17 +933,20 @@ def circulant_simulate(
     table = np.empty((0, 0))
     lam = None
     worst = None
-    for _ in range(max_doublings + 1):
+    for doubling in range(max_doublings + 1):
+        _check_circulant_memory(M, doubling, max_doublings)
         table = _lag_table(correlation, variance, n, table, M // 2)
         idx = np.arange(M)
         d = np.minimum(idx, M - idx)
-        base = table[d[:, None], d[None, :]]
-        spec = _fft.fft2(base, workers=w).real
-        mx = spec.max()
-        mn = spec.min()
+        spec = _fft.fft2(table[d[:, None], d[None, :]], workers=w,
+                         overwrite_x=True)
+        mx = spec.real.max()
+        mn = spec.real.min()
         if mn >= -1e-10 * mx:
-            lam = np.where(spec < 0.0, 0.0, spec)
+            lam = spec.real.copy()
+            del spec
             break
+        del spec
         worst = mn
         M = _fft.next_fast_len(2 * M, real=True)
     if lam is None:
@@ -922,13 +954,29 @@ def circulant_simulate(
             f"circulant embedding not nonnegative definite after "
             f"{max_doublings} doublings (most negative eigenvalue {worst:.6e})"
         )
+    del table
+    np.copyto(lam, 0.0, where=lam < 0.0)
+    np.sqrt(lam, out=lam)
 
+    # z = sqrt(lam) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
+    # standard_normal rejects the strided z.real as out=, so both parts go
+    # through one reused row buffer, which keeps the stream order.
     if rng is None:
         rng = rng_stream(seed, 0, replicate)
-    zr = rng.standard_normal((M, M))
-    zi = rng.standard_normal((M, M))
-    f = _fft.fft2(np.sqrt(lam) * (zr + 1j * zi), workers=w)
-    values = f.real[:side, :side] / M
+    z = np.empty((M, M), dtype=complex)
+    buf = np.empty((_ROW_BLOCK, M))
+    for part in (z.real, z.imag):
+        for r0 in range(0, M, _ROW_BLOCK):
+            k = min(_ROW_BLOCK, M - r0)
+            rng.standard_normal(out=buf[:k])
+            part[r0:r0 + k] = buf[:k]
+    z *= lam
+    del lam
+    # fft2 transforms axis 0 then axis 1; only rows :side of the second pass
+    # are kept, so it runs on those rows alone (same bits as fft2's)
+    f = _fft.fft(z, axis=0, workers=w, overwrite_x=True)
+    f = _fft.fft(f[:side], axis=1, workers=w, overwrite_x=True)
+    values = f.real[:, :side] / M
     return FieldGrid(values=values, spacing=1.0 / n, origin=(-1.0, -1.0))
 
 

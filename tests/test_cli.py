@@ -141,6 +141,19 @@ def test_simulate_too_large_for_memory_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_circulant_too_large_for_memory_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # 4 KiB available: the first torus at n = 12 (M = 50) needs about 64 KiB,
+    # so the preflight refuses before the lag table is built
+    import vmma.fields as fields_mod
+
+    monkeypatch.setattr(fields_mod, "_available_memory", lambda: 4096)
+    argv, out = _simulate_args(tmp_path, "big.vmg", ["--scheme", "circulant"])
+    assert main(argv) == 2
+    assert "available" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_kernel_exits_2(tmp_path):
     argv = ["simulate", "--kernel", "matern:nu=7", "--out", str(tmp_path / "x.vmg")]
     assert main(argv) == 2

@@ -922,6 +922,49 @@ def test_circulant_validation():
         circulant_simulate(corr, 1.0, 0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": True},
+    {"max_doublings": -1},
+    {"max_doublings": 1.5},
+], ids=["n-bool", "doublings-negative", "doublings-float"])
+def test_circulant_rejects_bad_integer_arguments(kwargs):
+    args = {"n": 6, **kwargs}
+    with pytest.raises(ValidationError):
+        circulant_simulate(lambda r: np.exp(-np.asarray(r)), 1.0, **args)
+
+
+def test_circulant_memory_preflight_refuses_before_allocating():
+    # n = 100000: torus side about 4e5, some 3.8 TB at 24 bytes per point
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="M=.*doubling 0.*MiB.*available"):
+            circulant_simulate(lambda r: np.exp(-np.asarray(r)), 1.0, 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_circulant_working_set_is_one_complex_and_one_real_array():
+    # n = 12, Matern(0.4, 0.38): M = 400 after three doublings (as in
+    # test_circulant_evaluates_each_lag_once); the lean body holds 24 bytes
+    # per torus point plus the lag table, never the old 82.
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    M = 400
+    peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 12, seed=0))
+    assert peak <= 28 * M * M, f"{peak / M**2:.1f} bytes per torus point"
+
+
+@pytest.mark.parametrize("corr, n", [
+    (lambda r: matern_correlation(0.4, 0.38, r), 12),  # three doublings
+    (lambda r: np.exp(-3.0 * np.asarray(r)), 7),  # none
+])
+def test_circulant_worker_count_does_not_change_bytes(corr, n):
+    g1 = circulant_simulate(corr, 1.3, n, seed=19, replicate=2, workers=1)
+    g2 = circulant_simulate(corr, 1.3, n, seed=19, replicate=2, workers=2)
+    assert g1.values.tobytes() == g2.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # hybrid with stochastic volatility
 # ---------------------------------------------------------------------------

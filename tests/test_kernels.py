@@ -166,6 +166,23 @@ def test_g_squared_matern_vs_mpmath():
         assert got == pytest.approx(ref, rel=1e-9), (nu, lam)
 
 
+def test_g_squared_matern_closed_form():
+    # Gradshteyn-Ryzhik 6.576.4 with a = (1+nu)/2, mu = (nu-1)/2:
+    # 2*pi int_0^inf x^nu K_mu(lam x)^2 dx
+    #   = 2*pi sqrt(pi) G(a+mu) G(a-mu) G(a) / (4 G(a+1/2) lam^(1+nu)),
+    # which reaches the strong singularities (nu near 0) where mpmath.quad
+    # of the integrand loses digits.
+    for nu in (0.05, 0.1, 0.2, 0.4, 0.5, 0.8, 0.95):
+        for lam in (0.38, 1.0, 2.0, 3.0):
+            a = (1.0 + nu) / 2.0
+            mu = (nu - 1.0) / 2.0
+            expect = (2.0 * math.pi * math.sqrt(math.pi) * math.gamma(a + mu)
+                      * math.gamma(a - mu) * math.gamma(a)
+                      / (4.0 * math.gamma(a + 0.5) * lam ** (1.0 + nu)))
+            got = Matern(nu, lam).g_squared_integral()
+            assert got == pytest.approx(expect, rel=1e-12), (nu, lam)
+
+
 def test_g_squared_rejects_bad_tol():
     with pytest.raises(ValidationError):
         ExpDecay(-0.5).g_squared_integral(tol=0.0)
