@@ -57,7 +57,13 @@ from .covariance import (
     octant_cells,
     representative_radii,
 )
-from .errors import DegenerateDataError, QuadratureError, ValidationError
+from .errors import (
+    DegenerateDataError,
+    QuadratureError,
+    ValidationError,
+    check_int,
+    check_real,
+)
 from .fields import (
     ConstantVol,
     FieldGrid,
@@ -107,8 +113,7 @@ def empirical_variogram(grid: FieldGrid, max_lag_cells: int):
     if not isinstance(grid, FieldGrid):
         raise ValidationError("empirical_variogram needs a FieldGrid")
     side = grid.side
-    if not (isinstance(max_lag_cells, (int, np.integer)) and max_lag_cells >= 1):
-        raise ValidationError(f"max_lag_cells must be a positive integer, got {max_lag_cells}")
+    check_int(max_lag_cells, "max_lag_cells", lo=1)
     if not max_lag_cells < side / 2:
         raise ValidationError(
             f"max_lag_cells={max_lag_cells} too large for side {side} "
@@ -169,10 +174,7 @@ class SchemeChoice:
 
     def __post_init__(self):
         if self.kind == "hybrid":
-            if not (isinstance(self.kappa, (int, np.integer)) and 0 <= self.kappa <= 5):
-                raise ValidationError(
-                    f"hybrid scheme needs kappa in 0..5, got {self.kappa}"
-                )
+            check_int(self.kappa, "hybrid scheme kappa", 0, 5)
         elif self.kind == "riemann":
             if self.kappa is not None:
                 raise ValidationError("riemann scheme takes no kappa")
@@ -274,8 +276,7 @@ def roughness_study(
     scheme_objs = [s if isinstance(s, SchemeChoice) else parse_scheme(s) for s in schemes]
     if not scheme_objs:
         raise ValidationError("schemes must be non-empty")
-    if not (isinstance(replicates, (int, np.integer)) and replicates >= 2):
-        raise ValidationError(f"replicates must be >= 2, got {replicates}")
+    check_int(replicates, "replicates", lo=2)
     if kernel_factory is None:
         kernel_factory = _default_kernel_factory
 
@@ -291,6 +292,9 @@ def roughness_study(
                 kappa=sc.kappa if sc.kind == "hybrid" else 0,
                 seed=seed,
             )
+            # release the previous cell's plan before building this one, so
+            # that at most one plan spectrum is live
+            plan = None
             if sc.kind == "hybrid":
                 plan = prepare_hybrid(kernel, params, workers=workers)
                 simulate = hybrid_simulate
@@ -561,10 +565,8 @@ def hybrid_mse(
     """
     if not isinstance(params, SchemeParams):
         raise ValidationError("hybrid_mse needs SchemeParams")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    check_real(sigma, "sigma", lo=0.0)
+    check_real(tol, "tol", lo=0.0)
     check_rate_hypothesis(kernel, params)
 
     alpha = kernel.alpha
@@ -670,7 +672,7 @@ def mse_study(
 ) -> MseReport:
     """hybrid_mse along an n-list plus the limiting j_constant and the
     fitted convergence rate of E_n."""
-    ns = [int(n) for n in ns]
+    ns = [check_int(n, "n", lo=1) for n in ns]
     if len(ns) < 3:
         raise ValidationError("need at least three n values for the rate fit")
     if policy is None:

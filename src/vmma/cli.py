@@ -33,7 +33,7 @@ from .analysis import (
     roughness_study,
 )
 from .covariance import DEFAULT_POLICY, EvaluationPolicy, build_block
-from .errors import NumericError, ValidationError, VmmaError
+from .errors import NumericError, ValidationError, VmmaError, check_int
 from .fields import (
     ConstantVol,
     ExpVmmaVolatility,
@@ -113,12 +113,18 @@ def _load_config(path) -> dict:
     return cfg
 
 
+_STR_KEYS = ("kernel", "vol", "scheme", "policy", "out", "plot_data",
+             "timing_out")
+
+
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flag > config file > command default.
 
     Flags parse with None sentinels so 'explicitly given' is detectable.
     A "command" key, as the --verbose echo writes it, must name this
     subcommand, so an echoed configuration can be fed back via --config.
+    The config's string options (kernel, vol, scheme, policy and the
+    output paths) are cast strictly to str here, before any work starts.
     """
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("command", args.command) != args.command:
@@ -130,6 +136,10 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
         raise ValidationError(
             f"config keys not used by this command: {sorted(unknown)}"
         )
+    for key in _STR_KEYS:
+        # null stands for "not given" only where the default is None
+        if key in cfg and (cfg[key] is not None or defaults[key] is not None):
+            _cast(cfg[key], str, key)
     eff = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -175,10 +185,7 @@ def _workers(threads) -> int | None:
     """FFT worker count from --threads; None leaves the default of 1."""
     if threads is None:
         return None
-    threads = _cast(threads, int, "threads")
-    if threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {threads}")
-    return threads
+    return check_int(_cast(threads, int, "threads"), "--threads", lo=1)
 
 
 def _csv(value, kind, key) -> tuple:
@@ -219,8 +226,8 @@ def cmd_simulate(args) -> int:
     if not eff["kernel"]:
         raise ValidationError("--kernel is required")
     kernel = parse_kernel(eff["kernel"])
-    vol = parse_volatility(eff["vol"]) if isinstance(eff["vol"], str) else eff["vol"]
-    scheme = str(eff["scheme"]).lower()
+    vol = parse_volatility(eff["vol"])
+    scheme = eff["scheme"].lower()
     n = _cast(eff["n"], int, "n")
     seed = _cast(eff["seed"], int, "seed")
     replicate = _cast(eff["replicate"], int, "replicate")
@@ -245,7 +252,7 @@ def cmd_simulate(args) -> int:
     else:
         params = SchemeParams(n=n, gamma=_cast(eff["gamma"], float, "gamma"),
                               kappa=_cast(eff["kappa"], int, "kappa"), seed=seed,
-                              policy=_parse_policy(str(eff["policy"])))
+                              policy=_parse_policy(eff["policy"]))
         n_trunc = params.n_trunc
         if scheme == "hybrid":
             grid = hybrid_simulate(kernel, params, vol, replicate=replicate,
@@ -320,7 +327,7 @@ def cmd_mse(args) -> int:
     ns = _csv(eff["n_list"], int, "n_list")
     report = mse_study(kernel, ns, gamma=_cast(eff["gamma"], float, "gamma"),
                        kappa=_cast(eff["kappa"], int, "kappa"),
-                       policy=_parse_policy(str(eff["policy"])))
+                       policy=_parse_policy(eff["policy"]))
     _write_lines(report.to_csv_lines(), eff["out"])
     return 0
 

@@ -38,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1, roots_jacobi
 
-from .errors import NotPositiveDefiniteError, QuadratureError, ValidationError
+from .errors import (
+    NotPositiveDefiniteError,
+    QuadratureError,
+    ValidationError,
+    check_int,
+    check_real,
+)
 from .quadrature import (
     gauss_nodes,
     radial_cell_integral,
@@ -335,24 +341,22 @@ def _cross_integrals(pairs, alpha: float, tol: float) -> np.ndarray:
     return out
 
 
-def cross_covariance_integral(ja, jb, alpha: float, tol_abs: float = 1e-10) -> float:
+def cross_covariance_integral(ja, jb, alpha: float) -> float:
     """Integral over the unit cell at 0 of ||ja - u||**a * ||jb - u||**a du.
 
     This is the unscaled covariance of the two power integrals anchored at
     offsets ja != jb over the same cell.  Singular (integrably) at u = 0 when
     one offset is the origin; the polar rule about u = 0 absorbs that.
-    Raises QuadratureError if its error estimate exceeds tol_abs.
+    Raises QuadratureError if its error estimate exceeds 1e-10.
     """
-    if not -1.0 < alpha < 0.0:
-        raise ValidationError(f"alpha must be in (-1, 0), got {alpha}")
+    alpha = check_real(alpha, "alpha", -1.0, 0.0)
     ja = (int(ja[0]), int(ja[1]))
     jb = (int(jb[0]), int(jb[1]))
     if ja == jb:
         # Equal offsets are the diagonal entries, which have the closed form
         # box_power_integral(j, 2*alpha) — not this routine's job.
         raise ValidationError("cross_covariance_integral requires ja != jb")
-    return float(_cross_integrals(_canonical_pair(ja, jb), float(alpha),
-                                  float(tol_abs))[0])
+    return float(_cross_integrals(_canonical_pair(ja, jb), alpha, 1e-10)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +421,11 @@ def build_block(alpha: float, kappa: int, n: int, tol: float = 1e-10) -> Covaria
     matrix to the resolution-n one exactly, and the Cholesky factor scales the
     same way.
     """
-    if not -1.0 < alpha < 0.0:
-        raise ValidationError(f"alpha must be in (-1, 0), got {alpha}")
-    if not (isinstance(kappa, (int, np.integer)) and 0 <= kappa <= 5):
-        raise ValidationError(f"kappa must be an integer in 0..5, got {kappa}")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-
-    base = _base_matrix(float(alpha), int(kappa), float(tol))
-    offs = _block_offsets(int(kappa))
+    alpha = check_real(alpha, "alpha", -1.0, 0.0)
+    kappa = check_int(kappa, "kappa", 0, 5)
+    n = check_int(n, "n", lo=1)
+    base = _base_matrix(alpha, kappa, check_real(tol, "tol", lo=0.0))
+    offs = _block_offsets(kappa)
     d = base.shape[0]
     scale = np.full(d, float(n) ** (-1.0 - alpha))
     scale[-1] = 1.0 / float(n)
@@ -450,14 +448,8 @@ def build_block(alpha: float, kappa: int, n: int, tol: float = 1e-10) -> Covaria
                 f"failed Cholesky even with jitter {jitter:.3e}"
             ) from exc
 
-    return CovarianceBlock(
-        alpha=float(alpha),
-        kappa=int(kappa),
-        n=int(n),
-        offsets=offs,
-        matrix=matrix,
-        chol=chol,
-    )
+    return CovarianceBlock(alpha=alpha, kappa=kappa, n=n, offsets=offs,
+                           matrix=matrix, chol=chol)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +481,7 @@ def optimal_b_norm(j, alpha: float) -> float:
     this radius equals the cell mean of the power.  Lies within 1/sqrt(2) of
     ||j|| (the cell's circumradius).
     """
-    if not -1.0 < alpha < 0.0:
-        raise ValidationError(f"alpha must be in (-1, 0), got {alpha}")
+    check_real(alpha, "alpha", -1.0, 0.0)
     return box_power_integral(_canonical_cell(j), alpha) ** (1.0 / alpha)
 
 
@@ -580,18 +571,17 @@ def j_constant(
     gradient term of the tail, (alpha**2/12) * int_{||x||_inf > T+1/2}
     ||x||**(2a-2) dx, whose relative error is O(T**-2).
     """
-    if not -1.0 < alpha < 0.0:
-        raise ValidationError(f"alpha must be in (-1, 0), got {alpha}")
-    if not 0 <= int(kappa) == kappa:
-        raise ValidationError(f"kappa must be a nonnegative integer, got {kappa}")
-    T = int(truncation) if truncation is not None else max(64, 10 * int(kappa) + 10)
+    check_real(alpha, "alpha", -1.0, 0.0)
+    kappa = check_int(kappa, "kappa", lo=0)
+    T = (max(64, 10 * kappa + 10) if truncation is None
+         else check_int(truncation, "truncation"))
     if T < 10 * kappa + 10:
         raise ValidationError(
             f"truncation {T} too small: need >= 10*kappa+10 = {10 * kappa + 10} "
             f"for the tail estimate to hold"
         )
 
-    j1, j2, mult = octant_cells(T, int(kappa))
+    j1, j2, mult = octant_cells(T, kappa)
     box2a = box_power_integrals(j1, j2, 2.0 * alpha)
     boxa = box_power_integrals(j1, j2, alpha)
     if policy.mode == "midpoint":

@@ -81,7 +81,13 @@ from .covariance import (
     octant_cells,
     representative_radii,
 )
-from .errors import EmbeddingError, RateHypothesisWarning, ValidationError
+from .errors import (
+    EmbeddingError,
+    RateHypothesisWarning,
+    ValidationError,
+    check_int,
+    check_real,
+)
 from .kernels import KernelSpec
 
 __all__ = [
@@ -128,14 +134,10 @@ class SchemeParams:
     policy: EvaluationPolicy = field(default_factory=lambda: DEFAULT_POLICY)
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValidationError(f"n must be a positive integer, got {self.n}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if not (isinstance(self.kappa, (int, np.integer)) and 0 <= self.kappa <= 5):
-            raise ValidationError(f"kappa must be an integer in 0..5, got {self.kappa}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must fit in u64, got {self.seed}")
+        check_int(self.n, "n", lo=1)
+        check_real(self.gamma, "gamma", lo=0.0)
+        check_int(self.kappa, "kappa", 0, 5)
+        check_int(self.seed, "seed", 0, 2**64 - 1)
         if not isinstance(self.policy, EvaluationPolicy):
             raise ValidationError("policy must be an EvaluationPolicy")
         if self.n_trunc < self.kappa:
@@ -180,8 +182,7 @@ class FieldGrid:
             raise ValidationError(f"grid side must be odd, got {v.shape[0]}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("grid values must all be finite")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        check_real(self.spacing, "spacing", lo=0.0)
         object.__setattr__(self, "values", np.ascontiguousarray(v))
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
 
@@ -202,15 +203,16 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     Stream names used by the engines: (seed, 0, replicate) for field noise
     and (seed, 1, replicate) for volatility noise, so the same field noise is
     paired with every volatility model.  Studies extend the path with their
-    own task indices.
+    own task indices.  The seed and every index must be integers >= 0.
     """
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(
+        tuple(check_int(k, "rng_stream key", lo=0) for k in (seed, *path)))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def fft_workers(workers: int | None = None) -> int:
     """Worker count for FFT calls: the explicit argument, else 1."""
-    return 1 if workers is None else max(1, int(workers))
+    return 1 if workers is None else check_int(workers, "workers", lo=1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +247,7 @@ class ConstantVol(VolatilityModel):
     c: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValidationError(f"constant volatility must be > 0, got {self.c}")
+        check_real(self.c, "constant volatility", lo=0.0)
 
     @property
     def constant_value(self) -> float:
@@ -302,10 +303,8 @@ class ExpVmmaVolatility(VolatilityModel):
     def __post_init__(self):
         if not isinstance(self.inner_kernel, KernelSpec):
             raise ValidationError("inner_kernel must be a KernelSpec")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if not (isinstance(self.kappa, (int, np.integer)) and 0 <= self.kappa <= 5):
-            raise ValidationError(f"kappa must be an integer in 0..5, got {self.kappa}")
+        check_real(self.gamma, "gamma", lo=0.0)
+        check_int(self.kappa, "kappa", 0, 5)
 
     def validate_against(self, kernel: KernelSpec):
         if not self.inner_kernel.alpha > kernel.alpha:
@@ -316,10 +315,10 @@ class ExpVmmaVolatility(VolatilityModel):
 
     def realize(self, n, half, rng, workers=None):
         params = SchemeParams(n=n, gamma=self.gamma, kappa=self.kappa)
-        grid = hybrid_simulate(
-            self.inner_kernel, params, ConstantVol(1.0),
-            rng_noise=rng, half=half, workers=workers,
-        )
+        plan = prepare_hybrid(self.inner_kernel, params, half=half,
+                              workers=workers)
+        grid = hybrid_simulate(self.inner_kernel, params, ConstantVol(1.0),
+                               plan=plan, rng_noise=rng, workers=workers)
         return volatility_from_log_field(grid.values)
 
 
@@ -403,7 +402,7 @@ def sample_noise(
     (_noise_rows) without holding these arrays whole.
     """
     n, kappa = params.n, params.kappa
-    m0 = params.n if half is None else int(half)
+    m0 = params.n if half is None else check_int(half, "half", lo=1)
     s1 = 2 * (m0 + kappa) + 1
     S = 2 * (params.n_trunc + m0) + 1
     d = (2 * kappa + 1) ** 2 + 1
@@ -539,30 +538,14 @@ def _available_memory(meminfo: str = "/proc/meminfo",
     return avail
 
 
-def _check_memory(params: SchemeParams, half: int, kappa: int | None):
-    """Raise ValidationError, before anything is allocated, when a plan plus
-    one replicate would not fit in the available memory.
-
-    The estimate counts two complex (P, P//2+1) spectra (the plan's and the
-    replicate's), the (S, S) volatility sheet of a modulated field (a plan
-    serves every volatility model, so it is always counted), the output and,
-    with an inner block (kappa not None), the family's row window and plain
-    channel.
-    """
-    P = _sheet_period(params, half)
-    S = 2 * (params.n_trunc + half) + 1
-    side = 2 * half + 1
-    need = 2 * 16 * P * (P // 2 + 1) + 8 * (S * S + side * side)
-    if kappa is not None:
-        s1 = side + 2 * kappa
-        d = (2 * kappa + 1) ** 2 + 1
-        need += 8 * ((_ROW_BLOCK + 2 * kappa) * s1 * d + s1 * s1)
+def _require_memory(need: int, what: str):
+    """Raise ValidationError, before anything is allocated, when `need` bytes
+    for `what` exceed the available memory."""
     avail = _available_memory()
     if need > avail:
         raise ValidationError(
-            f"n={params.n}, gamma={params.gamma}, half={half} needs about "
-            f"{need / 2**20:.0f} MiB for the plan and one replicate (FFT "
-            f"period {P}), but only {avail / 2**20:.0f} MiB is available"
+            f"{what} needs about {need / 2**20:.0f} MiB, but only "
+            f"{avail / 2**20:.0f} MiB is available"
         )
 
 
@@ -680,10 +663,23 @@ def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarra
 
 def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
              workers: int | None, inner: bool) -> HybridPlan:
-    m0 = params.n if half is None else int(half)
-    if m0 < 1:
-        raise ValidationError(f"output half-width must be >= 1, got {m0}")
-    _check_memory(params, m0, params.kappa if inner else None)
+    m0 = params.n if half is None else check_int(half, "half", lo=1)
+    # The plan plus one replicate: two complex (P, P//2+1) spectra (the
+    # plan's and the replicate's), the (S, S) volatility sheet of a modulated
+    # field (a plan serves every volatility model, so it is always counted),
+    # the output and, with an inner block, the family's row window and plain
+    # channel.
+    fsh = _sheet_period(params, m0)
+    S = 2 * (params.n_trunc + m0) + 1
+    side = 2 * m0 + 1
+    need = 2 * 16 * fsh * (fsh // 2 + 1) + 8 * (S * S + side * side)
+    if inner:
+        kappa = params.kappa
+        s1 = side + 2 * kappa
+        d = (2 * kappa + 1) ** 2 + 1
+        need += 8 * ((_ROW_BLOCK + 2 * kappa) * s1 * d + s1 * s1)
+    _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
+                          f"(plan and one replicate, FFT period {fsh})")
     _rate_warning(kernel, params)
     block = weights = None
     if inner:
@@ -691,7 +687,6 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         weights = np.array([cell_weight(kernel, params.n, j, params.policy)
                             for j in block.offsets])
     octant = _step_kernel_octant(kernel, params, inner)
-    fsh = _sheet_period(params, m0)
     return HybridPlan(
         kernel=kernel, params=params, half=m0, block=block, weights=weights,
         fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
@@ -725,8 +720,8 @@ def prepare_riemann(
     return _prepare(kernel, params, half, workers, inner=False)
 
 
-def _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol, half,
-              workers, inner: bool) -> FieldGrid:
+def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
+              inner: bool) -> FieldGrid:
     """One replicate of either step-kernel engine; `inner` selects hybrid
     (the plan must carry a block) or Riemann (it must not)."""
     if vol is None:
@@ -736,13 +731,11 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol, half,
         # through the public names, so that wrappers installed on them see
         # the cold runs' plan builds
         prepare = prepare_hybrid if inner else prepare_riemann
-        plan = prepare(kernel, params, half=half, workers=workers)
+        plan = prepare(kernel, params, workers=workers)
     elif (plan.block is not None) != inner:
         raise ValidationError(
             f"plan was prepared for the {'Riemann' if inner else 'hybrid'} scheme")
-    elif plan.kernel != kernel or plan.params != params or (
-        half is not None and plan.half != int(half)
-    ):
+    elif plan.kernel != kernel or plan.params != params:
         raise ValidationError("plan was prepared for different settings")
     m0 = plan.half
     n, kappa, N = params.n, params.kappa, params.n_trunc
@@ -752,9 +745,8 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol, half,
     const = vol.constant_value
     sigma = None
     if const is None:
-        if rng_vol is None:
-            rng_vol = rng_stream(params.seed, 1, replicate)
-        sigma = vol.realize(n, N + m0, rng_vol, workers)
+        sigma = vol.realize(n, N + m0, rng_stream(params.seed, 1, replicate),
+                            workers)
     if rng_noise is None:
         rng_noise = rng_stream(params.seed, 0, replicate)
 
@@ -806,8 +798,6 @@ def hybrid_simulate(
     *,
     plan: HybridPlan | None = None,
     rng_noise: np.random.Generator | None = None,
-    rng_vol: np.random.Generator | None = None,
-    half: int | None = None,
     workers: int | None = None,
 ) -> FieldGrid:
     """Simulate one replicate of the field by the hybrid scheme.
@@ -815,14 +805,15 @@ def hybrid_simulate(
     The inner part sums the exactly-integrated power cells with the policy's
     L-weights (direct summation, O(n^2) per offset); the outer part is one
     FFT convolution of the step kernel with sigma-modulated plain noise.
-    Noise streams: rng_stream(seed, 0, replicate) for the field and
-    rng_stream(seed, 1, replicate) for the volatility, unless explicit
-    generators are passed.  The noise is streamed in row blocks (see the
-    module docstring), so neither noise family is held whole.  A plan from
-    prepare_riemann is rejected with ValidationError.
+    Noise streams: rng_stream(seed, 0, replicate) for the field, unless
+    rng_noise is passed, and rng_stream(seed, 1, replicate) for the
+    volatility.  The plan fixes the output window (see prepare_hybrid).  The
+    noise is streamed in row blocks (see the module docstring), so neither
+    noise family is held whole.  A plan from prepare_riemann is rejected with
+    ValidationError.
     """
-    return _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol,
-                     half, workers, inner=True)
+    return _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
+                     inner=True)
 
 
 def riemann_simulate(
@@ -833,8 +824,6 @@ def riemann_simulate(
     *,
     plan: HybridPlan | None = None,
     rng_noise: np.random.Generator | None = None,
-    rng_vol: np.random.Generator | None = None,
-    half: int | None = None,
     workers: int | None = None,
 ) -> FieldGrid:
     """Simulate one replicate by the pure step-function (Riemann-sum) scheme.
@@ -843,8 +832,8 @@ def riemann_simulate(
     output depends only on (kernel, n, gamma, seed/replicate, vol).  A plan
     from prepare_hybrid is rejected with ValidationError.
     """
-    return _simulate(kernel, params, vol, replicate, plan, rng_noise, rng_vol,
-                     half, workers, inner=False)
+    return _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
+                     inner=False)
 
 
 # ---------------------------------------------------------------------------
@@ -870,28 +859,12 @@ def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
     return out
 
 
-def _check_circulant_memory(M: int, doubling: int, max_doublings: int):
-    """Raise ValidationError, before the lag table and the arrays of torus
-    side M are allocated, when they would not fit in the available memory:
-    the (M/2+1)^2 lag table plus 24 bytes per torus point (the real base and
-    its complex spectrum, later sqrt(lam) and the complex draw)."""
-    need = 8 * (M // 2 + 1) ** 2 + 24 * M * M
-    avail = _available_memory()
-    if need > avail:
-        raise ValidationError(
-            f"circulant embedding on a torus of side M={M} (doubling "
-            f"{doubling} of {max_doublings}) needs about {need / 2**20:.0f} "
-            f"MiB, but only {avail / 2**20:.0f} MiB is available"
-        )
-
-
 def circulant_simulate(
     correlation,
     variance: float,
     n: int,
     seed: int = 0,
     replicate: int = 0,
-    rng: np.random.Generator | None = None,
     max_doublings: int = 3,
     workers: int | None = None,
 ) -> FieldGrid:
@@ -914,18 +887,14 @@ def circulant_simulate(
     (tracemalloc peak 77.7 MB, 26.0 bytes per point with the table, at
     M = 1728).  Before each M's table and arrays the estimate is checked
     against the available memory, and ValidationError is raised when it
-    does not fit; ValidationError is also raised for a bool or
-    non-positive n, a bool, non-integer or negative max_doublings, and a
-    non-positive variance.
+    does not fit; ValidationError is also raised unless n is an integer
+    >= 1, max_doublings an integer >= 0 and variance finite and positive
+    (bools are not integers).  The draw comes from
+    rng_stream(seed, 0, replicate).
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if isinstance(max_doublings, bool) or not (
-            isinstance(max_doublings, (int, np.integer)) and max_doublings >= 0):
-        raise ValidationError(
-            f"max_doublings must be a nonnegative integer, got {max_doublings!r}")
-    if not (math.isfinite(variance) and variance > 0.0):
-        raise ValidationError(f"variance must be positive, got {variance}")
+    check_int(n, "n", lo=1)
+    check_int(max_doublings, "max_doublings", lo=0)
+    check_real(variance, "variance", lo=0.0)
     side = 2 * n + 1
     w = fft_workers(workers)
 
@@ -934,7 +903,9 @@ def circulant_simulate(
     lam = None
     worst = None
     for doubling in range(max_doublings + 1):
-        _check_circulant_memory(M, doubling, max_doublings)
+        _require_memory(8 * (M // 2 + 1) ** 2 + 24 * M * M,
+                        f"circulant embedding on a torus of side M={M} "
+                        f"(doubling {doubling} of {max_doublings})")
         table = _lag_table(correlation, variance, n, table, M // 2)
         idx = np.arange(M)
         d = np.minimum(idx, M - idx)
@@ -961,8 +932,7 @@ def circulant_simulate(
     # z = sqrt(lam) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
     # standard_normal rejects the strided z.real as out=, so both parts go
     # through one reused row buffer, which keeps the stream order.
-    if rng is None:
-        rng = rng_stream(seed, 0, replicate)
+    rng = rng_stream(seed, 0, replicate)
     z = np.empty((M, M), dtype=complex)
     buf = np.empty((_ROW_BLOCK, M))
     for part in (z.real, z.imag):

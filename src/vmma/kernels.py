@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, check_real
 from .quadrature import radial_integral
 
 __all__ = [
@@ -108,8 +108,7 @@ class KernelSpec:
         QuadratureError; tests compare every family against independent
         exact values.
         """
-        if not tol > 0.0:
-            raise ValidationError(f"tol must be positive, got {tol}")
+        tol = check_real(tol, "tol", lo=0.0)
         val, err = radial_integral(lambda r: self.eval_g(r) ** 2,
                                    lambda r: 1.0, 0.0, math.inf,
                                    (1.0, *self.kink_radii), tol / 2)
@@ -119,11 +118,6 @@ class KernelSpec:
                 f"> tol {tol:.2e})"
             )
         return 2.0 * np.pi * val
-
-
-def _check_alpha(alpha: float):
-    if not -1.0 < alpha < 0.0:
-        raise ValidationError(f"alpha must be in (-1, 0), got {alpha}")
 
 
 def _check_beta(beta: float):
@@ -147,10 +141,8 @@ class Matern(KernelSpec):
     beta_decay: float = -math.inf
 
     def __post_init__(self):
-        if not 0.0 < self.nu < 1.0:
-            raise ValidationError(f"Matern needs 0 < nu < 1, got {self.nu}")
-        if self.lam <= 0.0:
-            raise ValidationError(f"Matern needs lambda > 0, got {self.lam}")
+        check_real(self.nu, "Matern nu", 0.0, 1.0)
+        check_real(self.lam, "Matern lambda", lo=0.0)
         _check_beta(self.beta_decay)
 
     @property
@@ -189,7 +181,7 @@ class ExpDecay(KernelSpec):
     beta_decay: float = -math.inf
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_real(self.alpha, "alpha", -1.0, 0.0)
         _check_beta(self.beta_decay)
 
     def _L(self, x):
@@ -209,9 +201,8 @@ class PurePower(KernelSpec):
     beta_decay: float = -math.inf
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        if self.R <= 0.0:
-            raise ValidationError(f"PurePower needs R > 0, got {self.R}")
+        check_real(self.alpha, "alpha", -1.0, 0.0)
+        check_real(self.R, "PurePower R", lo=0.0)
         _check_beta(self.beta_decay)
 
     @property
@@ -227,10 +218,8 @@ def matern_correlation(nu: float, lam: float, r):
 
     rho(0) = 1.  nu > 0, lam > 0; r scalar or array, r >= 0.
     """
-    if nu <= 0.0:
-        raise ValidationError(f"matern_correlation needs nu > 0, got {nu}")
-    if lam <= 0.0:
-        raise ValidationError(f"matern_correlation needs lambda > 0, got {lam}")
+    check_real(nu, "matern_correlation nu", lo=0.0)
+    check_real(lam, "matern_correlation lambda", lo=0.0)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValidationError("matern_correlation requires r >= 0")

@@ -191,6 +191,8 @@ def test_scheme_choice_labels():
     assert SchemeChoice("riemann").label == "riemann"
     with pytest.raises(ValidationError):
         SchemeChoice("riemann", 0)  # riemann takes no inner block
+    with pytest.raises(ValidationError):
+        SchemeChoice("hybrid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +562,8 @@ def test_mse_study_report_and_csv():
 def test_mse_study_validation():
     with pytest.raises(ValidationError):
         mse_study(Matern(0.5), [8, 12])  # fewer than three n values
+    with pytest.raises(ValidationError):
+        mse_study(Matern(0.5), [8.7, 12, 16])  # never truncated to n = 8
 
 
 # ---------------------------------------------------------------------------

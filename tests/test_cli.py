@@ -265,8 +265,12 @@ def test_verbose_echo_feeds_back_as_config(tmp_path, capsys, argv):
      "n_list"),
     ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
                   "threads": 1.5}, "threads"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8, "vol": 2}, "vol"),
+    ("simulate", {"kernel": 5, "n": 8}, "kernel"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8, "out": 5}, "out"),
 ], ids=["float-int", "bool-int", "fractional-string", "bool-number",
-        "float-in-int-list", "float-threads"])
+        "float-in-int-list", "float-threads", "number-vol", "number-kernel",
+        "number-out"])
 def test_config_values_are_cast_strictly(tmp_path, capsys, command, cfg, key):
     # a config value of the wrong JSON type is refused like the flag
     # would be, never truncated: kappa 1.7 used to run kappa = 1

@@ -332,6 +332,8 @@ def test_block_validation():
         build_block(-0.5, 1, 0)
     with pytest.raises(ValidationError):
         build_block(-0.5, 1, 10, tol=-1.0)
+    with pytest.raises(ValidationError):
+        build_block(-0.5, True, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +599,11 @@ def test_j_constant_validation():
     with pytest.raises(ValidationError):
         j_constant(-0.5, 1.5)
     with pytest.raises(ValidationError):
+        j_constant(-0.5, 1.0)
+    with pytest.raises(ValidationError):
         j_constant(-0.5, 1, truncation=5)  # below 10*kappa+10
+    with pytest.raises(ValidationError):
+        j_constant(-0.5, 1, truncation=64.5)  # never truncated to T = 64
 
 
 def test_evaluation_policy_validation():

@@ -71,6 +71,13 @@ def test_scheme_params_validation():
     with pytest.raises(ValidationError):
         # truncation radius below kappa: inner block would not fit
         SchemeParams(n=1, gamma=0.1, kappa=2)
+    # bools are not integers: n=True would run on a 3 x 3 grid
+    for bad in ({"n": True}, {"n": 8, "kappa": True}, {"n": 8, "seed": False}):
+        with pytest.raises(ValidationError):
+            SchemeParams(**bad)
+    assert SchemeParams(n=8, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValidationError):
+        SchemeParams(n=8, gamma=10**400)  # beyond float range, not OverflowError
 
 
 def test_field_grid_geometry():
@@ -106,11 +113,18 @@ def test_rng_stream_reproducible_and_disjoint():
     assert np.array_equal(a1, a2)
     for other in (b, c, d):
         assert not np.array_equal(a1, other)
+    # a fractional, bool or negative key is refused, never truncated
+    for bad in ((42, 0, 1.7), (42, 0, True), (4.2, 0, 7), (42, 0, -1)):
+        with pytest.raises(ValidationError):
+            rng_stream(*bad)
 
 
 def test_fft_workers_resolution():
     assert fft_workers() == 1
     assert fft_workers(4) == 4
+    for bad in (0, 1.5, True):  # never clamped or truncated to 1 worker
+        with pytest.raises(ValidationError):
+            fft_workers(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +174,8 @@ def test_expvmma_validation():
         v.validate_against(ExpDecay(-0.1))  # host smoother than inner
     with pytest.raises(ValidationError):
         v.validate_against(ExpDecay(-0.2))  # equal roughness
+    with pytest.raises(ValidationError):
+        ExpVmmaVolatility(inner, kappa=True)
 
 
 def test_expvmma_realize_is_positive_and_deterministic():
@@ -237,6 +253,8 @@ def test_sample_noise_rejects_mismatched_block():
     block2 = build_block(-0.5, 2, 6)  # wrong kappa -> wrong dim
     with pytest.raises(ValidationError):
         sample_noise(p, block2, rng_stream(0, 0, 0))
+    with pytest.raises(ValidationError):  # never truncated to half = 7
+        sample_noise(p, build_block(-0.5, 1, 6), rng_stream(0, 0, 0), half=7.9)
 
 
 @pytest.mark.parametrize("kappa", [0, 1, 2, 3])

@@ -120,6 +120,11 @@ def test_constructor_validation():
         PurePower(-0.5, R=0.0)
     with pytest.raises(ValidationError):
         ExpDecay(-0.5, beta_decay=0.0)  # must decay faster than x**-1
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            Matern(0.5, lam)
+    with pytest.raises(ValidationError):
+        PurePower(-0.5, R=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,56 @@ def test_other_scipy_uses_pass():
               "from scipy import fft as _fft, special as _sp\n"
               "_sp.kve(0.5, 1.0)\nparams.kv\nfrom scipy import fft\n")
     assert primitive_uses(source) == {key: [] for key in HOMES}
+
+
+# The one home of argument checks: errors.check_int and errors.check_real.
+# An integer-type test anywhere else is a hand-written copy of check_int.
+ARGUMENT_CHECK_HOME = "errors.py"
+_INTEGER_TYPES = {"numpy": "integer", "numbers": "Integral"}
+
+
+def integer_type_uses(source: str) -> list:
+    """Each reference to numpy.integer or numbers.Integral in `source`,
+    under any alias of its module, and each import of either name."""
+    tree = ast.parse(source)
+    aliases = {module: {module} for module in _INTEGER_TYPES}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in aliases:
+                    aliases[alias.name].add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module in _INTEGER_TYPES:
+            found += [f"from {node.module} import {alias.name}"
+                      for alias in node.names
+                      if alias.name == _INTEGER_TYPES[node.module]]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found += [ast.unparse(node) for module, name in _INTEGER_TYPES.items()
+                      if node.attr == name
+                      and ast.unparse(node.value) in aliases[module]]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_argument_checks_have_one_home(path):
+    if path.name != ARGUMENT_CHECK_HOME:
+        assert integer_type_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nisinstance(n, (int, np.integer))",
+    "import numpy\nnumpy.integer",
+    "from numpy import integer",
+    "import numbers\nisinstance(n, numbers.Integral)",
+    "import numbers as nb\nnb.Integral",
+    "from numbers import Integral as I",
+])
+def test_integer_type_use_is_detected(source):
+    assert integer_type_uses(source)
+
+
+def test_other_numeric_types_pass():
+    source = ("import numpy as np\nimport numbers\nnp.int64(3)\nnp.floating\n"
+              "numbers.Real\nparams.integer\nfrom numpy import int64\n")
+    assert integer_type_uses(source) == []
