@@ -27,17 +27,21 @@ middle.
 Far field: the step-kernel matrix (side 2*N+1, N = n_trunc) is evaluated
 on its octant, one kernel evaluation per canonical cell a >= b >= 0, and is
 convolved with the (S, S) noise sheet as a CIRCULAR convolution of period
-P = next_fast_len(S).  Output i reads sheet cells i-N..i+N only, all inside
-the sheet, so P >= S already rules out wrap-around and no padding to the
-linear size S + 2N is needed.  Both operands reach one complex (P, P//2+1)
-spectrum a block of _ROW_BLOCK rows at a time: each block is zero-padded to
-width P and transformed along its rows, then the columns are transformed in
-place, which is bit-identical to rfft2(x, s=(P, P)).  The kernel's rows are
-filled from the octant, so the plan never holds the dense matrix (a_matrix
-rebuilds it on demand).  The product with the kernel spectrum is formed in
-place, inverted along the columns in place, and only the 2*half+1 kept rows
-are inverted along the rows; this inverse split differs from irfft2 in the
-last bits only.
+P = next_fast_len(S).  The plan centres the kernel on index 0 of the period
+(offsets 0..N in the first rows and columns, -N..-1 in the last N).  It is
+even in both axes, so its spectrum is real and even, and the plan keeps only
+the real quarter rfft2(centred, s=(P, P))[:P//2+1].real, built a block of
+_ROW_BLOCK rows at a time from the octant (neither the centred nor the
+dense matrix is ever held whole).  The sheet reaches one complex (P, P//2+1)
+spectrum the same way: each row block is zero-padded to width P and
+transformed along its rows, then the columns are transformed in place,
+which is bit-identical to rfft2(x, s=(P, P)).  Spectrum row m is multiplied
+in place by quarter row min(m, P-m) (a reversed view for the upper rows),
+inverted along the columns in place, and only the 2*half+1 kept rows, from
+row N, are inverted along the rows; the kept columns also start at N.
+Output i reads sheet cells i-N..i+N only, all inside the sheet, so P >= S
+already rules out wrap-around and no padding to the linear size S + 2N is
+needed.  The inverse split differs from irfft2 in the last bits only.
 
 Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
@@ -435,8 +439,8 @@ def _modulated(rows, sigma: np.ndarray):
 def _row_spectrum(rows, period: int, workers: int | None) -> np.ndarray:
     """rfft2 at (period, period) of a real array given as row blocks.
 
-    `rows` yields (r0, block) in order from row 0, each block zero-padded to
-    width `period`; rows after the last block are zero.  Each block is
+    `rows` yields (r0, block) with r0 increasing, each block zero-padded to
+    width `period`; rows no block covers are zero.  Each block is
     transformed along its rows as it arrives, then the columns of the one
     complex (period, period//2+1) array are transformed in place: the result
     equals rfft2(x, s=(period, period)) bit for bit.
@@ -445,6 +449,7 @@ def _row_spectrum(rows, period: int, workers: int | None) -> np.ndarray:
     spec = np.empty((period, period // 2 + 1), dtype=complex)
     end = 0
     for r0, block in rows:
+        spec[end:r0] = 0.0
         end = r0 + block.shape[0]
         spec[r0:end] = _fft.rfft(block, axis=1, workers=w)
     spec[end:] = 0.0
@@ -456,12 +461,18 @@ def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
     """The side x side block from (start, start) of the circular convolution
     whose operands have spectra fft_a and spec (period = spec.shape[0]).
 
-    Consumes spec: the product and the column inverse are formed in it in
-    place, and only the kept rows are inverted along the rows.
+    fft_a is a kernel's complex rfft2 at the period or, for a kernel even in
+    both axes and centred on index 0, its real quarter (period//2+1 rows),
+    whose row min(m, period-m) is spectrum row m.  Consumes spec: the
+    product and the column inverse are formed in it in place, and only the
+    kept rows are inverted along the rows.
     """
     w = fft_workers(workers)
     period = spec.shape[0]
-    np.multiply(fft_a, spec, out=spec)
+    h = period // 2 + 1
+    upper = fft_a[h:] if fft_a.shape[0] == period else fft_a[period - h:0:-1]
+    np.multiply(fft_a[:h], spec[:h], out=spec[:h])
+    np.multiply(upper, spec[h:], out=spec[h:])
     spec = _fft.ifft(spec, axis=0, overwrite_x=True, workers=w)
     full = _fft.irfft(spec[start:start + side], n=period, axis=1, workers=w)
     return full[:, start:start + side]
@@ -470,14 +481,16 @@ def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
 def _circular_convolve(fft_a: np.ndarray, b: np.ndarray, period: int,
                        start: int, side: int, workers: int | None) -> np.ndarray:
     """Circular convolution of period `period` of a kernel, given by its
-    rfft2 `fft_a` at that period, with the sheet b; returns the side x side
-    block from (start, start).  The engines feed the same path
-    (_row_spectrum, _convolved_block) with their streamed sheets.
+    spectrum `fft_a` at that period (see _convolved_block), with the sheet
+    b; returns the side x side block from (start, start).  The engines feed
+    the same path (_row_spectrum, _convolved_block) with their streamed
+    sheets.
 
     The block equals the linear convolution wherever no term wraps: for the
-    far field (start 2N, side 2*half+1, period >= side(b)) every kept output
-    reads only cells inside the sheet; for the full linear convolution
-    (start 0) the period must cover the whole output.
+    far field (a plan's kernel centred on 0, start N, side 2*half+1, period
+    >= side(b)) every kept output reads only cells inside the sheet; for the
+    full linear convolution (kernel from index 0, start 0) the period must
+    cover the whole output.
     """
     rows = _padded_rows(lambda r0, k: b[r0:r0 + k], b.shape[0], period)
     return _convolved_block(_row_spectrum(rows, period, workers), fft_a,
@@ -599,17 +612,19 @@ def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
     return octant
 
 
-def _octant_rows(octant: np.ndarray, N: int, r0: int = 0,
-                 k: int | None = None) -> np.ndarray:
-    """Rows r0..r0+k-1 (default: all) of the centred (2N+1)^2 step-kernel
-    matrix, whose cell (i, j) holds the octant entry of (max(|i|, |j|),
-    min(|i|, |j|))."""
-    if k is None:
-        k = 2 * N + 1 - r0
-    i = np.abs(np.arange(r0 - N, r0 - N + k))[:, None]
-    j = np.abs(np.arange(-N, N + 1))[None, :]
+def _octant_entries(octant: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+    """Step-kernel entries at offsets (i, j) (broadcast): the octant entry of
+    (max(|i|, |j|), min(|i|, |j|))."""
+    i, j = np.abs(i), np.abs(j)
     hi, lo = np.maximum(i, j), np.minimum(i, j)
     return octant[hi * (hi + 1) // 2 + lo]
+
+
+def _octant_rows(octant: np.ndarray, N: int) -> np.ndarray:
+    """The (2N+1)^2 step-kernel matrix, offset 0 at the middle."""
+    k = np.arange(-N, N + 1)
+    return _octant_entries(octant, k[:, None], k[None, :])
 
 
 def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
@@ -620,11 +635,32 @@ def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
                      workers: int | None) -> np.ndarray:
-    """rfft2 at (period, period) of the step-kernel matrix, filled a block of
-    rows at a time from its octant (the dense matrix is never built)."""
-    rows = _padded_rows(lambda r0, k: _octant_rows(octant, N, r0, k),
-                        2 * N + 1, period)
-    return _row_spectrum(rows, period, workers)
+    """The real quarter rfft2(c, s=(period, period))[:period//2+1].real of
+    the step kernel c centred on index 0: offsets 0..N in rows and columns
+    0..N, offsets -N..-1 in the last N.  c is even in both axes, so its
+    spectrum is real and even and the quarter holds all of it.
+
+    c is filled from the octant a block of rows at a time, its N+1 rows from
+    the start and its N rows at the end; the rows between are zeroed inside
+    _row_spectrum, and neither c nor the dense matrix is ever built.
+    """
+    h = period // 2 + 1
+    cols = np.arange(N + 1)[None, :]
+
+    def blocks():
+        # period rows 0..N hold offsets 0..N and rows period-N.. offsets
+        # -N..-1, filled like N..1; columns likewise, so each block takes
+        # columns 0..N from the octant and mirrors columns N..1 to the end
+        for lo, offsets in ((0, np.arange(N + 1)),
+                            (period - N, np.arange(N, 0, -1))):
+            def half_rows(r0, k, i=offsets[:, None]):
+                return _octant_entries(octant, i[r0:r0 + k], cols)
+
+            for r0, block in _padded_rows(half_rows, offsets.size, period):
+                block[:, period - N:] = block[:, N:0:-1]
+                yield lo + r0, block
+
+    return _row_spectrum(blocks(), period, workers)[:h].real.copy()
 
 
 @dataclass(frozen=True)
@@ -640,14 +676,15 @@ class HybridPlan:
     half: int
     block: CovarianceBlock | None
     weights: np.ndarray | None   # aligned with block.offsets
-    fft_a: np.ndarray            # rfft2 of a_matrix at period fshape
+    fft_a: np.ndarray            # real quarter (fshape//2+1)^2 of the rfft2 of
+                                 # a_matrix centred on index 0 at period fshape
     fshape: int                  # next_fast_len(S) of the (S, S) noise sheet
     a_sq_sum: float              # sum of a_matrix**2, for scheme_variance
 
     @property
     def a_matrix(self) -> np.ndarray:
         """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
-        only its spectrum."""
+        only its spectrum's real quarter."""
         return _octant_rows(
             _step_kernel_octant(self.kernel, self.params, self.block is not None),
             self.params.n_trunc)
@@ -664,15 +701,16 @@ def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarra
 def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
              workers: int | None, inner: bool) -> HybridPlan:
     m0 = params.n if half is None else check_int(half, "half", lo=1)
-    # The plan plus one replicate: two complex (P, P//2+1) spectra (the
-    # plan's and the replicate's), the (S, S) volatility sheet of a modulated
-    # field (a plan serves every volatility model, so it is always counted),
-    # the output and, with an inner block, the family's row window and plain
-    # channel.
+    # The plan plus one replicate: the plan's real (P//2+1)^2 spectrum
+    # quarter, the replicate's complex (P, P//2+1) spectrum, the (S, S)
+    # volatility sheet of a modulated field (a plan serves every volatility
+    # model, so it is always counted), the output and, with an inner block,
+    # the family's row window and plain channel.
     fsh = _sheet_period(params, m0)
+    h = fsh // 2 + 1
     S = 2 * (params.n_trunc + m0) + 1
     side = 2 * m0 + 1
-    need = 2 * 16 * fsh * (fsh // 2 + 1) + 8 * (S * S + side * side)
+    need = 8 * h * h + 16 * fsh * h + 8 * (S * S + side * side)
     if inner:
         kappa = params.kappa
         s1 = side + 2 * kappa
@@ -780,7 +818,7 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
     if sigma is not None:
         rows = _modulated(rows, sigma)
     spec = _row_spectrum(rows, plan.fshape, workers)
-    values = _convolved_block(spec, plan.fft_a, 2 * N, side, workers)
+    values = _convolved_block(spec, plan.fft_a, N, side, workers)
 
     if plan.block is not None:
         values = x_tilde + values

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate as _integrate
 
-from .errors import QuadratureError
+from .errors import check_int, check_real
 
 __all__ = [
     "radial_integral",
@@ -81,13 +81,12 @@ def square_exterior_radial_integral(fr, half_side: float, tol: float = 1e-12,
     times the first-quadrant arc inside.  `upper` bounds the radial integral
     (np.inf by default; fr must then be integrable at infinity).
     `breakpoints` lists radii where fr is not smooth; the quadrature splits
-    there.  fr must accept scalar input.
+    there.  fr must accept scalar input.  ValidationError unless half_side
+    is a finite real > 0.
 
     Returns (value, est_abs_error).
     """
-    a = float(half_side)
-    if a <= 0:
-        raise QuadratureError("square_exterior_radial_integral needs half_side > 0")
+    a = check_real(half_side, "half_side", lo=0.0)
     if upper <= a:
         return 0.0, 0.0
 
@@ -120,14 +119,12 @@ def radial_cell_integral(fr, a: int, b: int, tol: float = 1e-12, breakpoints=())
     stalls, and a power singularity at the origin, which QUADPACK never
     evaluates.
 
-    fr must accept scalar input.  Returns (value, est_abs_error).
+    fr must accept scalar input.  ValidationError unless a and b are
+    integers with 0 <= b <= a (bools are not integers).  Returns (value,
+    est_abs_error).
     """
-    a = int(a)
-    b = int(b)
-    if not 0 <= b <= a:
-        raise QuadratureError(
-            f"radial_cell_integral needs an octant cell 0 <= b <= a, got {(a, b)}"
-        )
+    a = check_int(a, "cell index a", lo=0)
+    b = check_int(b, "cell index b", 0, a)
     x0, x1, mx = _fold(a)
     y0, y1, my = _fold(b)
     radii = {math.hypot(x, y) for x in (x0, x1) for y in (y0, y1)}

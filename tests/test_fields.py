@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import fft2, next_fast_len, rfft2
 
+import vmma.fields as fields_mod
 from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
 from vmma.errors import EmbeddingError, ValidationError
 from vmma.fields import (
@@ -608,7 +609,7 @@ def test_far_field_circular_convolution_matches_direct_sum(n, gamma, kappa, half
     B = np.random.default_rng(n + half).standard_normal((S, S))
     for plan in (prepare_hybrid(Matern(0.4, 1.0), p, half=half),
                  prepare_riemann(Matern(0.4, 1.0), p, half=half)):
-        got = _circular_convolve(plan.fft_a, B, plan.fshape, 2 * N,
+        got = _circular_convolve(plan.fft_a, B, plan.fshape, N,
                                  2 * half + 1, 1)
         ref = _far_field_direct(plan.a_matrix, B, N, half)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
@@ -692,16 +693,78 @@ def test_replicate_working_set_within_two_spectra(scheme):
     assert peak <= 2 * spectrum, f"peak {peak / spectrum:.2f} spectra"
 
 
+def _centred(a, period):
+    """The (2N+1)^2 matrix a, offset 0 at its middle, placed on a period x
+    period torus with offset 0 at index 0: offsets 0..N in the first rows
+    and columns, -N..-1 in the last N."""
+    N = a.shape[0] // 2
+    out = np.zeros((period, period))
+    idx = np.r_[0:N + 1, period - N:period]
+    src = np.r_[N:2 * N + 1, 0:N]
+    out[np.ix_(idx, idx)] = a[np.ix_(src, src)]
+    return out
+
+
+def test_modulated_replicate_holds_one_nested_spectrum():
+    # An expvmma replicate builds the nested volatility plan and runs one
+    # nested replicate.  At its peak it holds the nested plan's real quarter,
+    # one nested complex spectrum and arrays of about the host sheet's size
+    # (the family's row window alone is 2.7 of them at n = 32, then the near
+    # sum, the central family block, the row buffers and the row spectra):
+    # 7.4 sheets here.  A complex plan spectrum would add three quarters of
+    # a nested spectrum, 2.3 sheets.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=32, gamma=0.3, kappa=1, seed=3)
+    vol = ExpVmmaVolatility(ExpDecay(-0.2))
+    plan = prepare_hybrid(k, p)
+    peak = _replicate_peak(lambda: hybrid_simulate(k, p, vol, plan=plan))
+    N = p.n_trunc
+    sheet = 8 * (2 * (N + p.n) + 1) ** 2
+    P = next_fast_len(2 * (N + (N + p.n)) + 1, real=True)  # nested period
+    h = P // 2 + 1
+    bound = 8 * h * h + 16 * P * h + 8 * sheet
+    assert peak <= bound, f"peak {(peak - 8 * h * h - 16 * P * h) / sheet:.2f} sheets"
+
+
+def test_plan_build_peak_within_one_and_a_half_spectra():
+    # the build holds one complex spectrum, then its real quarter, plus row
+    # blocks; never the dense kernel matrix or a second spectrum
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=100, gamma=0.3, kappa=1)
+    P = next_fast_len(2 * (p.n_trunc + p.n) + 1, real=True)
+    spectrum = 16 * P * (P // 2 + 1)
+    peak = _replicate_peak(lambda: prepare_hybrid(k, p))
+    assert peak <= 1.5 * spectrum, f"peak {peak / spectrum:.2f} spectra"
+
+
 @pytest.mark.parametrize("mode", ["midpoint", "optimal"])
 def test_plan_spectrum_equals_rfft2_of_step_kernel(mode):
-    # the octant row fill plus the split transform is rfft2 bit for bit
+    # the centred octant row fill plus the split transform is the real
+    # quarter of rfft2 bit for bit
     p = SchemeParams(n=7, gamma=0.5, kappa=1, policy=EvaluationPolicy(mode=mode))
     for plan in (prepare_hybrid(Matern(0.3, 1.0), p),
                  prepare_riemann(Matern(0.3, 1.0), p)):
         P = plan.fshape
-        assert np.array_equal(plan.fft_a, rfft2(plan.a_matrix, s=(P, P)))
+        h = P // 2 + 1
+        ref = rfft2(_centred(plan.a_matrix, P), s=(P, P))[:h].real
+        assert np.array_equal(plan.fft_a, ref)
         assert plan.a_sq_sum == pytest.approx(np.sum(plan.a_matrix**2),
                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("half, period", [(None, 36), (3, 27)])
+def test_plan_spectrum_is_real_quarter(half, period):
+    # an even and an odd period: the plan keeps (P//2+1)^2 reals, not the
+    # complex (P, P//2+1) spectrum
+    p = SchemeParams(n=6, gamma=0.3, kappa=1)
+    for plan in (prepare_hybrid(Matern(0.3, 1.0), p, half=half),
+                 prepare_riemann(Matern(0.3, 1.0), p, half=half)):
+        h = period // 2 + 1
+        assert plan.fshape == period
+        assert plan.fft_a.dtype == np.float64
+        assert plan.fft_a.shape == (h, h)
+        ref = rfft2(_centred(plan.a_matrix, period), s=(period, period))[:h].real
+        assert np.array_equal(plan.fft_a, ref)
 
 
 @pytest.mark.parametrize("prepare", [prepare_hybrid, prepare_riemann])
@@ -716,6 +779,22 @@ def test_memory_preflight_refuses_before_allocating(prepare):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_memory_preflight_counts_plan_as_real_quarter(monkeypatch):
+    # Available memory between the plan-plus-replicate estimate with a real
+    # quarter plan spectrum (1.25 complex spectra) and the one with two
+    # complex spectra: the plan builds.
+    p = SchemeParams(n=12, gamma=0.3, kappa=1)
+    P = next_fast_len(2 * (p.n_trunc + p.n) + 1, real=True)
+    spectrum = 16 * P * (P // 2 + 1)
+    S, side = 2 * (p.n_trunc + p.n) + 1, 2 * p.n + 1
+    s1, d = side + 2, 10
+    rest = 8 * (S * S + side * side) + 8 * ((_ROW_BLOCK + 2) * s1 * d + s1 * s1)
+    monkeypatch.setattr(fields_mod, "_available_memory",
+                        lambda: rest + int(1.5 * spectrum))
+    plan = prepare_hybrid(Matern(0.5, 1.0), p)
+    assert plan.fshape == P
 
 
 def test_available_memory_caps_by_cgroup_limit(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from vmma.covariance import box_power_integral
-from vmma.errors import QuadratureError
+from vmma.errors import ValidationError
 from vmma.quadrature import (
     gauss_nodes,
     radial_cell_integral,
@@ -102,8 +102,9 @@ def test_square_exterior_breakpoint_on_infinite_leg():
 
 
 def test_square_exterior_rejects_bad_half_side():
-    with pytest.raises(QuadratureError):
-        square_exterior_radial_integral(lambda r: 1.0, half_side=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), True):
+        with pytest.raises(ValidationError):
+            square_exterior_radial_integral(lambda r: 1.0, half_side=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,8 @@ def test_radial_cell_power_law_property(a, b, e):
 
 
 def test_radial_cell_rejects_non_octant_cells():
-    for a, b in [(1, 2), (-1, 0), (2, -1)]:
-        with pytest.raises(QuadratureError):
+    # non-integers (1.7 and True would silently integrate cell (1, 0))
+    for a, b in [(1, 2), (-1, 0), (2, -1), (1.7, 0), (True, 0), (1, False),
+                 (float("nan"), 0)]:
+        with pytest.raises(ValidationError):
             radial_cell_integral(lambda r: 1.0, a, b)
