@@ -36,12 +36,17 @@ dense matrix is ever held whole).  The sheet reaches one complex (P, P//2+1)
 spectrum the same way: each row block is zero-padded to width P and
 transformed along its rows, then the columns are transformed in place,
 which is bit-identical to rfft2(x, s=(P, P)).  Spectrum row m is multiplied
-in place by quarter row min(m, P-m) (a reversed view for the upper rows),
-inverted along the columns in place, and only the 2*half+1 kept rows, from
-row N, are inverted along the rows; the kept columns also start at N.
+in place by quarter row min(m, P-m) (a reversed view for the upper rows)
+and inverted along the columns in place.  Only the 2*half+1 kept rows, from
+row N, are inverted along the rows, _ROW_BLOCK at a time, and only their
+kept columns (also from N) are stored: into one contiguous output, or added
+straight into the hybrid near sum, so no full-width real array is formed.
 Output i reads sheet cells i-N..i+N only, all inside the sheet, so P >= S
 already rules out wrap-around and no padding to the linear size S + 2N is
-needed.  The inverse split differs from irfft2 in the last bits only.
+needed.  The inverse split differs from irfft2 in the last bits only; the
+row blocks give the one-shot row inverse's bits.  A constant volatility
+scales the output in place, and a lognormal one maps its nested field to
+exp(x/2) in place.
 
 Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
@@ -285,9 +290,16 @@ class ProvidedGridVol(VolatilityModel):
         return self.sigma
 
 
+def _exp_half(x: np.ndarray) -> np.ndarray:
+    """exp(x/2) formed in the float array x itself; returns x."""
+    x *= 0.5
+    return np.exp(x, out=x)
+
+
 def volatility_from_log_field(log_field: np.ndarray) -> np.ndarray:
-    """Map a log-variance field x to sigma = exp(x/2), so sigma^2 = exp(x)."""
-    return np.exp(0.5 * np.asarray(log_field, dtype=float))
+    """Map a log-variance field x to sigma = exp(x/2), so sigma^2 = exp(x).
+    The input is copied, never modified."""
+    return _exp_half(np.array(log_field, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -323,7 +335,8 @@ class ExpVmmaVolatility(VolatilityModel):
                               workers=workers)
         grid = hybrid_simulate(self.inner_kernel, params, ConstantVol(1.0),
                                plan=plan, rng_noise=rng, workers=workers)
-        return volatility_from_log_field(grid.values)
+        # the nested grid is this call's own, so it is mapped in place
+        return _exp_half(grid.values)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +470,19 @@ def _row_spectrum(rows, period: int, workers: int | None) -> np.ndarray:
 
 
 def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
-                     side: int, workers: int | None) -> np.ndarray:
+                     side: int, workers: int | None,
+                     into: np.ndarray | None = None) -> np.ndarray:
     """The side x side block from (start, start) of the circular convolution
     whose operands have spectra fft_a and spec (period = spec.shape[0]).
 
     fft_a is a kernel's complex rfft2 at the period or, for a kernel even in
     both axes and centred on index 0, its real quarter (period//2+1 rows),
     whose row min(m, period-m) is spectrum row m.  Consumes spec: the
-    product and the column inverse are formed in it in place, and only the
-    kept rows are inverted along the rows.
+    product and the column inverse are formed in it in place.  The kept
+    rows are then inverted along the rows _ROW_BLOCK at a time, straight
+    into one contiguous (side, side) array, or added into `into` (a float
+    (side, side) array, returned) when it is given; no full-width real array
+    is formed.  Each row's transform is the one-shot irfft's bit for bit.
     """
     w = fft_workers(workers)
     period = spec.shape[0]
@@ -474,17 +491,27 @@ def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
     np.multiply(fft_a[:h], spec[:h], out=spec[:h])
     np.multiply(upper, spec[h:], out=spec[h:])
     spec = _fft.ifft(spec, axis=0, overwrite_x=True, workers=w)
-    full = _fft.irfft(spec[start:start + side], n=period, axis=1, workers=w)
-    return full[:, start:start + side]
+    out = np.empty((side, side)) if into is None else into
+    for r0 in range(0, side, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, side)
+        rows = _fft.irfft(spec[start + r0:start + r1], n=period, axis=1,
+                          workers=w)[:, start:start + side]
+        if into is None:
+            out[r0:r1] = rows
+        else:
+            out[r0:r1] += rows
+        del rows   # before the next block is inverted
+    return out
 
 
 def _circular_convolve(fft_a: np.ndarray, b: np.ndarray, period: int,
                        start: int, side: int, workers: int | None) -> np.ndarray:
     """Circular convolution of period `period` of a kernel, given by its
     spectrum `fft_a` at that period (see _convolved_block), with the sheet
-    b; returns the side x side block from (start, start).  The engines feed
-    the same path (_row_spectrum, _convolved_block) with their streamed
-    sheets.
+    b; returns the side x side block from (start, start) as a contiguous
+    array.  The engines feed the same path (_row_spectrum, _convolved_block)
+    with their streamed sheets, and only there is a row rfft or an irfft
+    taken.
 
     The block equals the linear convolution wherever no term wraps: for the
     far field (a plan's kernel centred on 0, start N, side 2*half+1, period
@@ -818,12 +845,11 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
     if sigma is not None:
         rows = _modulated(rows, sigma)
     spec = _row_spectrum(rows, plan.fshape, workers)
-    values = _convolved_block(spec, plan.fft_a, N, side, workers)
-
-    if plan.block is not None:
-        values = x_tilde + values
+    # the far field goes straight into the near sum, when there is one
+    values = _convolved_block(spec, plan.fft_a, N, side, workers,
+                              into=None if plan.block is None else x_tilde)
     if const is not None and const != 1.0:
-        values = const * values
+        values *= const
     return FieldGrid(values=values, spacing=1.0 / n,
                      origin=(-m0 / n, -m0 / n))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import fft2, next_fast_len, rfft2
+from scipy.fft import fft2, ifft, irfft, next_fast_len, rfft2
 
 import vmma.fields as fields_mod
 from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
@@ -29,6 +29,7 @@ from vmma.fields import (
     _ROW_BLOCK,
     _available_memory,
     _circular_convolve,
+    _convolved_block,
     circulant_simulate,
     conv2_fft,
     fft_workers,
@@ -164,6 +165,7 @@ def test_volatility_from_log_field():
     out = volatility_from_log_field(x)
     assert np.allclose(out, np.exp(x / 2.0))
     assert np.all(out > 0)
+    assert np.array_equal(x, [[0.0, 2.0], [-2.0, 4.0]])  # input not mutated
 
 
 def test_expvmma_validation():
@@ -319,6 +321,62 @@ def test_conv2_fft_identity_kernel():
 def test_conv2_fft_rejects_nonsquare():
     with pytest.raises(ValidationError):
         conv2_fft(np.ones((2, 3)), np.ones((2, 2)))
+
+
+def _block_operands(period, quarter, seed):
+    """A random complex (period, period//2+1) spectrum and a kernel operand:
+    a real (period//2+1)^2 quarter or a complex spectrum like the first."""
+    g = np.random.default_rng(seed)
+    h = period // 2 + 1
+    spec = g.standard_normal((period, h)) + 1j * g.standard_normal((period, h))
+    if quarter:
+        return spec, g.standard_normal((h, h))
+    return spec, g.standard_normal((period, h)) + 1j * g.standard_normal((period, h))
+
+
+def _one_shot_block(spec, fft_a, start, side):
+    """_convolved_block's product and column inverse, then all kept rows
+    inverted along the rows by one irfft, as a strided full-width view."""
+    period = spec.shape[0]
+    h = period // 2 + 1
+    upper = fft_a[h:] if fft_a.shape[0] == period else fft_a[period - h:0:-1]
+    prod = np.concatenate([fft_a[:h] * spec[:h], upper * spec[h:]])
+    cols = ifft(prod, axis=0)
+    return irfft(cols[start:start + side], n=period, axis=1)[:, start:start + side]
+
+
+@pytest.mark.parametrize("side", [_ROW_BLOCK // 2 + 1, 2 * _ROW_BLOCK + 3])
+@pytest.mark.parametrize("period", [150, 147])
+@pytest.mark.parametrize("quarter", [False, True])
+def test_convolved_block_rows_equal_one_shot_irfft(side, period, quarter):
+    # the row-block inversion, written into a fresh array or added into a
+    # given one, has the one-shot inverse's bytes
+    spec, fft_a = _block_operands(period, quarter, side + period)
+    start = 7
+    ref = _one_shot_block(spec, fft_a, start, side)
+    got = _convolved_block(spec.copy(), fft_a, start, side, 1)
+    assert got.shape == (side, side) and got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+    near = np.random.default_rng(period).standard_normal((side, side))
+    expect = near + ref
+    out = _convolved_block(spec.copy(), fft_a, start, side, 1, into=near)
+    assert out is near
+    assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("quarter", [False, True])
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_convolved_block_never_forms_a_full_width_array(quarter, accumulate):
+    # Beyond the spectrum it consumes, the epilogue holds the output and one
+    # block of rows: with side > 2 * _ROW_BLOCK that stays below one real
+    # (side, period) array, which a one-shot row inverse would form.
+    side, period = 2 * _ROW_BLOCK + 3, 512
+    spec, fft_a = _block_operands(period, quarter, 1)
+    near = np.zeros((side, side)) if accumulate else None
+    peak = _replicate_peak(lambda: _convolved_block(spec, fft_a, 40, side, 1,
+                                                    into=near))
+    full = 8 * side * period
+    assert peak < full, f"peak {peak / full:.2f} full-width arrays"
 
 
 # ---------------------------------------------------------------------------

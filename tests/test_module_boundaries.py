@@ -249,3 +249,66 @@ def test_other_numeric_types_pass():
     source = ("import numpy as np\nimport numbers\nnp.int64(3)\nnp.floating\n"
               "numbers.Real\nparams.integer\nfrom numpy import int64\n")
     assert integer_type_uses(source) == []
+
+
+# One FFT-convolution path: a row rfft is taken only in fields._row_spectrum
+# and an irfft only in fields._convolved_block; no module takes a 2-D or
+# n-D real transform, which would be a second path beside them.
+FFT_HOMES = {"rfft": "_row_spectrum", "irfft": "_convolved_block"}
+_REAL_ND = ("rfft2", "irfft2", "rfftn", "irfftn")
+
+
+def real_fft_calls(source: str) -> list:
+    """(name, innermost enclosing function or None) of each call of a real
+    FFT in `source`, as `mod.rfft(...)` or a bare `rfft(...)`, and
+    (name, "import") of each import of one by name."""
+    names = set(FFT_HOMES) | set(_REAL_ND)
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, "import") for alias in node.names
+                         if alias.name in names)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append((name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_fft_convolution_has_one_path(path):
+    calls = real_fft_calls(path.read_text())
+    if path.name == "fields.py":
+        assert sorted(calls) == sorted(FFT_HOMES.items())
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy import fft as _fft\ndef _simulate(x):\n    return _fft.irfft(x)",
+    "from scipy import fft as _fft\ndef _convolved_block(x):\n    return _fft.rfft(x)",
+    "import numpy as np\ny = np.fft.rfft(x)",
+    "from scipy.fft import irfft",
+    "from scipy import fft\ndef conv(a):\n    return fft.rfft2(a)",
+    "import numpy as np\ndef _row_spectrum(x):\n    return np.fft.irfftn(x)",
+])
+def test_stray_real_fft_is_detected(source):
+    assert [call for call in real_fft_calls(source)
+            if FFT_HOMES.get(call[0]) != call[1]]
+
+
+def test_complex_fft_and_homes_pass():
+    source = ("from scipy import fft as _fft\n"
+              "def _row_spectrum(b):\n    return _fft.fft(_fft.rfft(b), axis=0)\n"
+              "def _convolved_block(s):\n"
+              "    return _fft.irfft(_fft.ifft(s, axis=0))\n"
+              "def circulant(z):\n    return _fft.fft2(z), _fft.next_fast_len(9)\n")
+    assert sorted(real_fft_calls(source)) == sorted(FFT_HOMES.items())
