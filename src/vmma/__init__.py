@@ -39,14 +39,9 @@ from .covariance import (
     DEFAULT_POLICY,
     CovarianceBlock,
     EvaluationPolicy,
-    box_power_integral,
     build_block,
     central_L_coefficient,
-    cross_covariance_integral,
     j_constant,
-    optimal_b_norm,
-    representative_radius,
-    triangle_integral,
 )
 from .errors import (
     DegenerateDataError,
@@ -97,9 +92,7 @@ __all__ = [
     "matern_correlation", "parse_kernel", "format_kernel",
     # covariance
     "EvaluationPolicy", "DEFAULT_POLICY", "CovarianceBlock",
-    "triangle_integral", "box_power_integral", "cross_covariance_integral",
-    "build_block", "optimal_b_norm", "representative_radius",
-    "central_L_coefficient", "j_constant",
+    "build_block", "central_L_coefficient", "j_constant",
     # fields
     "SchemeParams", "FieldGrid", "VolatilityModel", "ConstantVol",
     "ProvidedGridVol", "ExpVmmaVolatility", "volatility_from_log_field",

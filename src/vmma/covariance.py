@@ -13,13 +13,16 @@ Gaussian family are
 where a is the roughness exponent.  box() itself has a closed form built from
 integrals of ||x||**e over right triangles, which reduce to the Gauss
 hypergeometric 2F1(1/2, 3/2 + e/2; 3/2; z); that is the only special function
-the closed forms need.
+the closed forms need.  Each closed form has one form, over arrays of cells:
+box_power_integrals, and representative_radii below.
 
 The cross integrals take one fixed polar product rule about the cell centre
 (Gauss-Legendre in the angle, Gauss-Jacobi in the scaled radius), whose
 radial weight absorbs the ||u||**a singularity of the pairs with the origin;
 its orders 16 and 24 agree to about 1e-15, and tol bounds their difference.
-Every build computes its block afresh: nothing is cached between calls.
+They are reached through build_block, whose matrix at n = 1 holds them
+unscaled.  Every build computes its block afresh: nothing is cached between
+calls.
 
 The module also owns the cell geometry that the engines, the MSE
 decomposition and the constant J share: octant_cells enumerates the
@@ -54,14 +57,9 @@ from .quadrature import (
 __all__ = [
     "EvaluationPolicy",
     "DEFAULT_POLICY",
-    "triangle_integral",
-    "box_power_integral",
     "box_power_integrals",
-    "cross_covariance_integral",
     "CovarianceBlock",
     "build_block",
-    "optimal_b_norm",
-    "representative_radius",
     "representative_radii",
     "central_L_coefficient",
     "cell_weight",
@@ -110,14 +108,6 @@ DEFAULT_POLICY = EvaluationPolicy()
 # Triangle and box integrals (closed form)
 
 
-def _check_exponent(e: float):
-    if not -2.0 < e <= 0.0:
-        raise ValidationError(
-            f"power-integral exponent must be in (-2, 0] (integrable singular "
-            f"powers), got {e}"
-        )
-
-
 def _tr_array(p, q, e: float):
     """Integral of ||x||**e over the triangle {q <= y <= x <= p}, vectorized.
 
@@ -156,22 +146,13 @@ def _tr_array(p, q, e: float):
     return out
 
 
-def triangle_integral(p: float, q: float, exponent: float) -> float:
-    """Integral of ||x||**e over the triangle {q <= y <= x <= p}.
-
-    Requires 0 <= q < p (a proper triangle) and exponent in (-2, 0].
-    """
-    _check_exponent(exponent)
-    if not (0.0 <= q < p):
-        raise ValidationError(f"triangle_integral needs 0 <= q < p, got {p}, {q}")
-    return float(_tr_array(p, q, exponent)[()])
-
-
 def box_power_integrals(j1, j2, e: float):
     """box((j1, j2), e) for arrays of octant representatives j1 >= j2 >= 0.
 
-    The vectorized form of box_power_integral: same closed form, one call
-    for many cells (used for the optimal radii of whole kernel matrices).
+    The package's one form of box: callers reduce a cell (i, k) to its
+    octant representative (max(|i|, |k|), min(|i|, |k|)) first, and a single
+    cell is box_power_integrals(a, b, e) as a 0-d array.  The integrand is
+    singular only on the central cell, where the integral is still finite.
 
     Assembles the unit square centred at (j1, j2) from triangle integrals,
     using the dihedral symmetry of ||.||:
@@ -180,7 +161,11 @@ def box_power_integrals(j1, j2, e: float):
       axis j2=0       2 * [tr+ - tr- on the half strip [j1-+1/2] x [0, 1/2]]
       interior        four-corner difference of triangles
     """
-    _check_exponent(e)
+    if not -2.0 < e <= 0.0:
+        raise ValidationError(
+            f"power-integral exponent must be in (-2, 0] (integrable singular "
+            f"powers), got {e}"
+        )
     j1 = np.asarray(j1, dtype=float)
     j2 = np.asarray(j2, dtype=float)
     j1, j2 = np.broadcast_arrays(j1, j2)
@@ -218,30 +203,6 @@ def box_power_integrals(j1, j2, e: float):
             + _tr_array(a - 0.5, b + 0.5, e)
         )
     return out
-
-
-def _canonical_cell(j) -> tuple[int, int]:
-    a, b = int(j[0]), int(j[1])
-    a, b = abs(a), abs(b)
-    return (a, b) if a >= b else (b, a)
-
-
-def box_power_integral(j, exponent: float) -> float:
-    """Integral of ||x||**exponent over the unit square centred at integer j.
-
-    Exact closed form (hypergeometric); exponent in (-2, 0].  j must already
-    be an octant representative 0 <= j2 <= j1 — callers reduce by the eight
-    grid symmetries first (see _canonical_cell).  The integrand is singular
-    only on the central cell, where the integral is still finite.
-    """
-    _check_exponent(exponent)
-    a, b = int(j[0]), int(j[1])
-    if not 0 <= b <= a:
-        raise ValidationError(
-            f"box_power_integral needs an octant representative 0 <= j2 <= j1, "
-            f"got {tuple(j)}; reduce by symmetry first"
-        )
-    return float(box_power_integrals(a, b, float(exponent))[()])
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +302,6 @@ def _cross_integrals(pairs, alpha: float, tol: float) -> np.ndarray:
     return out
 
 
-def cross_covariance_integral(ja, jb, alpha: float) -> float:
-    """Integral over the unit cell at 0 of ||ja - u||**a * ||jb - u||**a du.
-
-    This is the unscaled covariance of the two power integrals anchored at
-    offsets ja != jb over the same cell.  Singular (integrably) at u = 0 when
-    one offset is the origin; the polar rule about u = 0 absorbs that.
-    Raises QuadratureError if its error estimate exceeds 1e-10.
-    """
-    alpha = check_real(alpha, "alpha", -1.0, 0.0)
-    ja = (int(ja[0]), int(ja[1]))
-    jb = (int(jb[0]), int(jb[1]))
-    if ja == jb:
-        # Equal offsets are the diagonal entries, which have the closed form
-        # box_power_integral(j, 2*alpha) — not this routine's job.
-        raise ValidationError("cross_covariance_integral requires ja != jb")
-    return float(_cross_integrals(_canonical_pair(ja, jb), alpha, 1e-10)[0])
-
-
 # ---------------------------------------------------------------------------
 # Covariance block of the cell-local Gaussian family
 
@@ -399,7 +342,8 @@ def _base_matrix(alpha: float, kappa: int, tol: float) -> np.ndarray:
     offs = _block_offsets(kappa)
     d = len(offs) + 1
     a, b, _ = octant_cells(kappa)
-    cell = [c[0] * (c[0] + 1) // 2 + c[1] for c in map(_canonical_cell, offs)]
+    hi, lo = np.abs(offs).max(axis=1), np.abs(offs).min(axis=1)
+    cell = hi * (hi + 1) // 2 + lo
     m = np.empty((d, d), dtype=float)
     m[np.arange(d - 1), np.arange(d - 1)] = box_power_integrals(a, b, 2.0 * alpha)[cell]
     m[:-1, -1] = m[-1, :-1] = box_power_integrals(a, b, alpha)[cell]
@@ -474,40 +418,18 @@ def octant_cells(hi: int, lo: int = -1):
     return a, b, mult
 
 
-def optimal_b_norm(j, alpha: float) -> float:
-    """L2-optimal evaluation radius for cell j: box(j, alpha)**(1/alpha).
+def representative_radii(a, b, alpha: float, policy: EvaluationPolicy) -> np.ndarray:
+    """Radii standing in for the canonical cells a >= b >= 0 under the policy.
 
-    Matching the cell average of ||x||**alpha exactly: the power evaluated at
-    this radius equals the cell mean of the power.  Lies within 1/sqrt(2) of
-    ||j|| (the cell's circumradius).
-    """
-    check_real(alpha, "alpha", -1.0, 0.0)
-    return box_power_integral(_canonical_cell(j), alpha) ** (1.0 / alpha)
-
-
-def representative_radius(j, alpha: float, policy: EvaluationPolicy) -> float:
-    """Radius standing in for cell j under the policy (non-central cells).
-
-    For the central cell under central_mode="optimal_norm" this is the
-    optimal radius; under "optimal_L" the weight is not a radius evaluation
+    mode "midpoint" takes ||(a, b)||, "optimal" the L2-optimal radius
+    box((a, b), alpha)**(1/alpha), at which the power equals its cell mean.
+    The origin takes its optimal radius under either mode (the midpoint sits
+    on the singularity), computed as a Python float power.  Under
+    central_mode="optimal_L" the central weight is not a radius evaluation
     at all -- see central_L_coefficient.
     """
-    a, b = int(j[0]), int(j[1])
-    if a == 0 and b == 0:
-        return optimal_b_norm(j, alpha)
-    if policy.mode == "midpoint":
-        return math.hypot(a, b)
-    return optimal_b_norm(j, alpha)
-
-
-def representative_radii(a, b, alpha: float, policy: EvaluationPolicy) -> np.ndarray:
-    """representative_radius for arrays of canonical cells a >= b >= 0.
-
-    The origin takes the scalar optimal_b_norm((0, 0), alpha) under either
-    mode, so both forms agree there bit for bit; elsewhere the optimal radii
-    are the vectorised closed form, within an ulp of the scalar ones.
-    """
-    r0 = optimal_b_norm((0, 0), alpha)
+    check_real(alpha, "alpha", -1.0, 0.0)
+    r0 = float(box_power_integrals(0, 0, alpha)) ** (1.0 / alpha)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if policy.mode == "midpoint":
@@ -528,26 +450,29 @@ def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
     both integrals over the unit cell (the denominator is box(0, 2a)).
     """
     alpha = kernel.alpha
+    n = check_int(n, "n", lo=1)
 
     def fr(r):
         return r ** (2.0 * alpha) * kernel.eval_L(r / n)
 
     num, _ = radial_cell_integral(fr, 0, 0, tol=tol,
                                   breakpoints=[n * q for q in kernel.kink_radii])
-    return num / box_power_integral((0, 0), 2.0 * alpha)
+    return num / float(box_power_integrals(0, 0, 2.0 * alpha))
 
 
 def cell_weight(kernel, n: int, j, policy: EvaluationPolicy) -> float:
     """Weight of the exactly integrated inner cell j at resolution n.
 
-    L(r_j / n) at the policy's scalar representative_radius, except for the
-    central cell under central_mode="optimal_L", which takes
-    central_L_coefficient.  The hybrid engine's inner weights and the MSE's
-    D1 term both come from here.
+    L(r_j / n) at the representative_radii radius of j's canonical cell
+    (max|j_i|, min|j_i|), except for the central cell under
+    central_mode="optimal_L", which takes central_L_coefficient.  The hybrid
+    engine's inner weights and the MSE's D1 term both come from here.
     """
-    if int(j[0]) == 0 and int(j[1]) == 0 and policy.central_mode == "optimal_L":
+    a, b = abs(int(j[0])), abs(int(j[1]))
+    if a == 0 and b == 0 and policy.central_mode == "optimal_L":
         return central_L_coefficient(kernel, n)
-    return kernel.eval_L(representative_radius(j, kernel.alpha, policy) / n)
+    r = representative_radii(max(a, b), min(a, b), kernel.alpha, policy)
+    return kernel.eval_L(float(r) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +498,8 @@ def j_constant(
     """
     check_real(alpha, "alpha", -1.0, 0.0)
     kappa = check_int(kappa, "kappa", lo=0)
+    if not isinstance(policy, EvaluationPolicy):
+        raise ValidationError("policy must be an EvaluationPolicy")
     T = (max(64, 10 * kappa + 10) if truncation is None
          else check_int(truncation, "truncation"))
     if T < 10 * kappa + 10:

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -597,24 +598,26 @@ def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
     """Warn (RateHypothesisWarning) when gamma is not above the threshold
     -(1+alpha)/(1+beta) of a kernel with polynomial decay x**beta, below
     which the truncation error is not guaranteed to vanish at the scheme's
-    rate.  Shared by the engines and the MSE analysis."""
-    _rate_warning(kernel, params)
-
-
-def _rate_warning(kernel: KernelSpec, params: SchemeParams):
-    # two frames up from here is the caller of check_rate_hypothesis or, via
-    # _prepare, of prepare_hybrid/prepare_riemann: stacklevel 4 names it
+    rate.  Shared by the engines and the MSE analysis.  The warning names
+    the first caller outside the package, however deep inside it the check
+    runs, so each user call site gets its own once-per-location warning."""
     beta = kernel.beta_decay
-    if math.isfinite(beta):
-        threshold = -(1.0 + kernel.alpha) / (1.0 + beta)
-        if params.gamma <= threshold:
-            warnings.warn(
-                f"gamma={params.gamma} is not above the convergence-rate "
-                f"threshold -(1+alpha)/(1+beta) = {threshold:.4g}; the scheme "
-                f"still runs but the asymptotic error guarantee does not apply",
-                RateHypothesisWarning,
-                stacklevel=4,
-            )
+    if not math.isfinite(beta):
+        return
+    threshold = -(1.0 + kernel.alpha) / (1.0 + beta)
+    if params.gamma > threshold:
+        return
+    frame, level = sys._getframe(1), 2
+    while (frame is not None
+           and frame.f_globals.get("__name__", "").startswith("vmma.")):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"gamma={params.gamma} is not above the convergence-rate "
+        f"threshold -(1+alpha)/(1+beta) = {threshold:.4g}; the scheme "
+        f"still runs but the asymptotic error guarantee does not apply",
+        RateHypothesisWarning,
+        stacklevel=level,
+    )
 
 
 def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
@@ -717,14 +720,6 @@ class HybridPlan:
             self.params.n_trunc)
 
 
-def riemann_kernel_matrix(kernel: KernelSpec, params: SchemeParams) -> np.ndarray:
-    """Step-kernel matrix of the Riemann scheme: g at cell midpoints for all
-    cells in the truncation window, with the central cell evaluated at its
-    optimal radius (the midpoint would sit on the singularity)."""
-    return _octant_rows(_step_kernel_octant(kernel, params, inner=False),
-                        params.n_trunc)
-
-
 def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
              workers: int | None, inner: bool) -> HybridPlan:
     m0 = params.n if half is None else check_int(half, "half", lo=1)
@@ -745,7 +740,7 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         need += 8 * ((_ROW_BLOCK + 2 * kappa) * s1 * d + s1 * s1)
     _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
                           f"(plan and one replicate, FFT period {fsh})")
-    _rate_warning(kernel, params)
+    check_rate_hypothesis(kernel, params)
     block = weights = None
     if inner:
         block = build_block(kernel.alpha, params.kappa, params.n)

@@ -16,18 +16,14 @@ from scipy.integrate import dblquad, quad
 from vmma.covariance import (
     DEFAULT_POLICY,
     EvaluationPolicy,
-    box_power_integral,
+    _tr_array,
     box_power_integrals,
     build_block,
     cell_weight,
     central_L_coefficient,
-    cross_covariance_integral,
     j_constant,
     octant_cells,
-    optimal_b_norm,
     representative_radii,
-    representative_radius,
-    triangle_integral,
 )
 from vmma.errors import QuadratureError, ValidationError
 from vmma.fields import SchemeParams, _octant_rows, prepare_hybrid
@@ -36,21 +32,33 @@ from vmma.kernels import ExpDecay, Matern, PurePower
 OPTIMAL = EvaluationPolicy(mode="optimal", central_mode="optimal_L")
 
 
+def _box(j, e):
+    """box(j, e) of one octant cell j, through the array form."""
+    return float(box_power_integrals(j[0], j[1], e))
+
+
+def _cross(ja, jb, alpha):
+    """Cross integral of the offsets ja != jb: their entry of the
+    unit-resolution block, whose scale is exactly 1."""
+    blk = build_block(alpha, max(map(abs, ja + jb)), 1)
+    return blk.matrix[blk.offsets.index(ja), blk.offsets.index(jb)]
+
+
 # ---------------------------------------------------------------------------
-# triangle_integral
+# triangle integrals (_tr_array)
 # ---------------------------------------------------------------------------
 
 
 def test_triangle_exponent_zero_gives_area():
     # {q <= y <= x <= p} is a right triangle with legs p - q.
-    assert triangle_integral(1.0, 0.0, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert triangle_integral(2.0, 0.5, 0.0) == pytest.approx(1.125, rel=1e-13)
+    assert float(_tr_array(1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-14)
+    assert float(_tr_array(2.0, 0.5, 0.0)) == pytest.approx(1.125, rel=1e-13)
 
 
 def test_triangle_inverse_radius_closed_form():
     # int ||x||^-1 over {0 <= y <= x <= p} = p * asinh(1) ... by polar
     # coordinates: int_0^{pi/4} p sec(t) dt = p ln(1+sqrt2); at p = 1/2:
-    assert triangle_integral(0.5, 0.0, -1.0) == pytest.approx(
+    assert float(_tr_array(0.5, 0.0, -1.0)) == pytest.approx(
         0.5 * math.asinh(1.0), rel=1e-13
     )
 
@@ -64,7 +72,7 @@ def test_triangle_inverse_radius_closed_form():
     ],
 )
 def test_triangle_frozen_and_dblquad(p, q, e, frozen):
-    got = triangle_integral(p, q, e)
+    got = float(_tr_array(p, q, e))
     assert got == pytest.approx(frozen, rel=1e-12)
     ref, _ = dblquad(
         lambda y, x: (x * x + y * y) ** (e / 2.0), q, p, q, lambda x: x,
@@ -73,30 +81,19 @@ def test_triangle_frozen_and_dblquad(p, q, e, frozen):
     assert got == pytest.approx(ref, rel=1e-9)
 
 
-def test_triangle_domain_errors():
-    with pytest.raises(ValidationError):
-        triangle_integral(1.0, 1.0, -0.5)  # q == p
-    with pytest.raises(ValidationError):
-        triangle_integral(1.0, -0.1, -0.5)  # q < 0
-    with pytest.raises(ValidationError):
-        triangle_integral(1.0, 0.0, -2.0)  # exponent at the boundary
-    with pytest.raises(ValidationError):
-        triangle_integral(1.0, 0.0, 0.5)  # positive exponent
-
-
 # ---------------------------------------------------------------------------
-# box_power_integral
+# box_power_integrals
 # ---------------------------------------------------------------------------
 
 
 def test_box_exponent_zero_is_cell_area():
     for j in [(0, 0), (1, 0), (2, 2)]:
-        assert box_power_integral(j, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert _box(j, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_box_central_inverse_radius():
     # int_{[-1/2,1/2]^2} ||x||^-1 = 4 asinh(1) = 4 ln(1 + sqrt 2).
-    assert box_power_integral((0, 0), -1.0) == pytest.approx(
+    assert _box((0, 0), -1.0) == pytest.approx(
         4.0 * math.asinh(1.0), rel=1e-13
     )
 
@@ -111,7 +108,7 @@ def test_box_central_inverse_radius():
     ],
 )
 def test_box_frozen_values(j, e, frozen):
-    assert box_power_integral(j, e) == pytest.approx(frozen, rel=1e-12)
+    assert _box(j, e) == pytest.approx(frozen, rel=1e-12)
 
 
 def test_box_vs_dblquad_noncentral():
@@ -122,7 +119,7 @@ def test_box_vs_dblquad_noncentral():
             a - 0.5, a + 0.5, b - 0.5, b + 0.5,
             epsabs=1e-12,
         )
-        assert box_power_integral(j, e) == pytest.approx(ref, rel=1e-10), (j, e)
+        assert _box(j, e) == pytest.approx(ref, rel=1e-10), (j, e)
 
 
 def test_box_central_vs_polar_quadrature():
@@ -133,46 +130,37 @@ def test_box_central_vs_polar_quadrature():
             lambda t: 8.0 * (0.5 / math.cos(t)) ** (e + 2.0) / (e + 2.0),
             0.0, math.pi / 4.0, epsabs=1e-13,
         )
-        assert box_power_integral((0, 0), e) == pytest.approx(ref, rel=1e-11)
+        assert _box((0, 0), e) == pytest.approx(ref, rel=1e-11)
 
 
 def test_box_decreasing_along_axis_for_negative_exponent():
-    vals = [box_power_integral((a, 0), -0.8) for a in range(1, 8)]
+    vals = box_power_integrals(np.arange(1, 8), 0, -0.8)
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
 def test_box_requires_octant_representative():
     with pytest.raises(ValidationError):
-        box_power_integral((0, 1), -0.5)
+        box_power_integrals(0, 1, -0.5)
     with pytest.raises(ValidationError):
-        box_power_integral((-1, 0), -0.5)
-
-
-def test_box_exponent_domain():
-    with pytest.raises(ValidationError):
-        box_power_integral((1, 0), -2.0)
-    with pytest.raises(ValidationError):
-        box_power_integral((1, 0), 0.1)
-
-
-def test_box_vectorized_matches_scalar_and_validates():
-    # all four branches: origin, axis, diagonal, interior
-    a = np.array([0, 1, 2, 3, 5, 7])
-    b = np.array([0, 0, 2, 1, 5, 3])
-    for e in (-1.6, -0.5, 0.0):
-        got = box_power_integrals(a, b, e)
-        ref = [box_power_integral((int(x), int(y)), e) for x, y in zip(a, b)]
-        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+        box_power_integrals(-1, 0, -0.5)
+    # one cell off the octant fails the whole array
     with pytest.raises(ValidationError):
         box_power_integrals(np.array([0, 1]), np.array([1, 0]), -0.5)
     with pytest.raises(ValidationError):
         box_power_integrals(np.array([-1]), np.array([0]), -0.5)
+
+
+def test_box_exponent_domain():
+    with pytest.raises(ValidationError):
+        box_power_integrals(1, 0, -2.0)
+    with pytest.raises(ValidationError):
+        box_power_integrals(1, 0, 0.1)
     with pytest.raises(ValidationError):
         box_power_integrals(np.array([1]), np.array([0]), -2.0)
 
 
 # ---------------------------------------------------------------------------
-# cross_covariance_integral
+# cross integrals: off-diagonal entries of build_block(alpha, kappa, 1)
 # ---------------------------------------------------------------------------
 
 
@@ -185,7 +173,7 @@ def test_box_vectorized_matches_scalar_and_validates():
     ],
 )
 def test_cross_frozen_values(ja, jb, frozen):
-    assert cross_covariance_integral(ja, jb, -0.5) == pytest.approx(
+    assert _cross(ja, jb, -0.5) == pytest.approx(
         frozen, rel=1e-9
     )
 
@@ -211,7 +199,7 @@ def _check_cross(pairs):
     for a in (-0.95, -0.5, -0.05):
         for ja, jb in pairs:
             ref = _cross_dblquad(ja, jb, a)
-            assert cross_covariance_integral(ja, jb, a) == pytest.approx(
+            assert _cross(ja, jb, a) == pytest.approx(
                 ref, rel=0.0, abs=1e-13
             ), (a, ja, jb)
 
@@ -228,25 +216,20 @@ def test_cross_vs_dblquad_singular():
 def test_cross_dihedral_invariance_bit_identical():
     # One dihedral map applied to both offsets, and swapping, must give the
     # exact same float (shared canonical representative).
-    base = cross_covariance_integral((2, 0), (1, 1), -0.4)
+    base = _cross((2, 0), (1, 1), -0.4)
     images = [
-        cross_covariance_integral((0, 2), (1, 1), -0.4),
-        cross_covariance_integral((-2, 0), (-1, -1), -0.4),
-        cross_covariance_integral((1, 1), (2, 0), -0.4),
-        cross_covariance_integral((0, -2), (1, -1), -0.4),
+        _cross((0, 2), (1, 1), -0.4),
+        _cross((-2, 0), (-1, -1), -0.4),
+        _cross((1, 1), (2, 0), -0.4),
+        _cross((0, -2), (1, -1), -0.4),
     ]
     for v in images:
         assert v == base  # bitwise
 
 
-def test_cross_rejects_equal_offsets():
-    with pytest.raises(ValidationError):
-        cross_covariance_integral((1, 0), (1, 0), -0.5)
-
-
 def test_cross_alpha_domain():
     with pytest.raises(ValidationError):
-        cross_covariance_integral((0, 0), (1, 0), -1.0)
+        _cross((0, 0), (1, 0), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +254,10 @@ def test_block_entries_match_closed_forms():
     for i, off in enumerate(b.offsets):
         oc = (max(abs(off[0]), abs(off[1])), min(abs(off[0]), abs(off[1])))
         assert b.matrix[i, i] == pytest.approx(
-            n ** (-2 - 2 * a) * box_power_integral(oc, 2 * a), rel=1e-13
+            n ** (-2 - 2 * a) * _box(oc, 2 * a), rel=1e-13
         )
         assert b.matrix[i, -1] == pytest.approx(
-            n ** (-2 - a) * (1.0 / n) * n * box_power_integral(oc, a), rel=1e-13
+            n ** (-2 - a) * (1.0 / n) * n * _box(oc, a), rel=1e-13
         )
 
 
@@ -344,15 +327,15 @@ def test_block_validation():
 def test_optimal_b_norm_matches_cell_average():
     # Defining property: r*^alpha equals the cell average of ||x||^alpha.
     for j, a in [((0, 0), -0.5), ((1, 0), -0.5), ((2, 1), -0.3)]:
-        r = optimal_b_norm(j, a)
-        assert r**a == pytest.approx(box_power_integral(j, a), rel=1e-12)
+        r = representative_radii(j[0], j[1], a, OPTIMAL)
+        assert r**a == pytest.approx(_box(j, a), rel=1e-12)
 
 
 def test_optimal_b_norm_frozen():
-    assert optimal_b_norm((0, 0), -0.5) == pytest.approx(
+    assert representative_radii(0, 0, -0.5, OPTIMAL) == pytest.approx(
         0.320006996938166, rel=1e-12
     )
-    assert optimal_b_norm((1, 0), -0.5) == pytest.approx(
+    assert representative_radii(1, 0, -0.5, OPTIMAL) == pytest.approx(
         0.983726897754835, rel=1e-12
     )
 
@@ -365,40 +348,26 @@ def test_optimal_b_norm_frozen():
 def test_optimal_b_norm_within_circumradius(a, b, alpha):
     if b > a:
         a, b = b, a
-    r = optimal_b_norm((a, b), alpha)
+    r = representative_radii(a, b, alpha, OPTIMAL)
     center = math.hypot(a, b)
     assert max(0.0, center - 0.5 * math.sqrt(2.0)) <= r <= center + 0.5 * math.sqrt(2.0)
 
 
 def test_representative_radius_policies():
-    assert representative_radius((3, 4), -0.5, DEFAULT_POLICY) == 5.0
-    r_opt = representative_radius((3, 4), -0.5, OPTIMAL)
-    assert r_opt == pytest.approx(optimal_b_norm((3, 4), -0.5), rel=1e-14)
+    assert representative_radii(4, 3, -0.5, DEFAULT_POLICY) == 5.0
+    r_opt = representative_radii(4, 3, -0.5, OPTIMAL)
+    assert r_opt == pytest.approx(_box((4, 3), -0.5) ** (1 / -0.5), rel=1e-14)
     # central cell: both policies fall back to the optimal radius
-    assert representative_radius((0, 0), -0.5, DEFAULT_POLICY) == pytest.approx(
-        optimal_b_norm((0, 0), -0.5)
+    assert representative_radii(0, 0, -0.5, DEFAULT_POLICY) == pytest.approx(
+        representative_radii(0, 0, -0.5, OPTIMAL)
     )
 
 
-@pytest.mark.parametrize("alpha", [-0.8, -0.5, -0.2])
-def test_representative_radii_match_scalar_radius(alpha):
-    a, b, _ = octant_cells(12)
-    for policy in (DEFAULT_POLICY, OPTIMAL):
-        r = representative_radii(a, b, alpha, policy)
-        ref = np.array([representative_radius((i, j), alpha, policy)
-                        for i, j in zip(a, b)])
-        assert r[0] == ref[0]  # the origin, bit for bit under both modes
-        if policy.mode == "midpoint":
-            assert np.array_equal(r, ref)
-        else:
-            assert np.all(np.abs(r - ref) <= np.spacing(ref))
-
-
 def test_representative_radii_origin_is_scalar_optimal_radius():
-    # the vectorised closed form differs from the scalar one in the last bit
-    # for some alpha; the origin must take the scalar value
+    # an array power differs from a Python float power in the last bit for
+    # some alpha; the origin takes the float power under both modes
     for alpha in np.linspace(-0.99, -0.01, 99):
-        r0 = optimal_b_norm((0, 0), alpha)
+        r0 = _box((0, 0), alpha) ** (1.0 / alpha)
         for policy in (DEFAULT_POLICY, OPTIMAL):
             assert representative_radii([0], [0], alpha, policy)[0] == r0
 
@@ -502,8 +471,14 @@ def test_central_L_coefficient_vs_direct_quadrature():
         for ys in [(-0.5, 0.0), (0.0, 0.5)]:
             v, _ = dblquad(num, xs[0], xs[1], ys[0], ys[1], epsabs=1e-12)
             ref_num += v
-    ref = ref_num / box_power_integral((0, 0), 2 * k.alpha)
+    ref = ref_num / _box((0, 0), 2 * k.alpha)
     assert central_L_coefficient(k, n) == pytest.approx(ref, rel=1e-8)
+
+
+def test_central_L_coefficient_validation():
+    for n in (0, 2.5, True):
+        with pytest.raises(ValidationError):
+            central_L_coefficient(Matern(0.5, 1.0), n)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, -0.8])
@@ -512,7 +487,7 @@ def test_central_L_coefficient_cutoff_inside_cell(alpha):
     # numerator is the power integral over the disc of radius n*R.
     n, R = 10, 0.03
     e = 2.0 * alpha + 2.0
-    ref = 2.0 * math.pi * (n * R) ** e / e / box_power_integral((0, 0), 2.0 * alpha)
+    ref = 2.0 * math.pi * (n * R) ** e / e / _box((0, 0), 2.0 * alpha)
     assert central_L_coefficient(PurePower(alpha, R=R), n) == pytest.approx(
         ref, rel=1e-12
     )
@@ -604,6 +579,8 @@ def test_j_constant_validation():
         j_constant(-0.5, 1, truncation=5)  # below 10*kappa+10
     with pytest.raises(ValidationError):
         j_constant(-0.5, 1, truncation=64.5)  # never truncated to T = 64
+    with pytest.raises(ValidationError):
+        j_constant(-0.5, 1, policy="optimal")  # a mode name, not a policy
 
 
 def test_evaluation_policy_validation():

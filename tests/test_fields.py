@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.fft import fft2, ifft, irfft, next_fast_len, rfft2
 
 import vmma.fields as fields_mod
-from vmma.covariance import EvaluationPolicy, build_block, optimal_b_norm
+from vmma.analysis import hybrid_mse, mse_study
+from vmma.covariance import EvaluationPolicy, box_power_integrals, build_block
 from vmma.errors import EmbeddingError, ValidationError
 from vmma.fields import (
     ConstantVol,
@@ -36,7 +37,6 @@ from vmma.fields import (
     hybrid_simulate,
     prepare_hybrid,
     prepare_riemann,
-    riemann_kernel_matrix,
     riemann_simulate,
     rng_stream,
     sample_noise,
@@ -525,6 +525,25 @@ def test_hybrid_rate_hypothesis_warning():
     p = SchemeParams(n=8, gamma=0.15, kappa=1)
     with pytest.warns(RateHypothesisWarning):
         prepare_hybrid(k, p)
+    # Each warning names the line that called into the package, however deep
+    # inside it the check runs: under the default once-per-location filter,
+    # a warning that named a package line would hide every later call site.
+    calls = {
+        "prepare_hybrid": lambda: prepare_hybrid(k, p),
+        "prepare_riemann": lambda: prepare_riemann(k, p),
+        "cold hybrid_simulate": lambda: hybrid_simulate(k, p),
+        "cold riemann_simulate": lambda: riemann_simulate(k, p),
+        "hybrid_mse": lambda: hybrid_mse(k, p),
+        "mse_study": lambda: mse_study(k, [8, 9, 10], gamma=p.gamma),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        rate = [w for w in caught if w.category is RateHypothesisWarning]
+        assert rate, name
+        assert all(w.filename == __file__ for w in rate), (
+            name, [(w.filename, w.lineno) for w in rate])
     # comfortable gamma: no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RateHypothesisWarning)
@@ -604,12 +623,10 @@ def test_hybrid_two_point_covariance_matches_block_algebra():
 def test_riemann_matches_hybrid_outside_inner_block():
     # With kappa = 0 the hybrid's outer kernel matrix equals the Riemann one
     # except at the central cell (optimal radius vs exactly-integrated cell).
-    from vmma.fields import riemann_kernel_matrix
-
     k = ExpDecay(-0.5)
     p = SchemeParams(n=6, gamma=0.4, kappa=0)
     plan = prepare_hybrid(k, p)
-    rm = riemann_kernel_matrix(k, p)
+    rm = prepare_riemann(k, p).a_matrix
     am = plan.a_matrix
     assert am.shape == rm.shape
     c = am.shape[0] // 2
@@ -713,7 +730,7 @@ def test_hybrid_streamed_matches_sample_noise_reference(kappa, half, modulated):
     rng = rng_stream(17, 0, 4)
     if kappa is None:
         plain = rng.standard_normal((S, S)) / p.n
-        ref = _far_field_direct(riemann_kernel_matrix(k, p), sigma * plain,
+        ref = _far_field_direct(plan.a_matrix, sigma * plain,
                                 p.n_trunc, plan.half)
     else:
         ref = _hybrid_reference(plan, sigma, rng)
@@ -900,8 +917,9 @@ def test_octant_riemann_matrix_equals_dense_evaluation(kernel):
     p = SchemeParams(n=7, gamma=0.5)
     N = p.n_trunc
     _, _, r = _dense_radii(N)
-    r[N, N] = optimal_b_norm((0, 0), kernel.alpha)
-    assert np.array_equal(riemann_kernel_matrix(kernel, p), kernel.eval_g(r / p.n))
+    r[N, N] = float(box_power_integrals(0, 0, kernel.alpha)) ** (1.0 / kernel.alpha)
+    assert np.array_equal(prepare_riemann(kernel, p).a_matrix,
+                          kernel.eval_g(r / p.n))
 
 
 def test_octant_optimal_policy_matches_scalar_radii():
@@ -913,7 +931,9 @@ def test_octant_optimal_policy_matches_scalar_radii():
     for j2 in range(-N, N + 1):
         for j1 in range(-N, N + 1):
             if max(abs(j1), abs(j2)) > p.kappa:
-                r = optimal_b_norm((j1, j2), kernel.alpha)
+                a, b = sorted((abs(j1), abs(j2)), reverse=True)
+                box = float(box_power_integrals(a, b, kernel.alpha))
+                r = box ** (1.0 / kernel.alpha)
                 ref[j2 + N, j1 + N] = kernel.eval_g(r / p.n)
     np.testing.assert_allclose(prepare_hybrid(kernel, p).a_matrix, ref,
                                rtol=1e-14, atol=0.0)

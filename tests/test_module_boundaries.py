@@ -4,9 +4,12 @@ module keeps process-global state (an unbounded cache, or configuration
 read from the environment)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import vmma
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vmma"
 
@@ -312,3 +315,18 @@ def test_complex_fft_and_homes_pass():
               "    return _fft.irfft(_fft.ifft(s, axis=0))\n"
               "def circulant(z):\n    return _fft.fft2(z), _fft.next_fast_len(9)\n")
     assert sorted(real_fft_calls(source)) == sorted(FFT_HOMES.items())
+
+
+def test_module_exports_resolve():
+    # A name deleted from a module but left in an __all__ would only fail on
+    # a star import; check every module's list and the package's.
+    for path in sorted(SRC.glob("*.py")):
+        name = "vmma" if path.stem == "__init__" else f"vmma.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], path.name
+    assert len(vmma.__all__) == len(set(vmma.__all__))
+    namespace = {}
+    exec("from vmma import *", namespace)
+    assert set(vmma.__all__) <= namespace.keys()
