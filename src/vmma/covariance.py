@@ -104,6 +104,13 @@ class EvaluationPolicy:
 DEFAULT_POLICY = EvaluationPolicy()
 
 
+def check_policy(policy) -> None:
+    """ValidationError unless `policy` is an EvaluationPolicy; the package's
+    one home of that check."""
+    if not isinstance(policy, EvaluationPolicy):
+        raise ValidationError(f"policy must be an EvaluationPolicy, got {policy!r}")
+
+
 # ---------------------------------------------------------------------------
 # Triangle and box integrals (closed form)
 
@@ -429,6 +436,7 @@ def representative_radii(a, b, alpha: float, policy: EvaluationPolicy) -> np.nda
     at all -- see central_L_coefficient.
     """
     check_real(alpha, "alpha", -1.0, 0.0)
+    check_policy(policy)
     r0 = float(box_power_integrals(0, 0, alpha)) ** (1.0 / alpha)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -468,6 +476,7 @@ def cell_weight(kernel, n: int, j, policy: EvaluationPolicy) -> float:
     central_mode="optimal_L", which takes central_L_coefficient.  The hybrid
     engine's inner weights and the MSE's D1 term both come from here.
     """
+    check_policy(policy)
     a, b = abs(int(j[0])), abs(int(j[1]))
     if a == 0 and b == 0 and policy.central_mode == "optimal_L":
         return central_L_coefficient(kernel, n)
@@ -498,8 +507,7 @@ def j_constant(
     """
     check_real(alpha, "alpha", -1.0, 0.0)
     kappa = check_int(kappa, "kappa", lo=0)
-    if not isinstance(policy, EvaluationPolicy):
-        raise ValidationError("policy must be an EvaluationPolicy")
+    check_policy(policy)
     T = (max(64, 10 * kappa + 10) if truncation is None
          else check_int(truncation, "truncation"))
     if T < 10 * kappa + 10:

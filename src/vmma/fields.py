@@ -60,14 +60,17 @@ s1 = 2*(half+kappa)+1 and d = (2*kappa+1)^2 + 1, mapped through the block's
 Cholesky factor; then the plain cell masses are drawn as an (S, S) standard
 normal sheet scaled by 1/n with S = 2*(N+half)+1, whose central s1 x s1 block
 is REPLACED by the plain components of the correlated family (the overdraw
-keeps the layout independent of kappa).  Both are drawn in blocks of
-_ROW_BLOCK rows, which consumes the stream in the same order and gives the
-same values bit for bit as single draws.  The hybrid engine streams them:
-each family block is added into the near sum for the output rows it
-completes (its last 2*kappa rows carry over to the next block), and each
-sheet block is modulated and transformed at once, so neither the family nor
-the sheet is ever held whole.  The volatility, from its own stream, is
-realised before the noise is drawn.
+keeps the layout independent of kappa).  The family is drawn _FAMILY_BLOCK
+rows at a time and the sheet _ROW_BLOCK rows at a time, which consumes the
+stream in the same order and gives the same values bit for bit as single
+draws.  The hybrid engine streams them: each family block is added into the
+near sum for the output rows it completes (its last 2*kappa rows carry over
+to the next block), and each sheet block is modulated and transformed at
+once, so neither the family nor the sheet is ever held whole.  The family's
+plain channel waits for the sheet in the caller's array: the engine keeps it
+in the spectrum's own rows and columns lo..lo+s1 (lo = N-kappa), each row
+read just before its row block's rfft overwrites it.  The volatility, from its own stream,
+is realised before the noise is drawn.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ from .covariance import (
     box_power_integrals,
     build_block,
     cell_weight,
+    check_policy,
     octant_cells,
     representative_radii,
 )
@@ -148,8 +152,7 @@ class SchemeParams:
         check_real(self.gamma, "gamma", lo=0.0)
         check_int(self.kappa, "kappa", 0, 5)
         check_int(self.seed, "seed", 0, 2**64 - 1)
-        if not isinstance(self.policy, EvaluationPolicy):
-            raise ValidationError("policy must be an EvaluationPolicy")
+        check_policy(self.policy)
         if self.n_trunc < self.kappa:
             raise ValidationError(
                 f"truncation window n_trunc={self.n_trunc} smaller than "
@@ -344,8 +347,11 @@ class ExpVmmaVolatility(VolatilityModel):
 # Row blocks: noise draw and FFT convolution
 
 
-# Rows per block of the streamed noise draw and of the row-wise FFTs.
+# Rows per block of the streamed sheet draw and of the row-wise FFTs.
 _ROW_BLOCK = 64
+# Rows per block of the correlated family's draw; above 2*kappa (at most 10),
+# so that every block completes some near-sum output rows.
+_FAMILY_BLOCK = 16
 
 
 def _padded_rows(get_rows, nrows: int, width: int):
@@ -362,26 +368,28 @@ def _padded_rows(get_rows, nrows: int, width: int):
 
 def _noise_rows(rng: np.random.Generator, n: int, S: int, width: int,
                 chol: np.ndarray | None = None, family: np.ndarray | None = None,
-                take_family=None):
+                take_family=None, central: np.ndarray | None = None):
     """Draw one replicate's noise in the fixed layout, a block of rows at a
     time; the one draw routine of the step-kernel engines.
 
     With a Cholesky factor, first the correlated family: for each block of
-    rows r0..r0+k-1, z ~ N(0,1) of shape (k, s1, d) is mapped to z @ chol.T
-    in family[:k] (s1 = family.shape[1]), then take_family(r0, k) is called,
-    and the next block overwrites family[:k].  Then the plain sheet, N(0,1)/n
-    of shape (S, S) with its central s1 x s1 block replaced by the family's
-    plain channel, is yielded as (r0, rows) blocks padded to `width` (see
-    _padded_rows).  The family is drawn when the first sheet block is asked
-    for.  Block-wise draws and matmuls give the single draw's values bit for
-    bit.
+    _FAMILY_BLOCK rows r0..r0+k-1, z ~ N(0,1) of shape (k, s1, d) is mapped
+    to z @ chol.T in family[:k] (s1 = family.shape[1]), its plain channel is
+    stored in central[r0:r0+k] (an (s1, s1) float array of the caller's),
+    then take_family(r0, k) is called, and the next block overwrites
+    family[:k].  Then the plain sheet, N(0,1)/n of shape (S, S) with its
+    central s1 x s1 block (from row and column (S-s1)//2) replaced by
+    `central`, is yielded as (r0, rows) blocks padded to `width` (see
+    _padded_rows); a block's rows of `central` are read before it is
+    yielded, so the caller may overwrite them from then on.  The family is
+    drawn when the first sheet block is asked for.  Block-wise draws and
+    matmuls give the single draw's values bit for bit.
     """
     s1 = 0
     if chol is not None:
         s1, d = family.shape[1], chol.shape[0]
-        central = np.empty((s1, s1))
-        for r0 in range(0, s1, _ROW_BLOCK):
-            k = min(_ROW_BLOCK, s1 - r0)
+        for r0 in range(0, s1, _FAMILY_BLOCK):
+            k = min(_FAMILY_BLOCK, s1 - r0)
             np.matmul(rng.standard_normal((k, s1, d)), chol.T, out=family[:k])
             central[r0:r0 + k] = family[:k, :, -1]
             take_family(r0, k)
@@ -432,12 +440,14 @@ def sample_noise(
 
     w1 = np.empty((s1, s1, d))
     plain = np.empty((S, S))
-    family = np.empty((_ROW_BLOCK, s1, d))
+    family = np.empty((_FAMILY_BLOCK, s1, d))
+    lo = (S - s1) // 2
 
     def keep(r0, k):
         w1[r0:r0 + k] = family[:k]
 
-    for r0, rows in _noise_rows(rng, n, S, S, block.chol, family, keep):
+    for r0, rows in _noise_rows(rng, n, S, S, block.chol, family, keep,
+                                plain[lo:lo + s1, lo:lo + s1]):
         plain[r0:r0 + rows.shape[0]] = rows
     return w1[:, :, :-1], plain
 
@@ -450,17 +460,21 @@ def _modulated(rows, sigma: np.ndarray):
         yield r0, block
 
 
-def _row_spectrum(rows, period: int, workers: int | None) -> np.ndarray:
+def _row_spectrum(rows, period: int, workers: int | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """rfft2 at (period, period) of a real array given as row blocks.
 
     `rows` yields (r0, block) with r0 increasing, each block zero-padded to
     width `period`; rows no block covers are zero.  Each block is
     transformed along its rows as it arrives, then the columns of the one
-    complex (period, period//2+1) array are transformed in place: the result
-    equals rfft2(x, s=(period, period)) bit for bit.
+    complex (period, period//2+1) array, `out` when given, are transformed
+    in place: the result equals rfft2(x, s=(period, period)) bit for bit.
+    Rows r0.. of `out` are written only once block r0 has been yielded, so
+    the producer of `rows` may keep data there until then.
     """
     w = fft_workers(workers)
-    spec = np.empty((period, period // 2 + 1), dtype=complex)
+    spec = (np.empty((period, period // 2 + 1), dtype=complex) if out is None
+            else out)
     end = 0
     for r0, block in rows:
         spec[end:r0] = 0.0
@@ -724,10 +738,10 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
              workers: int | None, inner: bool) -> HybridPlan:
     m0 = params.n if half is None else check_int(half, "half", lo=1)
     # The plan plus one replicate: the plan's real (P//2+1)^2 spectrum
-    # quarter, the replicate's complex (P, P//2+1) spectrum, the (S, S)
-    # volatility sheet of a modulated field (a plan serves every volatility
-    # model, so it is always counted), the output and, with an inner block,
-    # the family's row window and plain channel.
+    # quarter, the replicate's complex (P, P//2+1) spectrum (which also
+    # holds the family's plain channel), the (S, S) volatility sheet of a
+    # modulated field (a plan serves every volatility model, so it is always
+    # counted), the output and, with an inner block, the family's row window.
     fsh = _sheet_period(params, m0)
     h = fsh // 2 + 1
     S = 2 * (params.n_trunc + m0) + 1
@@ -737,7 +751,7 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         kappa = params.kappa
         s1 = side + 2 * kappa
         d = (2 * kappa + 1) ** 2 + 1
-        need += 8 * ((_ROW_BLOCK + 2 * kappa) * s1 * d + s1 * s1)
+        need += 8 * (_FAMILY_BLOCK + 2 * kappa) * s1 * d
     _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
                           f"(plan and one replicate, FFT period {fsh})")
     check_rate_hypothesis(kernel, params)
@@ -810,19 +824,21 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
     if rng_noise is None:
         rng_noise = rng_stream(params.seed, 0, replicate)
 
+    P = plan.fshape
+    spec = np.empty((P, P // 2 + 1), dtype=complex)
     if plan.block is None:
-        rows = _noise_rows(rng_noise, n, S, plan.fshape)
+        rows = _noise_rows(rng_noise, n, S, P)
     else:
         # win holds family rows r0 - carry .. r0 + k - 1 while r0 is summed
         carry = 2 * kappa
-        win = np.empty((carry + _ROW_BLOCK, side + carry, plan.block.dim))
+        win = np.empty((carry + _FAMILY_BLOCK, side + carry, plan.block.dim))
         x_tilde = np.zeros((side, side))
 
         def near_sum(r0, k):
             # output row o reads family rows o .. o + 2*kappa, so once block
             # r0 is in, rows up to r0 + k - carry are complete; every block
             # completes some (the first has k > carry: s1 > carry,
-            # _ROW_BLOCK > 10)
+            # _FAMILY_BLOCK > 10)
             o0, o1 = max(r0 - carry, 0), r0 + k - carry
             for idx, (j1, j2) in enumerate(plan.block.offsets):
                 # noise cell i - j for output i: shift the family by -j
@@ -835,11 +851,14 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
                 x_tilde[o0:o1] += plan.weights[idx] * contrib
             win[:carry] = win[k:k + carry]
 
-        rows = _noise_rows(rng_noise, n, S, plan.fshape, plan.block.chol,
-                           win[carry:], near_sum)
+        # the family's plain channel waits in the spectrum's rows and
+        # columns lo..lo+s1 (sheet cells N-kappa..) until its row rfft
+        lo, s1 = N - kappa, side + carry
+        rows = _noise_rows(rng_noise, n, S, P, plan.block.chol, win[carry:],
+                           near_sum, spec.view(float)[lo:lo + s1, lo:lo + s1])
     if sigma is not None:
         rows = _modulated(rows, sigma)
-    spec = _row_spectrum(rows, plan.fshape, workers)
+    spec = _row_spectrum(rows, P, workers, out=spec)
     # the far field goes straight into the near sum, when there is one
     values = _convolved_block(spec, plan.fft_a, N, side, workers,
                               into=None if plan.block is None else x_tilde)

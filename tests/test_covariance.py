@@ -588,3 +588,8 @@ def test_evaluation_policy_validation():
         EvaluationPolicy(mode="nearest")
     with pytest.raises(ValidationError):
         EvaluationPolicy(central_mode="bogus")
+    # a mode name, not a policy
+    with pytest.raises(ValidationError):
+        representative_radii([1], [0], -0.5, "optimal")
+    with pytest.raises(ValidationError):
+        cell_weight(Matern(0.5, 1.0), 10, (1, 0), "optimal")

@@ -705,15 +705,18 @@ def _hybrid_reference(plan, sigma, rng):
     return near + _far_field_direct(plan.a_matrix, sigma * plain, N, half)
 
 
-@pytest.mark.parametrize("kappa", [0, 1, 2, None])
+@pytest.mark.parametrize("kappa", [0, 1, 2, 5, None])
 @pytest.mark.parametrize("half", [None, _ROW_BLOCK // 2 + 3])
 @pytest.mark.parametrize("modulated", [False, True])
 def test_hybrid_streamed_matches_sample_noise_reference(kappa, half, modulated):
     # The engine streams the family into the near sum and the sheet into the
-    # far-field spectrum block by block; with s1 > _ROW_BLOCK the carried
-    # family rows are exercised.  A wrong carry or row offset moves whole
-    # rows by O(1), far beyond 1e-12.  kappa None is the Riemann engine: no
-    # family, the whole sheet from one plain draw.
+    # far-field spectrum block by block; every s1 here exceeds the 16-row
+    # family block, so the carried family rows are exercised (kappa 5
+    # carries the most, 10 rows), and at the wider half the family's plain
+    # channel spans two sheet blocks of the spectrum rows that hold it.  A
+    # wrong carry or row offset moves whole rows by O(1), far beyond 1e-12.
+    # kappa None is the Riemann engine: no family, the whole sheet from one
+    # plain draw.
     k = Matern(0.4, 1.0)
     p = SchemeParams(n=6, gamma=0.4, kappa=kappa or 0, seed=17)
     prepare, simulate = ((prepare_riemann, riemann_simulate) if kappa is None
@@ -784,9 +787,9 @@ def test_modulated_replicate_holds_one_nested_spectrum():
     # An expvmma replicate builds the nested volatility plan and runs one
     # nested replicate.  At its peak it holds the nested plan's real quarter,
     # one nested complex spectrum and arrays of about the host sheet's size
-    # (the family's row window alone is 2.7 of them at n = 32, then the near
-    # sum, the central family block, the row buffers and the row spectra):
-    # 7.4 sheets here.  A complex plan spectrum would add three quarters of
+    # (the near sum, 1 of them, the family's row window, 0.7 at n = 32, and
+    # the sheet's row draw, padded row buffer and row spectrum, 0.5 each):
+    # 3.1 sheets here.  A complex plan spectrum would add three quarters of
     # a nested spectrum, 2.3 sheets.
     k = Matern(0.5, 1.0)
     p = SchemeParams(n=32, gamma=0.3, kappa=1, seed=3)
@@ -799,6 +802,24 @@ def test_modulated_replicate_holds_one_nested_spectrum():
     h = P // 2 + 1
     bound = 8 * h * h + 16 * P * h + 8 * sheet
     assert peak <= bound, f"peak {(peak - 8 * h * h - 16 * P * h) / sheet:.2f} sheets"
+
+
+def test_modulated_replicate_keeps_no_family_scratch():
+    # As above at n = 64, where the replicate holds 1.9 sheets beyond the
+    # nested quarter and spectrum.  The family's plain channel waits in the
+    # spectrum's own rows: a separate (s1, s1) block for it would add about
+    # 1 sheet, and drawing the family 64 rows at a time 1.4 more.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=64, gamma=0.3, kappa=1, seed=3)
+    vol = ExpVmmaVolatility(ExpDecay(-0.2))
+    plan = prepare_hybrid(k, p)
+    peak = _replicate_peak(lambda: hybrid_simulate(k, p, vol, plan=plan))
+    N = p.n_trunc
+    sheet = 8 * (2 * (N + p.n) + 1) ** 2
+    P = next_fast_len(2 * (N + (N + p.n)) + 1, real=True)  # nested period
+    h = P // 2 + 1
+    beyond = (peak - 8 * h * h - 16 * P * h) / sheet
+    assert beyond <= 2.5, f"peak {beyond:.2f} sheets"
 
 
 def test_plan_build_peak_within_one_and_a_half_spectra():

@@ -201,9 +201,12 @@ def test_other_scipy_uses_pass():
     assert primitive_uses(source) == {key: [] for key in HOMES}
 
 
-# The one home of argument checks: errors.check_int and errors.check_real.
-# An integer-type test anywhere else is a hand-written copy of check_int.
+# The one home of argument checks: errors.check_int and errors.check_real,
+# and covariance.check_policy for a policy.  An integer-type test anywhere
+# else is a hand-written copy of check_int, and an EvaluationPolicy type test
+# outside check_policy one of check_policy.
 ARGUMENT_CHECK_HOME = "errors.py"
+POLICY_CHECK_HOME = ("covariance.py", "check_policy")
 _INTEGER_TYPES = {"numpy": "integer", "numbers": "Integral"}
 
 
@@ -230,10 +233,34 @@ def integer_type_uses(source: str) -> list:
     return found
 
 
+def policy_type_tests(source: str) -> list:
+    """The innermost enclosing function (None at module level) of each
+    isinstance(..., EvaluationPolicy) in `source`, the class also as a
+    module attribute or inside a tuple of types."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+              and len(node.args) == 2
+              and any(getattr(t, "id", getattr(t, "attr", None)) == "EvaluationPolicy"
+                      for t in ast.walk(node.args[1]))):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_argument_checks_have_one_home(path):
+    source = path.read_text()
     if path.name != ARGUMENT_CHECK_HOME:
-        assert integer_type_uses(path.read_text()) == []
+        assert integer_type_uses(source) == []
+    module, home = POLICY_CHECK_HOME
+    assert policy_type_tests(source) == ([home] if path.name == module else [])
 
 
 @pytest.mark.parametrize("source", [
@@ -252,6 +279,17 @@ def test_other_numeric_types_pass():
     source = ("import numpy as np\nimport numbers\nnp.int64(3)\nnp.floating\n"
               "numbers.Real\nparams.integer\nfrom numpy import int64\n")
     assert integer_type_uses(source) == []
+
+
+@pytest.mark.parametrize("source, scopes", [
+    ("isinstance(p, EvaluationPolicy)", [None]),
+    ("def f(p):\n    return isinstance(p, covariance.EvaluationPolicy)", ["f"]),
+    ("class C:\n    def g(self):\n        isinstance(self.p, (EvaluationPolicy, str))",
+     ["g"]),
+    ("isinstance(p, EvaluationPolicy_)\nisinstance(p, str)\nEvaluationPolicy()", []),
+])
+def test_policy_type_test_is_detected(source, scopes):
+    assert policy_type_tests(source) == scopes
 
 
 # One FFT-convolution path: a row rfft is taken only in fields._row_spectrum
