@@ -52,7 +52,11 @@ Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
 the two lags, so the correlation is evaluated once per canonical lag
 a >= b >= 0 and mirrored.  A doubling of M extends the table by the new lags
-only, so each distinct lag is evaluated once across all doublings.
+only, so each distinct lag is evaluated once across all doublings.  The base
+matrix is real and even, so its spectrum is the real part of its rfft2, and
+that half (columns 0..M//2) is formed straight into the complex (M, M) draw
+buffer by _row_spectrum, from base rows gathered out of the table a block at
+a time; neither the base matrix nor a full spectrum is ever held.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -924,14 +928,27 @@ def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
 
     Extends `table` (the same array for a smaller h): correlation is called
     once, on the canonical lags a >= b >= 0 with a beyond the old h, and
-    each value is mirrored to (b, a).
+    each value is mirrored to (b, a).  ValidationError is raised unless
+    correlation returns finite real values of its argument's shape.
     """
     old = table.shape[0]
     out = np.empty((h + 1, h + 1))
     out[:old, :old] = table
     a, b = octant_cells(h, old - 1)[:2]
     r = np.hypot(b, a) / n
-    v = variance * np.asarray(correlation(r), dtype=float)
+    v = np.asarray(correlation(r))
+    if v.shape != r.shape or v.dtype.kind not in "biuf":
+        raise ValidationError(
+            f"correlation returned {v.dtype} values of shape {v.shape} for "
+            f"lag distances of shape {r.shape}"
+        )
+    v = np.asarray(v, dtype=float)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValidationError(
+            f"correlation is not finite at r = {r[~finite][0]:.6g}"
+        )
+    v = variance * v
     out[a, b] = v
     out[b, a] = v
     return out
@@ -959,15 +976,17 @@ def circulant_simulate(
     negative eigenvalues (roundoff) are zeroed, not clipped from a truly
     indefinite spectrum.
 
-    The working set at torus side M is the (M/2+1)^2 lag table plus 24
-    bytes per torus point: one real and one complex M^2 array at a time,
-    and only the first 2n+1 rows take the final transform's second pass
-    (tracemalloc peak 77.7 MB, 26.0 bytes per point with the table, at
-    M = 1728).  Before each M's table and arrays the estimate is checked
-    against the available memory, and ValidationError is raised when it
-    does not fit; ValidationError is also raised unless n is an integer
-    >= 1, max_doublings an integer >= 0 and variance finite and positive
-    (bools are not integers).  The draw comes from
+    The working set at torus side M is the (M/2+1)^2 lag table plus 16
+    bytes per torus point: the one complex M^2 draw buffer, in which the
+    embedding's half spectrum is formed and the eigenvalues' square roots
+    wait for the draw, and only the first 2n+1 rows take the final
+    transform's second pass (tracemalloc peak 56.6 MB, 18.9 bytes per point
+    with the table, at M = 1728).  Before each M's table and buffer the
+    estimate is checked against the available memory, and ValidationError
+    is raised when it does not fit; ValidationError is also raised unless n
+    is an integer >= 1, max_doublings an integer >= 0, variance finite and
+    positive (bools are not integers) and correlation returns finite real
+    values of its argument's shape.  The draw comes from
     rng_stream(seed, 0, replicate).
     """
     check_int(n, "n", lo=1)
@@ -978,27 +997,35 @@ def circulant_simulate(
 
     M = _fft.next_fast_len(2 * side, real=True)
     table = np.empty((0, 0))
-    lam = None
     worst = None
     for doubling in range(max_doublings + 1):
-        _require_memory(8 * (M // 2 + 1) ** 2 + 24 * M * M,
+        _require_memory(8 * (M // 2 + 1) ** 2 + 16 * M * M,
                         f"circulant embedding on a torus of side M={M} "
                         f"(doubling {doubling} of {max_doublings})")
-        table = _lag_table(correlation, variance, n, table, M // 2)
+        h = M // 2
+        table = _lag_table(correlation, variance, n, table, h)
         idx = np.arange(M)
         d = np.minimum(idx, M - idx)
-        spec = _fft.fft2(table[d[:, None], d[None, :]], workers=w,
-                         overwrite_x=True)
-        mx = spec.real.max()
-        mn = spec.real.min()
+        # the base matrix table[d, d] is real and even, so its spectrum is
+        # the real part of the half rfft2(base) (columns 0..h), formed in the
+        # draw buffer with the rows gathered from the table a block at a time
+        z = np.empty((M, M), dtype=complex)
+        _row_spectrum(_padded_rows(lambda r0, k: table[d[r0:r0 + k, None], d],
+                                   M, M), M, w, out=z[:, :h + 1])
+        lam = z.real[:, :h + 1]
+        # fft2's fill for real input, bit for bit: on the self-conjugate
+        # columns (0, and h when M is even) rows m > h take row M-m
+        for c in (0, h) if M % 2 == 0 else (0,):
+            lam[h + 1:, c] = lam[M - h - 1:0:-1, c]
+        # every other eigenvalue is a copy of one in the half
+        mx = lam.max()
+        mn = lam.min()
         if mn >= -1e-10 * mx:
-            lam = spec.real.copy()
-            del spec
             break
-        del spec
+        del lam, z   # the view alone would keep z alive
         worst = mn
         M = _fft.next_fast_len(2 * M, real=True)
-    if lam is None:
+    else:
         raise EmbeddingError(
             f"circulant embedding not nonnegative definite after "
             f"{max_doublings} doublings (most negative eigenvalue {worst:.6e})"
@@ -1006,20 +1033,29 @@ def circulant_simulate(
     del table
     np.copyto(lam, 0.0, where=lam < 0.0)
     np.sqrt(lam, out=lam)
+    # z.imag takes sqrt(lam) on the whole torus: column c > h of row m is
+    # lam[(M-m) % M, M-c], then the half itself.  numpy copies a source
+    # that overlaps its destination's memory range, so the rows go a block
+    # at a time to keep that copy small.
+    scale = z.imag
+    for r0 in range(0, M, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, M)
+        scale[r0:r1, h + 1:] = lam[(M - np.arange(r0, r1)) % M, M - h - 1:0:-1]
+        scale[r0:r1, :h + 1] = lam[r0:r1]
+    del lam
 
     # z = sqrt(lam) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
     # standard_normal rejects the strided z.real as out=, so both parts go
-    # through one reused row buffer, which keeps the stream order.
+    # through one reused row buffer, which keeps the stream order.  Each
+    # part is its draw times the scale still in z.imag: a*c and b*c, the
+    # bits of the complex-by-real product (a + bj) * c.
     rng = rng_stream(seed, 0, replicate)
-    z = np.empty((M, M), dtype=complex)
     buf = np.empty((_ROW_BLOCK, M))
     for part in (z.real, z.imag):
         for r0 in range(0, M, _ROW_BLOCK):
             k = min(_ROW_BLOCK, M - r0)
             rng.standard_normal(out=buf[:k])
-            part[r0:r0 + k] = buf[:k]
-    z *= lam
-    del lam
+            np.multiply(buf[:k], scale[r0:r0 + k], out=part[r0:r0 + k])
     # fft2 transforms axis 0 then axis 1; only rows :side of the second pass
     # are kept, so it runs on those rows alone (same bits as fft2's)
     f = _fft.fft(z, axis=0, workers=w, overwrite_x=True)

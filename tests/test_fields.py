@@ -1071,14 +1071,23 @@ _TOP_HAT = lambda r: (np.asarray(r) < 1.5).astype(float)
         (lambda r: matern_correlation(0.5, 1.0, r), 2.5, 10, 3, True),
         (lambda r: np.exp(-3.0 * np.asarray(r)), 0.8, 7, 3, False),
         (_TOP_HAT, 1.0, 16, 1, True),
+        # odd tori: column h is not self-conjugate there, so the spectrum's
+        # conjugate fill touches column 0 only
+        pytest.param(lambda r: np.exp(-3.0 * np.asarray(r)), 0.8, 10, 3, False,
+                     id="odd-M45"),
+        pytest.param(lambda r: matern_correlation(0.4, 8.0, r), 1.0, 30, 3, False,
+                     id="odd-M125"),
     ],
 )
 def test_circulant_lag_table_matches_dense_embedding(corr, variance, n,
-                                                     max_doublings, doubles):
+                                                     max_doublings, doubles,
+                                                     request):
     side = 2 * n + 1
     for replicate in (0, 3):
         ref, M = _dense_circulant(corr, variance, n, 11, replicate, max_doublings)
         assert (M > next_fast_len(2 * side, real=True)) == doubles
+        if request.node.callspec.id.startswith("odd-"):
+            assert M % 2 == 1
         if isinstance(ref, str):
             with pytest.raises(EmbeddingError) as exc:
                 circulant_simulate(corr, variance, n, seed=11, replicate=replicate,
@@ -1118,6 +1127,20 @@ def test_circulant_validation():
         circulant_simulate(corr, 1.0, 0)
 
 
+@pytest.mark.parametrize("corr, match", [
+    # a scalar would broadcast to every lag: a constant field
+    (lambda r: 1.0, "shape"),
+    # a NaN at r = 0 would run every doubling before failing
+    (lambda r: np.where(np.asarray(r) == 0.0, np.nan, np.exp(-np.asarray(r))),
+     "not finite at r = 0"),
+    (lambda r: np.exp(-np.asarray(r))[:-1], "shape"),
+    (lambda r: np.exp(-np.asarray(r)) + 0j, "complex128 values"),
+], ids=["scalar", "nan-at-0", "one-short", "complex"])
+def test_circulant_rejects_bad_correlation_output(corr, match):
+    with pytest.raises(ValidationError, match=match):
+        circulant_simulate(corr, 1.0, 5)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n": True},
     {"max_doublings": -1},
@@ -1149,6 +1172,16 @@ def test_circulant_working_set_is_one_complex_and_one_real_array():
     M = 400
     peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 12, seed=0))
     assert peak <= 28 * M * M, f"{peak / M**2:.1f} bytes per torus point"
+
+
+def test_circulant_working_set_is_one_complex_array():
+    # test_05's field: n = 50, M = 1728 after three doublings.  The half
+    # spectrum is formed in the complex draw buffer (16 bytes per torus
+    # point) and the lag table adds 2.0; a separate real spectrum would add 8.
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    M = 1728
+    peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 50, seed=0))
+    assert peak <= 20 * M * M, f"{peak / M**2:.1f} bytes per torus point"
 
 
 @pytest.mark.parametrize("corr, n", [

@@ -299,11 +299,10 @@ FFT_HOMES = {"rfft": "_row_spectrum", "irfft": "_convolved_block"}
 _REAL_ND = ("rfft2", "irfft2", "rfftn", "irfftn")
 
 
-def real_fft_calls(source: str) -> list:
-    """(name, innermost enclosing function or None) of each call of a real
-    FFT in `source`, as `mod.rfft(...)` or a bare `rfft(...)`, and
-    (name, "import") of each import of one by name."""
-    names = set(FFT_HOMES) | set(_REAL_ND)
+def fft_calls(source: str, names) -> list:
+    """(name, innermost enclosing function or None) of each call in `source`
+    of an FFT named in `names`, as `mod.rfft(...)` or a bare `rfft(...)`,
+    and (name, "import") of each import of one by name."""
     found = []
 
     def visit(node, scope):
@@ -322,6 +321,11 @@ def real_fft_calls(source: str) -> list:
 
     visit(ast.parse(source), None)
     return found
+
+
+def real_fft_calls(source: str) -> list:
+    """fft_calls of the real FFTs, 1-D and n-D."""
+    return fft_calls(source, set(FFT_HOMES) | set(_REAL_ND))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -353,6 +357,36 @@ def test_complex_fft_and_homes_pass():
               "    return _fft.irfft(_fft.ifft(s, axis=0))\n"
               "def circulant(z):\n    return _fft.fft2(z), _fft.next_fast_len(9)\n")
     assert sorted(real_fft_calls(source)) == sorted(FFT_HOMES.items())
+
+
+# One forward 2-D spectrum path: a 2-D spectrum is formed by row
+# transforms and one column pass (fields._row_spectrum) and the circulant's
+# final transform is two 1-D passes; no module takes a 2-D or n-D complex
+# transform, which would hold a whole second spectrum.
+_COMPLEX_ND = ("fft2", "ifft2", "fftn", "ifftn")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_complex_nd_fft(path):
+    assert fft_calls(path.read_text(), _COMPLEX_ND) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy import fft as _fft\ndef circulant(z):\n    return _fft.fft2(z)",
+    "import numpy as np\ny = np.fft.ifftn(x, axes=(0, 1))",
+    "from scipy.fft import fftn",
+    "from numpy.fft import ifft2 as inverse",
+    "from scipy.fft import fft2\nfft2(x)",
+])
+def test_complex_nd_fft_is_detected(source):
+    assert fft_calls(source, _COMPLEX_ND)
+
+
+def test_complex_1d_and_real_nd_fft_pass():
+    source = ("from scipy import fft as _fft\nfrom scipy.fft import fft, ifft\n"
+              "_fft.fft(z, axis=0)\n_fft.ifft(z, axis=1)\nfft2_like = 3\n"
+              "_fft.rfft2(x)\nself.fftn_count += 1\n")
+    assert fft_calls(source, _COMPLEX_ND) == []
 
 
 def test_module_exports_resolve():
