@@ -25,17 +25,20 @@ centred: an array of side 2m+1 covers indices -m..m with index 0 at the
 middle.
 
 Far field: the step-kernel matrix (side 2*N+1, N = n_trunc) is evaluated
-on its octant, one kernel evaluation per canonical cell a >= b >= 0, and is
-convolved with the (S, S) noise sheet as a CIRCULAR convolution of period
-P = next_fast_len(S).  The plan centres the kernel on index 0 of the period
-(offsets 0..N in the first rows and columns, -N..-1 in the last N).  It is
-even in both axes, so its spectrum is real and even, and the plan keeps only
-the real quarter rfft2(centred, s=(P, P))[:P//2+1].real, built a block of
-_ROW_BLOCK rows at a time from the octant (neither the centred nor the
-dense matrix is ever held whole).  The sheet reaches one complex (P, P//2+1)
-spectrum the same way: each row block is zero-padded to width P and
-transformed along its rows, then the columns are transformed in place,
-which is bit-identical to rfft2(x, s=(P, P)).  Spectrum row m is multiplied
+on its octant, one kernel evaluation per distinct radius of the canonical
+cells a >= b >= 0, and is convolved with the (S, S) noise sheet as a
+CIRCULAR convolution of period P = next_fast_len(S).  The plan centres the
+kernel on index 0 of the period (offsets 0..N in the first rows and
+columns, -N..-1 in the last N).  It is even in both axes, so its spectrum
+is real and even, and the plan keeps only the real quarter rfft2(centred,
+s=(P, P))[:P//2+1].real.  The one builder of even spectra
+(_kernel_spectrum) transforms only the N+1 distinct rows along the rows,
+then the columns a block at a time, keeping each block's real part; neither
+the centred nor the dense matrix nor a complex spectrum is ever held whole.
+The sheet reaches one complex (P, P//2+1) spectrum a row block at a time:
+each block is zero-padded to width P and transformed along its rows, then
+the columns are transformed in place, which is bit-identical to rfft2(x,
+s=(P, P)).  Spectrum row m is multiplied
 in place by quarter row min(m, P-m) (a reversed view for the upper rows)
 and inverted along the columns in place.  Only the 2*half+1 kept rows, from
 row N, are inverted along the rows, _ROW_BLOCK at a time, and only their
@@ -50,13 +53,16 @@ exp(x/2) in place.
 
 Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
-the two lags, so the correlation is evaluated once per canonical lag
-a >= b >= 0 and mirrored.  A doubling of M extends the table by the new lags
-only, so each distinct lag is evaluated once across all doublings.  The base
-matrix is real and even, so its spectrum is the real part of its rfft2, and
-that half (columns 0..M//2) is formed straight into the complex (M, M) draw
-buffer by _row_spectrum, from base rows gathered out of the table a block at
-a time; neither the base matrix nor a full spectrum is ever held.
+the two lags, so it is held as a packed octant over the canonical lags
+a >= b >= 0 in octant_cells order, lag (a, b) at index a(a+1)/2 + b.  A
+doubling of M appends the new lags (a beyond the old M//2): the correlation
+is called once per torus size, on the sorted distinct distances of that
+size's new lags, and its values are scattered to them.  The base matrix
+is the octant's kernel centred on index 0 with N = M//2, so its spectrum is
+the real part of its rfft2, and _kernel_spectrum writes that half (columns
+0..M//2, all M rows) straight into the complex (M, M) draw buffer, whose
+first rows also hold the distinct rows' spectra until their columns are
+transformed; neither the base matrix nor a full spectrum is ever held.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -356,6 +362,9 @@ _ROW_BLOCK = 64
 # Rows per block of the correlated family's draw; above 2*kappa (at most 10),
 # so that every block completes some near-sum output rows.
 _FAMILY_BLOCK = 16
+# Columns per block of an even kernel's column transforms (_kernel_spectrum):
+# its (period, _COL_BLOCK) complex buffer is small beside any spectrum.
+_COL_BLOCK = 16
 
 
 def _padded_rows(get_rows, nrows: int, width: int):
@@ -465,7 +474,8 @@ def _modulated(rows, sigma: np.ndarray):
 
 
 def _row_spectrum(rows, period: int, workers: int | None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  columns: bool = True) -> np.ndarray:
     """rfft2 at (period, period) of a real array given as row blocks.
 
     `rows` yields (r0, block) with r0 increasing, each block zero-padded to
@@ -474,7 +484,9 @@ def _row_spectrum(rows, period: int, workers: int | None,
     complex (period, period//2+1) array, `out` when given, are transformed
     in place: the result equals rfft2(x, s=(period, period)) bit for bit.
     Rows r0.. of `out` are written only once block r0 has been yielded, so
-    the producer of `rows` may keep data there until then.
+    the producer of `rows` may keep data there until then.  With `columns`
+    False the column pass is left to the caller, and `out` need only hold
+    the rows the blocks cover.
     """
     w = fft_workers(workers)
     spec = (np.empty((period, period // 2 + 1), dtype=complex) if out is None
@@ -485,6 +497,8 @@ def _row_spectrum(rows, period: int, workers: int | None,
         end = r0 + block.shape[0]
         spec[r0:end] = _fft.rfft(block, axis=1, workers=w)
     spec[end:] = 0.0
+    if not columns:
+        return spec
     return _fft.fft(spec, axis=0, overwrite_x=True, workers=w)
 
 
@@ -649,14 +663,18 @@ def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
     |k|, and at the central cell, where the midpoint sits on the
     singularity, the optimal radius.  r_k depends on k only through its
     octant representative (a, b) = (max|k_i|, min|k_i|), so g is evaluated
-    once per canonical cell.
+    once per distinct radius of the canonical cells.
     """
     N = params.n_trunc
-    a, b = octant_cells(N, params.kappa if inner else -1)[:2]
-    r = representative_radii(a, b, kernel.alpha,
+    r = representative_radii(*octant_cells(N, params.kappa if inner else -1)[:2],
+                             kernel.alpha,
                              params.policy if inner else DEFAULT_POLICY)
+    r /= params.n
+    # cells such as (5, 0) and (4, 3) share a radius: g is evaluated once
+    # per distinct radius and scattered
+    x, cell = np.unique(r, return_inverse=True)
     octant = np.zeros((N + 1) * (N + 2) // 2)
-    octant[octant.size - r.size:] = kernel.eval_g(r / params.n)
+    octant[octant.size - r.size:] = kernel.eval_g(x)[cell]
     return octant
 
 
@@ -682,33 +700,54 @@ def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
 
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
-                     workers: int | None) -> np.ndarray:
-    """The real quarter rfft2(c, s=(period, period))[:period//2+1].real of
-    the step kernel c centred on index 0: offsets 0..N in rows and columns
+                     workers: int | None, out: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """The real spectrum rfft2(c, s=(period, period)).real, bit for bit, of
+    the kernel c that `octant` fills (see _octant_entries; offsets up to N,
+    2N <= period), centred on index 0: offsets 0..N in rows and columns
     0..N, offsets -N..-1 in the last N.  c is even in both axes, so its
-    spectrum is real and even and the quarter holds all of it.
+    spectrum is real and even.  The first out.shape[0] rows go into `out`,
+    a float array or view with period//2+1 columns: by default a new real
+    quarter, (period//2+1)^2.
 
-    c is filled from the octant a block of rows at a time, its N+1 rows from
-    the start and its N rows at the end; the rows between are zeroed inside
-    _row_spectrum, and neither c nor the dense matrix is ever built.
+    Row period-m of c equals row m, so only its N+1 distinct rows are
+    filled from the octant, a block of rows at a time, and transformed
+    along the rows by _row_spectrum into `rows`, a complex (N+1,
+    period//2+1) array or view (new when None).  The columns are then
+    transformed _COL_BLOCK at a time in one (period, _COL_BLOCK) buffer
+    holding rows 0..N, rows N..1 again from period-N and zeros between,
+    and only each block's real part is kept.  `rows` is read a column block
+    before the same columns of `out` are written, so the two may share
+    those columns' memory.  Neither c, the dense matrix nor a complex
+    spectrum is ever held.
     """
+    w = fft_workers(workers)
     h = period // 2 + 1
-    cols = np.arange(N + 1)[None, :]
+    out = np.empty((h, h)) if out is None else out
+    offsets = np.arange(N + 1)
 
-    def blocks():
-        # period rows 0..N hold offsets 0..N and rows period-N.. offsets
-        # -N..-1, filled like N..1; columns likewise, so each block takes
-        # columns 0..N from the octant and mirrors columns N..1 to the end
-        for lo, offsets in ((0, np.arange(N + 1)),
-                            (period - N, np.arange(N, 0, -1))):
-            def half_rows(r0, k, i=offsets[:, None]):
-                return _octant_entries(octant, i[r0:r0 + k], cols)
+    def distinct_rows():
+        # columns period-N.. hold offsets -N..-1, filled like N..1 (at
+        # 2N = period, column N twice)
+        rows_of = lambda r0, k: _octant_entries(
+            octant, offsets[r0:r0 + k, None], offsets[None, :])
+        for r0, block in _padded_rows(rows_of, N + 1, period):
+            block[:, period - N:] = block[:, N:0:-1]
+            yield r0, block
 
-            for r0, block in _padded_rows(half_rows, offsets.size, period):
-                block[:, period - N:] = block[:, N:0:-1]
-                yield lo + r0, block
-
-    return _row_spectrum(blocks(), period, workers)[:h].real.copy()
+    rows = _row_spectrum(distinct_rows(), period, w,
+                         out=np.empty((N + 1, h), dtype=complex)
+                         if rows is None else rows, columns=False)
+    buf = np.zeros((period, _COL_BLOCK), dtype=complex)
+    for c0 in range(0, h, _COL_BLOCK):
+        c1 = min(c0 + _COL_BLOCK, h)
+        col = buf[:, :c1 - c0]
+        col[:N + 1] = rows[:, c0:c1]
+        col[N + 1:period - N] = 0.0
+        col[period - N:] = rows[N:0:-1, c0:c1]
+        col = _fft.fft(col, axis=0, overwrite_x=True, workers=w)
+        out[:, c0:c1] = col[:out.shape[0]].real
+    return out
 
 
 @dataclass(frozen=True)
@@ -922,20 +961,20 @@ def riemann_simulate(
 # Circulant-embedding baseline (exact stationary Gaussian)
 
 
-def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
-               h: int) -> np.ndarray:
-    """variance * correlation(hypot(b, a) / n) for integer lags 0 <= a, b <= h.
+def _lag_octant(correlation, variance: float, n: int, octant: np.ndarray,
+                old: int, h: int) -> np.ndarray:
+    """variance * correlation(hypot(b, a) / n) on the canonical integer lags
+    a >= b >= 0 with a <= h, lag (a, b) at index a(a+1)/2 + b (octant_cells
+    order).
 
-    Extends `table` (the same array for a smaller h): correlation is called
-    once, on the canonical lags a >= b >= 0 with a beyond the old h, and
-    each value is mirrored to (b, a).  ValidationError is raised unless
-    correlation returns finite real values of its argument's shape.
+    Extends `octant` (the same vector for a <= old; empty for old = -1) by
+    appending the lags old < a <= h: correlation is called once, on the
+    sorted distinct distances of those lags, and its values are scattered
+    to them.  ValidationError is raised unless correlation returns finite
+    real values of its argument's shape.
     """
-    old = table.shape[0]
-    out = np.empty((h + 1, h + 1))
-    out[:old, :old] = table
-    a, b = octant_cells(h, old - 1)[:2]
-    r = np.hypot(b, a) / n
+    a, b = octant_cells(h, old)[:2]
+    r, lag = np.unique(np.hypot(b, a) / n, return_inverse=True)
     v = np.asarray(correlation(r))
     if v.shape != r.shape or v.dtype.kind not in "biuf":
         raise ValidationError(
@@ -948,10 +987,7 @@ def _lag_table(correlation, variance: float, n: int, table: np.ndarray,
         raise ValidationError(
             f"correlation is not finite at r = {r[~finite][0]:.6g}"
         )
-    v = variance * v
-    out[a, b] = v
-    out[b, a] = v
-    return out
+    return np.concatenate((octant, (variance * v)[lag]))
 
 
 def circulant_simulate(
@@ -967,22 +1003,25 @@ def circulant_simulate(
 
     correlation(r) must be an isotropic correlation function accepting array
     arguments (correlation(0) = 1); the target covariance is variance *
-    correlation(distance).  It is called on 1-D arrays of lag distances,
-    once per canonical integer lag pair across all doublings.  The
-    covariance is embedded on a torus of side >= 2*(2n+1); if the embedding
-    spectrum has an eigenvalue below -1e-10 * max, the torus is doubled (up
-    to max_doublings) and then an EmbeddingError reports the most negative
-    eigenvalue.  Within-tolerance
+    correlation(distance).  It is called once per torus size tried (the
+    first and each doubling), on a 1-D array of the sorted distinct
+    distances hypot(a, b)/n of that size's new canonical integer lags
+    a >= b >= 0 (those with a beyond the previous size's M//2), so each lag
+    is evaluated in exactly one call.  The covariance is embedded on a torus
+    of side >= 2*(2n+1); if the embedding spectrum has an eigenvalue below
+    -1e-10 * max, the torus is doubled (up to max_doublings) and then an
+    EmbeddingError reports the most negative eigenvalue.  Within-tolerance
     negative eigenvalues (roundoff) are zeroed, not clipped from a truly
     indefinite spectrum.
 
-    The working set at torus side M is the (M/2+1)^2 lag table plus 16
-    bytes per torus point: the one complex M^2 draw buffer, in which the
-    embedding's half spectrum is formed and the eigenvalues' square roots
-    wait for the draw, and only the first 2n+1 rows take the final
-    transform's second pass (tracemalloc peak 56.6 MB, 18.9 bytes per point
-    with the table, at M = 1728).  Before each M's table and buffer the
-    estimate is checked against the available memory, and ValidationError
+    The working set at torus side M is 16 bytes per torus point, the one
+    complex M^2 draw buffer, in which the embedding's half spectrum is
+    formed and the eigenvalues' square roots wait for the draw, plus the
+    packed lag octant, (M/2+1)(M/2+2)/2 values, and the spectrum builder's
+    row and column blocks; only the first 2n+1 rows take the final
+    transform's second pass (tracemalloc peak 53.9 MB, 18.1 bytes per point,
+    at M = 1728).  Before each M's lag octant and buffer that estimate is
+    checked against the available memory, and ValidationError
     is raised when it does not fit; ValidationError is also raised unless n
     is an integer >= 1, max_doublings an integer >= 0, variance finite and
     positive (bools are not integers) and correlation returns finite real
@@ -996,23 +1035,24 @@ def circulant_simulate(
     w = fft_workers(workers)
 
     M = _fft.next_fast_len(2 * side, real=True)
-    table = np.empty((0, 0))
+    octant, old = np.empty(0), -1
     worst = None
     for doubling in range(max_doublings + 1):
-        _require_memory(8 * (M // 2 + 1) ** 2 + 16 * M * M,
+        h = M // 2
+        # the octant, the draw buffer, the builder's complex column block
+        # and its row block (padded rows, their row spectra, index arrays)
+        _require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
+                        + 32 * _ROW_BLOCK * M,
                         f"circulant embedding on a torus of side M={M} "
                         f"(doubling {doubling} of {max_doublings})")
-        h = M // 2
-        table = _lag_table(correlation, variance, n, table, h)
-        idx = np.arange(M)
-        d = np.minimum(idx, M - idx)
-        # the base matrix table[d, d] is real and even, so its spectrum is
-        # the real part of the half rfft2(base) (columns 0..h), formed in the
-        # draw buffer with the rows gathered from the table a block at a time
+        octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
+        # the base matrix (lag (min(i, M-i), min(j, M-j)) at (i, j)) is the
+        # octant's kernel centred on index 0 with N = h, so its spectrum is
+        # the real part of the half rfft2(base) (columns 0..h), formed in
+        # the draw buffer, where the distinct rows' spectra also wait
         z = np.empty((M, M), dtype=complex)
-        _row_spectrum(_padded_rows(lambda r0, k: table[d[r0:r0 + k, None], d],
-                                   M, M), M, w, out=z[:, :h + 1])
-        lam = z.real[:, :h + 1]
+        lam = _kernel_spectrum(octant, h, M, w, out=z.real[:, :h + 1],
+                               rows=z[:h + 1, :h + 1])
         # fft2's fill for real input, bit for bit: on the self-conjugate
         # columns (0, and h when M is even) rows m > h take row M-m
         for c in (0, h) if M % 2 == 0 else (0,):
@@ -1030,7 +1070,7 @@ def circulant_simulate(
             f"circulant embedding not nonnegative definite after "
             f"{max_doublings} doublings (most negative eigenvalue {worst:.6e})"
         )
-    del table
+    del octant
     np.copyto(lam, 0.0, where=lam < 0.0)
     np.sqrt(lam, out=lam)
     # z.imag takes sqrt(lam) on the whole torus: column c > h of row m is

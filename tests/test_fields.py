@@ -823,14 +823,27 @@ def test_modulated_replicate_keeps_no_family_scratch():
 
 
 def test_plan_build_peak_within_one_and_a_half_spectra():
-    # the build holds one complex spectrum, then its real quarter, plus row
-    # blocks; never the dense kernel matrix or a second spectrum
+    # the build never holds the dense kernel matrix or a second spectrum
     k = Matern(0.5, 1.0)
     p = SchemeParams(n=100, gamma=0.3, kappa=1)
     P = next_fast_len(2 * (p.n_trunc + p.n) + 1, real=True)
     spectrum = 16 * P * (P // 2 + 1)
     peak = _replicate_peak(lambda: prepare_hybrid(k, p))
     assert peak <= 1.5 * spectrum, f"peak {peak / spectrum:.2f} spectra"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_plan_build_peak_below_one_spectrum(n):
+    # The build holds the real quarter and the row spectra of the kernel's
+    # N+1 distinct rows, about 0.6 spectra, plus the octant and row and
+    # column blocks, never a whole complex spectrum: 0.84 and 0.82 spectra
+    # here, against 1.32 and 1.34 with one.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=n, gamma=0.3, kappa=1)
+    P = next_fast_len(2 * (p.n_trunc + p.n) + 1, real=True)
+    spectrum = 16 * P * (P // 2 + 1)
+    peak = _replicate_peak(lambda: prepare_hybrid(k, p))
+    assert peak < spectrum, f"peak {peak / spectrum:.2f} spectra"
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "optimal"])
@@ -922,25 +935,34 @@ def _dense_radii(N):
     return k[None, :], k[:, None], np.hypot(k[None, :], k[:, None])
 
 
+# Cells that share a radius, such as (5, 0) and (4, 3), take one evaluation
+# between them in the octant; the dense reference evaluates every cell.  The
+# PurePower cutoff at radius 0.9 crosses the cells 6.3 (n = 7) and 14.4
+# (n = 16) steps out, so nearby radii fall on both sides of its kink.
+_OCTANT_KERNELS = [Matern(0.4, 1.0), ExpDecay(-0.3), PurePower(-0.4, 0.9)]
+
+
 @pytest.mark.parametrize("kappa", [0, 1, 2])
-@pytest.mark.parametrize("kernel", [Matern(0.4, 1.0), ExpDecay(-0.3)])
+@pytest.mark.parametrize("kernel", _OCTANT_KERNELS)
 def test_octant_hybrid_matrix_equals_dense_evaluation(kernel, kappa):
-    p = SchemeParams(n=7, gamma=0.5, kappa=kappa)
-    k1, k2, r = _dense_radii(p.n_trunc)
-    outside = np.maximum(np.abs(k1), np.abs(k2)) > kappa
-    ref = np.zeros(r.shape)
-    ref[outside] = kernel.eval_g(r[outside] / p.n)
-    assert np.array_equal(prepare_hybrid(kernel, p).a_matrix, ref)
+    for n in (7, 16):
+        p = SchemeParams(n=n, gamma=0.5, kappa=kappa)
+        k1, k2, r = _dense_radii(p.n_trunc)
+        outside = np.maximum(np.abs(k1), np.abs(k2)) > kappa
+        ref = np.zeros(r.shape)
+        ref[outside] = kernel.eval_g(r[outside] / p.n)
+        assert np.array_equal(prepare_hybrid(kernel, p).a_matrix, ref)
 
 
-@pytest.mark.parametrize("kernel", [Matern(0.4, 1.0), ExpDecay(-0.3)])
+@pytest.mark.parametrize("kernel", _OCTANT_KERNELS)
 def test_octant_riemann_matrix_equals_dense_evaluation(kernel):
-    p = SchemeParams(n=7, gamma=0.5)
-    N = p.n_trunc
-    _, _, r = _dense_radii(N)
-    r[N, N] = float(box_power_integrals(0, 0, kernel.alpha)) ** (1.0 / kernel.alpha)
-    assert np.array_equal(prepare_riemann(kernel, p).a_matrix,
-                          kernel.eval_g(r / p.n))
+    for n in (7, 16):
+        p = SchemeParams(n=n, gamma=0.5)
+        N = p.n_trunc
+        _, _, r = _dense_radii(N)
+        r[N, N] = float(box_power_integrals(0, 0, kernel.alpha)) ** (1.0 / kernel.alpha)
+        assert np.array_equal(prepare_riemann(kernel, p).a_matrix,
+                              kernel.eval_g(r / p.n))
 
 
 def test_octant_optimal_policy_matches_scalar_radii():
@@ -1108,15 +1130,20 @@ def test_circulant_evaluates_each_lag_once():
 
     n = 12
     circulant_simulate(counting, 1.0, n, seed=0)
-    h = 400 // 2  # M = 50 doubled three times
+    # M = 50 doubled three times: one call per torus size, each on the
+    # sorted distinct distances of the canonical lags a >= b >= 0 that the
+    # size adds (a beyond the previous M//2); lags such as (5, 0) and
+    # (4, 3) share a distance and are evaluated once
+    halves = [-1, 25, 50, 100, 200]
     assert len(calls) == 4
-    assert all(c.ndim == 1 for c in calls)
-    dist = np.concatenate(calls)
-    assert dist.size == (h + 1) * (h + 2) // 2
-    # the distances passed are those of the canonical lags a >= b >= 0, each
-    # exactly once (distinct lags such as (5, 0) and (4, 3) may share one)
-    a, b = np.tril_indices(h + 1)
-    assert np.array_equal(np.sort(dist), np.sort(np.hypot(b, a) / n))
+    for c, old, h in zip(calls, halves, halves[1:]):
+        assert c.ndim == 1 and np.all(np.diff(c) > 0.0)
+        a, b = np.tril_indices(h + 1)
+        new = a > old
+        assert np.array_equal(c, np.unique(np.hypot(b[new], a[new]) / n))
+    a, b = np.tril_indices(halves[-1] + 1)
+    assert np.array_equal(np.unique(np.concatenate(calls)),
+                          np.unique(np.hypot(b, a) / n))
 
 
 def test_circulant_validation():
@@ -1153,7 +1180,7 @@ def test_circulant_rejects_bad_integer_arguments(kwargs):
 
 
 def test_circulant_memory_preflight_refuses_before_allocating():
-    # n = 100000: torus side about 4e5, some 3.8 TB at 24 bytes per point
+    # n = 100000: torus side about 4e5, about 2.6 TB at 16 bytes per point
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="M=.*doubling 0.*MiB.*available"):
@@ -1177,11 +1204,28 @@ def test_circulant_working_set_is_one_complex_and_one_real_array():
 def test_circulant_working_set_is_one_complex_array():
     # test_05's field: n = 50, M = 1728 after three doublings.  The half
     # spectrum is formed in the complex draw buffer (16 bytes per torus
-    # point) and the lag table adds 2.0; a separate real spectrum would add 8.
+    # point), the packed lag octant adds 1.0 and the builder's row block
+    # about 1.0; a separate real spectrum would add 8.
     corr = lambda r: matern_correlation(0.4, 0.38, r)
     M = 1728
     peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 50, seed=0))
     assert peak <= 20 * M * M, f"{peak / M**2:.1f} bytes per torus point"
+
+
+def test_circulant_memory_estimate_covers_traced_peak(monkeypatch):
+    # test_05's field again: the preflight's estimate for the accepted torus
+    # (M = 1728) counts the draw buffer, the packed lag octant and the
+    # spectrum builder's row and column blocks, and stays above the peak.
+    needs = []
+    check = fields_mod._require_memory
+    monkeypatch.setattr(fields_mod, "_require_memory",
+                        lambda need, what: (needs.append(need), check(need, what)))
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 50, seed=0))
+    M = 1728
+    assert len(needs) == 4
+    assert peak <= needs[-1] <= 19 * M * M, (
+        f"peak {peak / M**2:.2f}, estimate {needs[-1] / M**2:.2f} bytes per point")
 
 
 @pytest.mark.parametrize("corr, n", [
