@@ -55,9 +55,10 @@ Lag table: the circulant embedding's base matrix on an M x M torus depends
 only on the integer lag pair (min(i, M-i), min(j, M-j)) and is symmetric in
 the two lags, so it is held as a packed octant over the canonical lags
 a >= b >= 0 in octant_cells order, lag (a, b) at index a(a+1)/2 + b.  A
-doubling of M appends the new lags (a beyond the old M//2): the correlation
-is called once per torus size, on the sorted distinct distances of that
-size's new lags, and its values are scattered to them.  The base matrix
+doubling of M appends the new lags (a beyond the old M//2): their distances
+are formed and sorted in the grown octant's own tail, the correlation is
+called once per torus size, on the sorted distinct distances of that size's
+new lags, and its values are scattered back there.  The base matrix
 is the octant's kernel centred on index 0 with N = M//2, so its spectrum is
 the real part of its rfft2, and _kernel_spectrum writes that half (columns
 0..M//2, all M rows) straight into the complex (M, M) draw buffer, whose
@@ -79,8 +80,10 @@ to the next block), and each sheet block is modulated and transformed at
 once, so neither the family nor the sheet is ever held whole.  The family's
 plain channel waits for the sheet in the caller's array: the engine keeps it
 in the spectrum's own rows and columns lo..lo+s1 (lo = N-kappa), each row
-read just before its row block's rfft overwrites it.  The volatility, from its own stream,
-is realised before the noise is drawn.
+read just before its row block's rfft overwrites it.  The volatility, from
+its own stream, is realised before the noise is drawn and, in a call that
+builds its own plan, before the host plan, so a nested field
+(ExpVmmaVolatility) never runs beside the host plan's quarter.
 """
 
 from __future__ import annotations
@@ -365,6 +368,9 @@ _FAMILY_BLOCK = 16
 # Columns per block of an even kernel's column transforms (_kernel_spectrum):
 # its (period, _COL_BLOCK) complex buffer is small beside any spectrum.
 _COL_BLOCK = 16
+# Cells per block of an octant's radii and of their scatter (_octant_radii,
+# _on_distinct): the blocks' index arrays are small beside the octant.
+_CELL_BLOCK = 8192
 
 
 def _padded_rows(get_rows, nrows: int, width: int):
@@ -652,6 +658,41 @@ def check_rate_hypothesis(kernel: KernelSpec, params: SchemeParams):
     )
 
 
+def _octant_radii(radius, hi: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = radius(a, b) over the canonical cells a >= b >= 0 with lo <
+    a <= hi, in octant_cells order.  The cells and their radii are formed
+    whole rows at a time, about _CELL_BLOCK cells per block, so no index or
+    multiplicity array spans the octant; radius must be elementwise."""
+    rows = max(1, _CELL_BLOCK // (hi + 1))
+    i = 0
+    for a0 in range(lo, hi, rows):
+        a, b = octant_cells(min(a0 + rows, hi), a0)[:2]
+        out[i:i + a.size] = radius(a, b)
+        i += a.size
+    return out
+
+
+def _on_distinct(f, r: np.ndarray):
+    """Replace each value of the float vector r by f(x)[k], where x is the
+    sorted distinct values of r (np.unique(r)) and x[k] the old value: f is
+    called once, on x, and returns an array of x's shape.  r is sorted in
+    place to find x and then takes the scattered values; beside it only the
+    sort's permutation, a mask, x, f(x) and a _CELL_BLOCK of ranks are held,
+    never np.unique's inverse index over all of r."""
+    perm = np.argsort(r)
+    r.sort()
+    first = np.empty(r.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(r[1:], r[:-1], out=first[1:])
+    v = f(r[first])
+    base = 0   # distinct values before the block
+    for i0 in range(0, r.size, _CELL_BLOCK):
+        rank = np.cumsum(first[i0:i0 + _CELL_BLOCK])
+        rank += base - 1
+        base = rank[-1] + 1
+        r[perm[i0:i0 + _CELL_BLOCK]] = v[rank]
+
+
 def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
                         inner: bool) -> np.ndarray:
     """g(r_k / n) on the canonical cells a >= b >= 0 of the window max|k| <=
@@ -663,18 +704,17 @@ def _step_kernel_octant(kernel: KernelSpec, params: SchemeParams,
     |k|, and at the central cell, where the midpoint sits on the
     singularity, the optimal radius.  r_k depends on k only through its
     octant representative (a, b) = (max|k_i|, min|k_i|), so g is evaluated
-    once per distinct radius of the canonical cells.
+    once per distinct radius of the canonical cells.  The radii are formed
+    in the octant's own step cells, which then take g.
     """
-    N = params.n_trunc
-    r = representative_radii(*octant_cells(N, params.kappa if inner else -1)[:2],
-                             kernel.alpha,
-                             params.policy if inner else DEFAULT_POLICY)
-    r /= params.n
+    N, lo = params.n_trunc, params.kappa if inner else -1
+    policy = params.policy if inner else DEFAULT_POLICY
+    octant = np.zeros((N + 1) * (N + 2) // 2)
     # cells such as (5, 0) and (4, 3) share a radius: g is evaluated once
     # per distinct radius and scattered
-    x, cell = np.unique(r, return_inverse=True)
-    octant = np.zeros((N + 1) * (N + 2) // 2)
-    octant[octant.size - r.size:] = kernel.eval_g(x)[cell]
+    _on_distinct(kernel.eval_g, _octant_radii(
+        lambda a, b: representative_radii(a, b, kernel.alpha, policy) / params.n,
+        N, lo, octant[(lo + 1) * (lo + 2) // 2:]))
     return octant
 
 
@@ -695,8 +735,18 @@ def _octant_rows(octant: np.ndarray, N: int) -> np.ndarray:
 
 def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
     """Sum of squares over the (2N+1)^2 matrix an octant fills, each
-    canonical cell counted with its octant_cells multiplicity."""
-    return float(np.sum(octant_cells(N)[2] * octant**2))
+    canonical cell counted with its octant_cells multiplicity: 8, 4 on an
+    axis (index a(a+1)/2) or the diagonal (a(a+1)/2 + a), 1 at the origin.
+    The weighted squares are formed in one array by exact power-of-two
+    scalings, so they and their sum are np.sum(mult * octant**2)'s bits."""
+    sq = np.square(octant)
+    sq *= 8.0
+    a = np.arange(1, N + 1)
+    axis = a * (a + 1) // 2
+    sq[axis] *= 0.5
+    sq[axis + a] *= 0.5
+    sq[0] /= 8.0
+    return float(np.sum(sq))
 
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
@@ -782,19 +832,23 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
     m0 = params.n if half is None else check_int(half, "half", lo=1)
     # The plan plus one replicate: the plan's real (P//2+1)^2 spectrum
     # quarter, the replicate's complex (P, P//2+1) spectrum (which also
-    # holds the family's plain channel), the (S, S) volatility sheet of a
-    # modulated field (a plan serves every volatility model, so it is always
-    # counted), the output and, with an inner block, the family's row window.
+    # holds the family's plain channel), the output, one sheet row block
+    # (its draw, padded rows and row spectrum) and, with an inner block, the
+    # family's row window and one block's draw.  No (S, S) volatility sheet:
+    # a realised one is the caller's array or the output of its model's own
+    # engine, whose check counted it, and a cold replicate realises it
+    # before it builds its plan.
     fsh = _sheet_period(params, m0)
     h = fsh // 2 + 1
     S = 2 * (params.n_trunc + m0) + 1
     side = 2 * m0 + 1
-    need = 8 * h * h + 16 * fsh * h + 8 * (S * S + side * side)
+    need = (8 * h * h + 16 * fsh * h + 8 * side * side
+            + 8 * _ROW_BLOCK * (S + fsh + 2 * h))
     if inner:
         kappa = params.kappa
         s1 = side + 2 * kappa
         d = (2 * kappa + 1) ** 2 + 1
-        need += 8 * (_FAMILY_BLOCK + 2 * kappa) * s1 * d
+        need += 8 * (2 * _FAMILY_BLOCK + 2 * kappa) * s1 * d
     _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
                           f"(plan and one replicate, FFT period {fsh})")
     check_rate_hypothesis(kernel, params)
@@ -821,7 +875,11 @@ def prepare_hybrid(
     the step kernel).  `half` widens the output window to indices -half..half
     (default n, i.e. the grid over [-1,1]^2); the discretization itself (cell
     size, truncation) is unchanged.  Raises ValidationError before building
-    anything when the plan plus one replicate would not fit in memory."""
+    anything when the plan plus one replicate would not fit in memory.  That
+    estimate counts no (S, S) volatility sheet: a realised sigma is the
+    caller's own array, or the output of its model's own engine, whose own
+    check counts it; a cold hybrid_simulate realises sigma before it builds
+    its plan here."""
     return _prepare(kernel, params, half, workers, inner=True)
 
 
@@ -833,7 +891,9 @@ def prepare_riemann(
 ) -> HybridPlan:
     """Build the reusable parts of the Riemann-sum scheme: a HybridPlan with
     no inner block (block and weights None) whose step kernel covers the
-    whole window.  `half` and the memory check are as in prepare_hybrid."""
+    whole window.  `half` and the memory check, which counts no volatility
+    sheet, are as in prepare_hybrid; a cold riemann_simulate realises sigma
+    before it builds its plan here."""
     return _prepare(kernel, params, half, workers, inner=False)
 
 
@@ -844,26 +904,30 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
     if vol is None:
         vol = ConstantVol(1.0)
     vol.validate_against(kernel)
-    if plan is None:
-        # through the public names, so that wrappers installed on them see
-        # the cold runs' plan builds
-        prepare = prepare_hybrid if inner else prepare_riemann
-        plan = prepare(kernel, params, workers=workers)
-    elif (plan.block is not None) != inner:
-        raise ValidationError(
-            f"plan was prepared for the {'Riemann' if inner else 'hybrid'} scheme")
-    elif plan.kernel != kernel or plan.params != params:
-        raise ValidationError("plan was prepared for different settings")
-    m0 = plan.half
+    if plan is not None:
+        if (plan.block is not None) != inner:
+            raise ValidationError(
+                f"plan was prepared for the "
+                f"{'Riemann' if inner else 'hybrid'} scheme")
+        if plan.kernel != kernel or plan.params != params:
+            raise ValidationError("plan was prepared for different settings")
+    m0 = params.n if plan is None else plan.half
     n, kappa, N = params.n, params.kappa, params.n_trunc
     side = 2 * m0 + 1
     S = 2 * (N + m0) + 1
 
+    # sigma first: a nested field (ExpVmmaVolatility) then runs before a
+    # cold call's plan exists, not beside it
     const = vol.constant_value
     sigma = None
     if const is None:
         sigma = vol.realize(n, N + m0, rng_stream(params.seed, 1, replicate),
                             workers)
+    if plan is None:
+        # through the public names, so that wrappers installed on them see
+        # the cold runs' plan builds
+        prepare = prepare_hybrid if inner else prepare_riemann
+        plan = prepare(kernel, params, workers=workers)
     if rng_noise is None:
         rng_noise = rng_stream(params.seed, 0, replicate)
 
@@ -967,27 +1031,34 @@ def _lag_octant(correlation, variance: float, n: int, octant: np.ndarray,
     a >= b >= 0 with a <= h, lag (a, b) at index a(a+1)/2 + b (octant_cells
     order).
 
-    Extends `octant` (the same vector for a <= old; empty for old = -1) by
-    appending the lags old < a <= h: correlation is called once, on the
-    sorted distinct distances of those lags, and its values are scattered
-    to them.  ValidationError is raised unless correlation returns finite
-    real values of its argument's shape.
+    Returns `octant` (the same vector for a <= old; empty for old = -1)
+    grown by the lags old < a <= h, in a new vector: their distances are
+    formed in its tail, correlation is called once, on their sorted
+    distinct values, and its values are scattered back there.
+    ValidationError is raised unless correlation returns finite real values
+    of its argument's shape.
     """
-    a, b = octant_cells(h, old)[:2]
-    r, lag = np.unique(np.hypot(b, a) / n, return_inverse=True)
-    v = np.asarray(correlation(r))
-    if v.shape != r.shape or v.dtype.kind not in "biuf":
-        raise ValidationError(
-            f"correlation returned {v.dtype} values of shape {v.shape} for "
-            f"lag distances of shape {r.shape}"
-        )
-    v = np.asarray(v, dtype=float)
-    finite = np.isfinite(v)
-    if not finite.all():
-        raise ValidationError(
-            f"correlation is not finite at r = {r[~finite][0]:.6g}"
-        )
-    return np.concatenate((octant, (variance * v)[lag]))
+    grown = np.empty((h + 1) * (h + 2) // 2)
+    grown[:octant.size] = octant
+
+    def values(r):
+        v = np.asarray(correlation(r))
+        if v.shape != r.shape or v.dtype.kind not in "biuf":
+            raise ValidationError(
+                f"correlation returned {v.dtype} values of shape {v.shape} "
+                f"for lag distances of shape {r.shape}"
+            )
+        v = np.asarray(v, dtype=float)
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise ValidationError(
+                f"correlation is not finite at r = {r[~finite][0]:.6g}"
+            )
+        return variance * v
+
+    _on_distinct(values, _octant_radii(lambda a, b: np.hypot(b, a) / n,
+                                       h, old, grown[octant.size:]))
+    return grown
 
 
 def circulant_simulate(

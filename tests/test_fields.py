@@ -18,7 +18,13 @@ from scipy.fft import fft2, ifft, irfft, next_fast_len, rfft2
 
 import vmma.fields as fields_mod
 from vmma.analysis import hybrid_mse, mse_study
-from vmma.covariance import EvaluationPolicy, box_power_integrals, build_block
+from vmma.covariance import (
+    EvaluationPolicy,
+    box_power_integrals,
+    build_block,
+    octant_cells,
+    representative_radii,
+)
 from vmma.errors import EmbeddingError, ValidationError
 from vmma.fields import (
     ConstantVol,
@@ -822,6 +828,23 @@ def test_modulated_replicate_keeps_no_family_scratch():
     assert beyond <= 2.5, f"peak {beyond:.2f} sheets"
 
 
+def test_cold_modulated_replicate_realises_sigma_before_host_plan():
+    # A cold expvmma call runs the nested field before it builds the host
+    # plan, so its peak is the warm replicate's: 1.93 sheets beyond the
+    # nested quarter and spectrum at n = 64.  With the host plan built
+    # first, its real quarter sits under the nested replicate: 2.18.
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=64, gamma=0.3, kappa=1, seed=3)
+    vol = ExpVmmaVolatility(ExpDecay(-0.2))
+    peak = _replicate_peak(lambda: hybrid_simulate(k, p, vol))
+    N = p.n_trunc
+    sheet = 8 * (2 * (N + p.n) + 1) ** 2
+    P = next_fast_len(2 * (N + (N + p.n)) + 1, real=True)  # nested period
+    h = P // 2 + 1
+    beyond = (peak - 8 * h * h - 16 * P * h) / sheet
+    assert beyond <= 2.0, f"peak {beyond:.2f} sheets"
+
+
 def test_plan_build_peak_within_one_and_a_half_spectra():
     # the build never holds the dense kernel matrix or a second spectrum
     k = Matern(0.5, 1.0)
@@ -844,6 +867,64 @@ def test_plan_build_peak_below_one_spectrum(n):
     spectrum = 16 * P * (P // 2 + 1)
     peak = _replicate_peak(lambda: prepare_hybrid(k, p))
     assert peak < spectrum, f"peak {peak / spectrum:.2f} spectra"
+
+
+def test_step_kernel_octant_builds_no_whole_octant_index_arrays():
+    # n = 128: the radii are formed in the octant a block of rows at a
+    # time, so the table peaks at 4.6 octants (the octant, the sort's
+    # permutation, the distinct radii and the kernel's temporaries on
+    # them), and the sum of squares at 1.0 (the weighted squares); with the
+    # whole-octant index, multiplicity and inverse arrays, 6.8 and 4.1.
+    p = SchemeParams(n=128, gamma=0.3, kappa=1)
+    octant = fields_mod._step_kernel_octant(Matern(0.5, 1.0), p, True)
+    peak = _replicate_peak(
+        lambda: fields_mod._step_kernel_octant(Matern(0.5, 1.0), p, True))
+    assert peak <= 5 * octant.nbytes, f"{peak / octant.nbytes:.2f} octants"
+    peak = _replicate_peak(lambda: fields_mod._octant_sq_sum(octant, p.n_trunc))
+    assert peak <= 1.5 * octant.nbytes, f"{peak / octant.nbytes:.2f} octants"
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "optimal"])
+@pytest.mark.parametrize("inner", [True, False])
+def test_step_kernel_octant_equals_whole_octant_unique(mode, inner):
+    # the block-wise radii and the sort-and-scatter give the bits of g on
+    # np.unique of the whole octant's radii, scattered by its inverse
+    k = Matern(0.3, 2.0)
+    p = SchemeParams(n=20, gamma=0.3, kappa=2, policy=EvaluationPolicy(mode=mode))
+    N, lo = p.n_trunc, p.kappa if inner else -1
+    r = representative_radii(*octant_cells(N, lo)[:2], k.alpha,
+                             p.policy if inner else EvaluationPolicy())
+    r /= p.n
+    x, cell = np.unique(r, return_inverse=True)
+    ref = np.zeros((N + 1) * (N + 2) // 2)
+    ref[ref.size - r.size:] = k.eval_g(x)[cell]
+    got = fields_mod._step_kernel_octant(k, p, inner)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_on_distinct_calls_once_on_unique_values():
+    # more values than one scatter block, most of them repeated
+    rng = np.random.default_rng(4)
+    r = rng.integers(0, 3000, size=3 * fields_mod._CELL_BLOCK + 5) / 7.0
+    x, inverse = np.unique(r, return_inverse=True)
+    calls = []
+
+    def f(v):
+        calls.append(v.copy())
+        return np.sqrt(v) + 1.0
+
+    fields_mod._on_distinct(f, r)
+    assert len(calls) == 1 and np.array_equal(calls[0], x)
+    assert r.tobytes() == (np.sqrt(x) + 1.0)[inverse].tobytes()
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 9])
+def test_octant_sq_sum_equals_multiplicity_weighted_sum(N):
+    # bit for bit the sum np.sum(mult * octant**2), whole arrays
+    size = (N + 1) * (N + 2) // 2
+    octant = np.random.default_rng(N).standard_normal(size) * 1e-3
+    ref = float(np.sum(octant_cells(N)[2] * octant**2))
+    assert fields_mod._octant_sq_sum(octant, N) == ref
 
 
 @pytest.mark.parametrize("mode", ["midpoint", "optimal"])
@@ -904,6 +985,42 @@ def test_memory_preflight_counts_plan_as_real_quarter(monkeypatch):
                         lambda: rest + int(1.5 * spectrum))
     plan = prepare_hybrid(Matern(0.5, 1.0), p)
     assert plan.fshape == P
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("simulate", [hybrid_simulate, riemann_simulate])
+@pytest.mark.parametrize("lognormal", [False, True], ids=["constant", "expvmma"])
+def test_memory_estimate_covers_cold_traced_peak(monkeypatch, n, simulate,
+                                                 lognormal):
+    # A cold call's estimates (the nested plan's first, for expvmma, then
+    # the host plan's) count no sigma sheet; the largest stays above the
+    # whole call's traced peak.  Measured margins: 1.3-3.0 % with constant
+    # sigma, 2.1-4.7 % with expvmma, where the nested replicate is the peak.
+    needs = []
+    check = fields_mod._require_memory
+    monkeypatch.setattr(fields_mod, "_require_memory",
+                        lambda need, what: (needs.append(need), check(need, what)))
+    k = Matern(0.5, 1.0)
+    p = SchemeParams(n=n, gamma=0.3, kappa=1, seed=3)
+    vol = ExpVmmaVolatility(ExpDecay(-0.2)) if lognormal else ConstantVol(1.0)
+    peak = _replicate_peak(lambda: simulate(k, p, vol))
+    assert len(needs) == (2 if lognormal else 1)
+    assert peak <= max(needs), f"peak {peak / max(needs):.3f} of the estimate"
+
+
+def test_cold_modulated_preflight_refuses_before_allocating():
+    # n = 5000 with a lognormal volatility: the nested field's check
+    # refuses before any nested or host spectrum exists
+    p = SchemeParams(n=5000, gamma=0.3, kappa=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="MiB.*available"):
+            hybrid_simulate(Matern(0.5, 1.0), p,
+                            ExpVmmaVolatility(ExpDecay(-0.2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_available_memory_caps_by_cgroup_limit(tmp_path):
@@ -1210,6 +1327,21 @@ def test_circulant_working_set_is_one_complex_array():
     M = 1728
     peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 50, seed=0))
     assert peak <= 20 * M * M, f"{peak / M**2:.1f} bytes per torus point"
+
+
+def test_lag_octant_transient_per_new_lag():
+    # The doubling from h = 216 to 432 (test_05's third torus): the new
+    # lags' distances are formed and sorted in the grown octant's tail, so
+    # the call peaks at 36.2 bytes per new lag (the grown octant 10.7, the
+    # sort's permutation 8, the distinct distances and their values), not
+    # 70.3 with whole index, multiplicity and inverse arrays, a values
+    # temporary and a concatenation.
+    corr = lambda r: np.exp(-np.asarray(r))
+    octant = fields_mod._lag_octant(corr, 1.0, 50, np.empty(0), -1, 216)
+    peak = _replicate_peak(
+        lambda: fields_mod._lag_octant(corr, 1.0, 50, octant, 216, 432))
+    new = 433 * 434 // 2 - octant.size
+    assert peak < 60 * new, f"{peak / new:.1f} bytes per new lag"
 
 
 def test_circulant_memory_estimate_covers_traced_peak(monkeypatch):
