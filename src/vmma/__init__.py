@@ -54,6 +54,7 @@ from .errors import (
     VmmaError,
 )
 from .fields import (
+    CirculantPlan,
     ConstantVol,
     ExpVmmaVolatility,
     FieldGrid,
@@ -64,6 +65,7 @@ from .fields import (
     circulant_simulate,
     conv2_fft,
     hybrid_simulate,
+    prepare_circulant,
     prepare_hybrid,
     prepare_riemann,
     riemann_simulate,
@@ -98,7 +100,8 @@ __all__ = [
     "ProvidedGridVol", "ExpVmmaVolatility", "volatility_from_log_field",
     "rng_stream", "sample_noise", "conv2_fft", "HybridPlan",
     "prepare_hybrid", "hybrid_simulate", "prepare_riemann",
-    "riemann_simulate", "circulant_simulate", "scheme_variance",
+    "riemann_simulate", "CirculantPlan", "prepare_circulant",
+    "circulant_simulate", "scheme_variance",
     # analysis
     "empirical_variogram", "square_increment_dim", "SchemeChoice",
     "parse_scheme", "RoughnessRow", "RoughnessReport", "roughness_study",

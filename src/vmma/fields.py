@@ -60,10 +60,18 @@ are formed and sorted in the grown octant's own tail, the correlation is
 called once per torus size, on the sorted distinct distances of that size's
 new lags, and its values are scattered back there.  The base matrix
 is the octant's kernel centred on index 0 with N = M//2, so its spectrum is
-the real part of its rfft2, and _kernel_spectrum writes that half (columns
-0..M//2, all M rows) straight into the complex (M, M) draw buffer, whose
+the real part of its rfft2.  The embedding search builds that half (columns
+0..M//2, all M rows) with _kernel_spectrum a column block at a time, and
+each block is stored zeroed below 0 and square-rooted: in a cold call
+straight into the imaginary part of the complex (M, M) draw buffer, whose
 first rows also hold the distinct rows' spectra until their columns are
-transformed; neither the base matrix nor a full spectrum is ever held.
+transformed, and in prepare_circulant into the plan's own real half, which
+each draw from the plan copies into its buffer.  Neither the base matrix
+nor a full spectrum is ever held.  Every |eigenvalue| is at most B = (1 +
+1e-9) * 8 * sum|octant|, since a canonical lag occurs at most 8 times on
+the torus, so a torus before the last one allowed is dropped at its first
+column block with a value below -1e-10 * B: the full test (minimum >=
+-1e-10 * maximum) would reject it too.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -92,7 +100,9 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy import fft as _fft
@@ -134,6 +144,8 @@ __all__ = [
     "hybrid_simulate",
     "prepare_riemann",
     "riemann_simulate",
+    "CirculantPlan",
+    "prepare_circulant",
     "circulant_simulate",
     "scheme_variance",
     "fft_workers",
@@ -751,14 +763,15 @@ def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
                      workers: int | None, out: np.ndarray | None = None,
-                     rows: np.ndarray | None = None) -> np.ndarray:
+                     rows: np.ndarray | None = None,
+                     stop_below: float | None = None):
     """The real spectrum rfft2(c, s=(period, period)).real, bit for bit, of
     the kernel c that `octant` fills (see _octant_entries; offsets up to N,
     2N <= period), centred on index 0: offsets 0..N in rows and columns
     0..N, offsets -N..-1 in the last N.  c is even in both axes, so its
     spectrum is real and even.  The first out.shape[0] rows go into `out`,
     a float array or view with period//2+1 columns: by default a new real
-    quarter, (period//2+1)^2.
+    quarter, (period//2+1)^2.  Returns `out`.
 
     Row period-m of c equals row m, so only its N+1 distinct rows are
     filled from the octant, a block of rows at a time, and transformed
@@ -770,18 +783,41 @@ def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
     before the same columns of `out` are written, so the two may share
     those columns' memory.  Neither c, the dense matrix nor a complex
     spectrum is ever held.
+
+    With `stop_below` (the circulant's embedding search), `out` takes all
+    period rows, the half of fft2(c).real, and each column block, once
+    transformed, takes fft2's fill for real input on the self-conjugate
+    columns (0, and period//2 when period is even: rows m > period//2 take
+    row period-m), updates a running minimum and maximum, and is stored
+    zeroed below 0 and square-rooted.  The build stops after the first
+    block whose minimum is below stop_below.  Returns then a dict of the
+    blocks built: lambda_min, lambda_max, the count `zeroed` of the values
+    set to 0, and `partial`, true when columns were left untransformed.
     """
     w = fft_workers(workers)
     h = period // 2 + 1
     out = np.empty((h, h)) if out is None else out
     offsets = np.arange(N + 1)
+    search = None
+    if stop_below is not None:
+        search = {"lambda_min": math.inf, "lambda_max": -math.inf,
+                  "zeroed": 0, "partial": False}
+        self_conjugate = (0, h - 1) if period % 2 == 0 else (0,)
 
     def distinct_rows():
-        # columns period-N.. hold offsets -N..-1, filled like N..1 (at
-        # 2N = period, column N twice)
-        rows_of = lambda r0, k: _octant_entries(
-            octant, offsets[r0:r0 + k, None], offsets[None, :])
-        for r0, block in _padded_rows(rows_of, N + 1, period):
+        # rows r0..r1-1 hold octant entry (r, c) at the columns c < r0 and
+        # (c, r) at c >= r1, indexed without the canonical max and min,
+        # which only the diagonal block needs; columns period-N.. hold
+        # offsets -N..-1, filled like N..1 (at 2N = period, column N twice)
+        tri = offsets * (offsets + 1) // 2
+        buf = np.zeros((_ROW_BLOCK, period))
+        for r0 in range(0, N + 1, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, N + 1)
+            r = offsets[r0:r1, None]
+            block = buf[:r1 - r0]
+            block[:, :r0] = octant[tri[r] + offsets[:r0]]
+            block[:, r1:N + 1] = octant[tri[r1:] + r]
+            block[:, r0:r1] = _octant_entries(octant, r, offsets[r0:r1])
             block[:, period - N:] = block[:, N:0:-1]
             yield r0, block
 
@@ -796,8 +832,25 @@ def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
         col[N + 1:period - N] = 0.0
         col[period - N:] = rows[N:0:-1, c0:c1]
         col = _fft.fft(col, axis=0, overwrite_x=True, workers=w)
-        out[:, c0:c1] = col[:out.shape[0]].real
-    return out
+        if search is None:
+            out[:, c0:c1] = col[:out.shape[0]].real
+            continue
+        lam = col.real
+        for c in self_conjugate:
+            if c0 <= c < c1:
+                lam[h:, c - c0] = lam[period - h:0:-1, c - c0]
+        lo, hi = float(lam.min()), float(lam.max())
+        search["lambda_min"] = min(search["lambda_min"], lo)
+        search["lambda_max"] = max(search["lambda_max"], hi)
+        if lo < stop_below:
+            search["partial"] = c1 < h
+            break
+        if lo < 0.0:
+            negative = lam < 0.0
+            search["zeroed"] += int(np.count_nonzero(negative))
+            np.copyto(lam, 0.0, where=negative)
+        np.sqrt(lam, out=out[:, c0:c1])
+    return out if search is None else search
 
 
 @dataclass(frozen=True)
@@ -1061,101 +1114,129 @@ def _lag_octant(correlation, variance: float, n: int, octant: np.ndarray,
     return grown
 
 
-def circulant_simulate(
-    correlation,
-    variance: float,
-    n: int,
-    seed: int = 0,
-    replicate: int = 0,
-    max_doublings: int = 3,
-    workers: int | None = None,
-) -> FieldGrid:
-    """Exact stationary Gaussian field on the (2n+1)^2 grid over [-1,1]^2.
+@dataclass(frozen=True)
+class CirculantPlan:
+    """The circulant embedding of one correlation, searched once.
 
-    correlation(r) must be an isotropic correlation function accepting array
-    arguments (correlation(0) = 1); the target covariance is variance *
-    correlation(distance).  It is called once per torus size tried (the
-    first and each doubling), on a 1-D array of the sorted distinct
-    distances hypot(a, b)/n of that size's new canonical integer lags
-    a >= b >= 0 (those with a beyond the previous size's M//2), so each lag
-    is evaluated in exactly one call.  The covariance is embedded on a torus
-    of side >= 2*(2n+1); if the embedding spectrum has an eigenvalue below
-    -1e-10 * max, the torus is doubled (up to max_doublings) and then an
-    EmbeddingError reports the most negative eigenvalue.  Within-tolerance
-    negative eigenvalues (roundoff) are zeroed, not clipped from a truly
-    indefinite spectrum.
+    sqrt_half is the read-only, contiguous real (M, M//2+1) half, columns
+    0..M//2 of the torus of side M, of the square roots of the embedding's
+    eigenvalues, those below 0 zeroed; every other column is a copy of one
+    of them.  The plan records the settings it was searched for, and
+    circulant_simulate(..., plan=) refuses other ones.  diagnostics is a
+    read-only mapping:
 
-    The working set at torus side M is 16 bytes per torus point, the one
-    complex M^2 draw buffer, in which the embedding's half spectrum is
-    formed and the eigenvalues' square roots wait for the draw, plus the
-    packed lag octant, (M/2+1)(M/2+2)/2 values, and the spectrum builder's
-    row and column blocks; only the first 2n+1 rows take the final
-    transform's second pass (tracemalloc peak 53.9 MB, 18.1 bytes per point,
-    at M = 1728).  Before each M's lag octant and buffer that estimate is
-    checked against the available memory, and ValidationError
-    is raised when it does not fit; ValidationError is also raised unless n
-    is an integer >= 1, max_doublings an integer >= 0, variance finite and
-    positive (bools are not integers) and correlation returns finite real
-    values of its argument's shape.  The draw comes from
-    rng_stream(seed, 0, replicate).
+      tori          for each torus tried, in order, a mapping with its side
+                    `size`, lambda_min and lambda_max, the bound
+                    (1 + 1e-9) * 8 * sum|octant| on every |eigenvalue|, and
+                    `partial`: the search stopped that torus at a column
+                    block whose minimum was below -1e-10 * bound, so its
+                    lambda_min is only an upper bound on the true minimum
+                    (and its lambda_max a lower bound on the maximum);
+      size          the accepted torus side M;
+      doublings     how many times the first torus was doubled;
+      zeroed        how many eigenvalues of the accepted half were below 0
+                    and set to 0;
+      most_negative the most negative of them (0.0 when none).
     """
-    check_int(n, "n", lo=1)
-    check_int(max_doublings, "max_doublings", lo=0)
-    check_real(variance, "variance", lo=0.0)
-    side = 2 * n + 1
-    w = fft_workers(workers)
 
-    M = _fft.next_fast_len(2 * side, real=True)
+    correlation: object
+    variance: float
+    n: int
+    max_doublings: int
+    sqrt_half: np.ndarray
+    diagnostics: Mapping
+
+    @property
+    def size(self) -> int:
+        """The accepted torus side M."""
+        return self.sqrt_half.shape[0]
+
+
+def _circulant_search(correlation, variance: float, n: int,
+                      max_doublings: int, workers: int | None, plan: bool):
+    """Search the torus sizes for a nonnegative definite embedding; the one
+    search of circulant_simulate and prepare_circulant.
+
+    Returns (buffer, diagnostics) with the diagnostics of CirculantPlan.
+    With `plan`, buffer is a new contiguous real (M, M//2+1) half of sqrt(λ)
+    and the preflight also counts it; else it is the cold call's complex
+    (M, M) draw buffer, whose imaginary part holds that half in columns
+    0..M//2.  Each torus's spectrum is built by _kernel_spectrum, which
+    stops at the first column block below -1e-10 * bound except on the last
+    torus allowed, whose full lambda_min the EmbeddingError reports.  bound
+    bounds every |λ|: a canonical lag occurs at most 8 times on the torus.
+    So an early stop happens only where the full test, λ_min >= -1e-10 *
+    λ_max, rejects too.
+    """
+    w = fft_workers(workers)
+    M = _fft.next_fast_len(2 * (2 * n + 1), real=True)
     octant, old = np.empty(0), -1
-    worst = None
+    tori = []
     for doubling in range(max_doublings + 1):
         h = M // 2
-        # the octant, the draw buffer, the builder's complex column block
-        # and its row block (padded rows, their row spectra, index arrays)
+        # the octant, one draw buffer (a cold call forms the half in it, a
+        # plan's draws each take one), the builder's complex column block
+        # and its row block (padded rows, their row spectra, index arrays),
+        # and a plan's own half
         _require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
-                        + 32 * _ROW_BLOCK * M,
+                        + 32 * _ROW_BLOCK * M + (8 * M * (h + 1) if plan else 0),
                         f"circulant embedding on a torus of side M={M} "
                         f"(doubling {doubling} of {max_doublings})")
         octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
+        bound = (1.0 + 1e-9) * 8.0 * float(np.sum(np.abs(octant)))
         # the base matrix (lag (min(i, M-i), min(j, M-j)) at (i, j)) is the
         # octant's kernel centred on index 0 with N = h, so its spectrum is
-        # the real part of the half rfft2(base) (columns 0..h), formed in
-        # the draw buffer, where the distinct rows' spectra also wait
-        z = np.empty((M, M), dtype=complex)
-        lam = _kernel_spectrum(octant, h, M, w, out=z.real[:, :h + 1],
-                               rows=z[:h + 1, :h + 1])
-        # fft2's fill for real input, bit for bit: on the self-conjugate
-        # columns (0, and h when M is even) rows m > h take row M-m
-        for c in (0, h) if M % 2 == 0 else (0,):
-            lam[h + 1:, c] = lam[M - h - 1:0:-1, c]
-        # every other eigenvalue is a copy of one in the half
-        mx = lam.max()
-        mn = lam.min()
-        if mn >= -1e-10 * mx:
+        # the real part of the half rfft2(base) (columns 0..h); a cold call
+        # forms it in its draw buffer, where the distinct rows' spectra
+        # also wait
+        if plan:
+            buf = half = np.empty((M, h + 1))
+            rows = None
+        else:
+            buf = np.empty((M, M), dtype=complex)
+            half, rows = buf.imag[:, :h + 1], buf[:h + 1, :h + 1]
+        last = doubling == max_doublings
+        torus = _kernel_spectrum(octant, h, M, w, out=half, rows=rows,
+                                 stop_below=-math.inf if last else -1e-10 * bound)
+        zeroed = torus.pop("zeroed")
+        tori.append(MappingProxyType({"size": M, "bound": bound, **torus}))
+        if (not torus["partial"]
+                and torus["lambda_min"] >= -1e-10 * torus["lambda_max"]):
             break
-        del lam, z   # the view alone would keep z alive
-        worst = mn
+        del half, rows, buf   # a view alone would keep the buffer alive
         M = _fft.next_fast_len(2 * M, real=True)
     else:
         raise EmbeddingError(
             f"circulant embedding not nonnegative definite after "
-            f"{max_doublings} doublings (most negative eigenvalue {worst:.6e})"
+            f"{max_doublings} doublings (most negative eigenvalue "
+            f"{tori[-1]['lambda_min']:.6e})"
         )
-    del octant
-    np.copyto(lam, 0.0, where=lam < 0.0)
-    np.sqrt(lam, out=lam)
-    # z.imag takes sqrt(lam) on the whole torus: column c > h of row m is
-    # lam[(M-m) % M, M-c], then the half itself.  numpy copies a source
+    return buf, MappingProxyType({
+        "tori": tuple(tori), "size": M, "doublings": doubling,
+        "zeroed": zeroed,
+        "most_negative": tori[-1]["lambda_min"] if zeroed else 0.0,
+    })
+
+
+def _circulant_draw(z: np.ndarray, n: int, seed: int, replicate: int,
+                    workers: int | None) -> FieldGrid:
+    """The field from the complex (M, M) draw buffer z, whose imaginary part
+    holds sqrt(λ) in columns 0..M//2; the one draw of circulant_simulate."""
+    w = fft_workers(workers)
+    M, side = z.shape[0], 2 * n + 1
+    h = M // 2
+    # z.imag takes sqrt(λ) on the whole torus: column c > h of row m is the
+    # half's entry at ((M-m) % M, M-c), so row 0 reads itself reversed and
+    # rows r0..r1-1 read rows M-r0 down to M-r1+1.  numpy copies a source
     # that overlaps its destination's memory range, so the rows go a block
     # at a time to keep that copy small.
     scale = z.imag
-    for r0 in range(0, M, _ROW_BLOCK):
+    scale[0, h + 1:] = scale[0, M - h - 1:0:-1]
+    for r0 in range(1, M, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, M)
-        scale[r0:r1, h + 1:] = lam[(M - np.arange(r0, r1)) % M, M - h - 1:0:-1]
-        scale[r0:r1, :h + 1] = lam[r0:r1]
-    del lam
+        scale[r0:r1, h + 1:] = scale[M - r0:M - r1:-1, M - h - 1:0:-1]
 
-    # z = sqrt(lam) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
+    # z = sqrt(λ) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
     # standard_normal rejects the strided z.real as out=, so both parts go
     # through one reused row buffer, which keeps the stream order.  Each
     # part is its draw times the scale still in z.imag: a*c and b*c, the
@@ -1173,6 +1254,102 @@ def circulant_simulate(
     f = _fft.fft(f[:side], axis=1, workers=w, overwrite_x=True)
     values = f.real[:, :side] / M
     return FieldGrid(values=values, spacing=1.0 / n, origin=(-1.0, -1.0))
+
+
+def _check_circulant_args(variance, n, max_doublings):
+    check_int(n, "n", lo=1)
+    check_int(max_doublings, "max_doublings", lo=0)
+    check_real(variance, "variance", lo=0.0)
+
+
+def prepare_circulant(
+    correlation,
+    variance: float,
+    n: int,
+    max_doublings: int = 3,
+    workers: int | None = None,
+) -> CirculantPlan:
+    """Search the circulant embedding of circulant_simulate once, for every
+    replicate: the arguments and the search are circulant_simulate's (see
+    there), and so are the fields drawn from the plan, bit for bit.
+
+    Before each torus size the memory check counts the plan's real
+    (M, M//2+1) half (8 bytes per entry, about 4 per torus point) beside
+    one draw's working set, so a plan that passes can be drawn from.
+    Raises EmbeddingError when no torus tried is nonnegative definite, and
+    ValidationError as circulant_simulate does.
+    """
+    _check_circulant_args(variance, n, max_doublings)
+    half, diagnostics = _circulant_search(correlation, variance, n,
+                                          max_doublings, workers, plan=True)
+    half.flags.writeable = False
+    return CirculantPlan(correlation=correlation, variance=variance, n=n,
+                         max_doublings=max_doublings, sqrt_half=half,
+                         diagnostics=diagnostics)
+
+
+def circulant_simulate(
+    correlation,
+    variance: float,
+    n: int,
+    seed: int = 0,
+    replicate: int = 0,
+    max_doublings: int = 3,
+    workers: int | None = None,
+    *,
+    plan: CirculantPlan | None = None,
+) -> FieldGrid:
+    """Exact stationary Gaussian field on the (2n+1)^2 grid over [-1,1]^2.
+
+    correlation(r) must be an isotropic correlation function accepting array
+    arguments (correlation(0) = 1); the target covariance is variance *
+    correlation(distance).  It is called once per torus size tried (the
+    first and each doubling), on a 1-D array of the sorted distinct
+    distances hypot(a, b)/n of that size's new canonical integer lags
+    a >= b >= 0 (those with a beyond the previous size's M//2), so each lag
+    is evaluated in exactly one call.  The covariance is embedded on a torus
+    of side >= 2*(2n+1); if the embedding spectrum has an eigenvalue below
+    -1e-10 * max, the torus is doubled (up to max_doublings) and then an
+    EmbeddingError reports the most negative eigenvalue.  A torus before the
+    last allowed one is dropped at the first column block of its spectrum
+    with a value below -1e-10 times a bound on every |eigenvalue|, which
+    only a torus the full test rejects can have.  Within-tolerance negative
+    eigenvalues (roundoff) are zeroed, not clipped from a truly indefinite
+    spectrum.
+
+    With `plan` from prepare_circulant(correlation, variance, n,
+    max_doublings) the search is skipped and the field drawn from the
+    plan's square roots, the same bits as a cold call's; a plan searched
+    for other settings raises ValidationError.
+
+    A cold call's working set at torus side M is 16 bytes per torus point,
+    the one complex M^2 draw buffer, in whose imaginary part the square
+    roots of the embedding's half spectrum are formed and wait for the
+    draw, plus the packed lag octant, (M/2+1)(M/2+2)/2 values, and the
+    spectrum builder's row and column blocks; only the first 2n+1 rows take
+    the final transform's second pass (tracemalloc peak 52.6 MB, 17.6 bytes
+    per point, at M = 1728).  A draw from a plan holds the draw buffer
+    beside the plan (48.8 MB there, the plan's half 12.0 MB).  Before each
+    M's lag octant and buffer that estimate is checked against the
+    available memory, and ValidationError
+    is raised when it does not fit; ValidationError is also raised unless n
+    is an integer >= 1, max_doublings an integer >= 0, variance finite and
+    positive (bools are not integers) and correlation returns finite real
+    values of its argument's shape.  The draw comes from
+    rng_stream(seed, 0, replicate).
+    """
+    _check_circulant_args(variance, n, max_doublings)
+    if plan is None:
+        z = _circulant_search(correlation, variance, n, max_doublings,
+                              workers, plan=False)[0]
+    else:
+        if (plan.correlation != correlation or plan.variance != variance
+                or plan.n != n or plan.max_doublings != max_doublings):
+            raise ValidationError("plan was prepared for different settings")
+        M = plan.size
+        z = np.empty((M, M), dtype=complex)
+        z.imag[:, :M // 2 + 1] = plan.sqrt_half
+    return _circulant_draw(z, n, seed, replicate, workers)
 
 
 # ---------------------------------------------------------------------------

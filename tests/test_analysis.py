@@ -36,7 +36,12 @@ from vmma.covariance import (
     representative_radii,
 )
 from vmma.errors import DegenerateDataError, ValidationError
-from vmma.fields import FieldGrid, SchemeParams, circulant_simulate
+from vmma.fields import (
+    FieldGrid,
+    SchemeParams,
+    circulant_simulate,
+    prepare_circulant,
+)
 from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
 from vmma.quadrature import radial_cell_integral
 
@@ -77,8 +82,9 @@ def test_variogram_matches_circulant_law():
     corr = lambda r: matern_correlation(nu, lam, r)
     reps = 120
     per_rep = []
+    plan = prepare_circulant(corr, var, n)
     for r in range(reps):
-        g = circulant_simulate(corr, var, n, seed=17, replicate=r)
+        g = circulant_simulate(corr, var, n, seed=17, replicate=r, plan=plan)
         per_rep.append([v for _, v in empirical_variogram(g, 10)])
     per_rep = np.asarray(per_rep)
     mean = per_rep.mean(axis=0)
@@ -96,8 +102,9 @@ def test_variogram_slope_recovers_roughness():
     corr = lambda r: matern_correlation(nu, 1.0, r)
     reps = 40
     acc = np.zeros(5)
+    plan = prepare_circulant(corr, 1.0, n)
     for r in range(reps):
-        g = circulant_simulate(corr, 1.0, n, seed=23, replicate=r)
+        g = circulant_simulate(corr, 1.0, n, seed=23, replicate=r, plan=plan)
         acc += np.array([v for _, v in empirical_variogram(g, 5)])
     acc /= reps
     lags = np.arange(1, 6) / n
@@ -153,8 +160,9 @@ def test_dim_recovers_exact_baseline():
     corr = lambda r: matern_correlation(0.5, 1.0, r)
     n = 50
     ds = []
+    plan = prepare_circulant(corr, 1.0, n)
     for r in range(30):
-        g = circulant_simulate(corr, 1.0, n, seed=29, replicate=r)
+        g = circulant_simulate(corr, 1.0, n, seed=29, replicate=r, plan=plan)
         ds.append(square_increment_dim(g))
     mean = float(np.mean(ds))
     assert abs(mean - 2.5) < 0.05, mean

@@ -9,12 +9,15 @@ distributional checks with 3-standard-error tolerances.
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.fft import fft2, ifft, irfft, next_fast_len, rfft2
+from scipy.special import j0
 
 import vmma.fields as fields_mod
 from vmma.analysis import hybrid_mse, mse_study
@@ -41,6 +44,7 @@ from vmma.fields import (
     conv2_fft,
     fft_workers,
     hybrid_simulate,
+    prepare_circulant,
     prepare_hybrid,
     prepare_riemann,
     riemann_simulate,
@@ -1135,8 +1139,9 @@ def test_circulant_moments():
     reps = 2500
     c0 = np.empty(reps)
     c1 = np.empty(reps)
+    plan = prepare_circulant(corr, var, n)
     for r in range(reps):
-        v = circulant_simulate(corr, var, n, seed=8, replicate=r).values
+        v = circulant_simulate(corr, var, n, seed=8, replicate=r, plan=plan).values
         c0[r] = v[n, n]
         c1[r] = v[n, n + 3]
     emp_var = c0.var()
@@ -1153,9 +1158,11 @@ def test_circulant_gaussian_marginal():
     # Short correlation length and pooled replicates so the effective sample
     # size supports a tight skewness bound.
     corr = lambda r: matern_correlation(0.4, 8.0, r)
+    plan = prepare_circulant(corr, 1.0, 30)
     vals = np.concatenate(
         [
-            circulant_simulate(corr, 1.0, 30, seed=3, replicate=r).values.ravel()
+            circulant_simulate(corr, 1.0, 30, seed=3, replicate=r,
+                               plan=plan).values.ravel()
             for r in range(50)
         ]
     )
@@ -1200,6 +1207,8 @@ def _dense_circulant(correlation, variance, n, seed, replicate, max_doublings):
 
 
 _TOP_HAT = lambda r: (np.asarray(r) < 1.5).astype(float)
+_SIGN_CHANGING = lambda r: j0(8.0 * np.asarray(r)) * np.exp(-0.5 * np.asarray(r))
+_GAUSSIAN = lambda r: np.exp(-(np.asarray(r) / 0.3) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -1216,12 +1225,29 @@ _TOP_HAT = lambda r: (np.asarray(r) < 1.5).astype(float)
                      id="odd-M45"),
         pytest.param(lambda r: matern_correlation(0.4, 8.0, r), 1.0, 30, 3, False,
                      id="odd-M125"),
+        # a correlation that changes sign, so the bound sum|octant| on the
+        # eigenvalues is above the spectrum at 0: accepted after two
+        # doublings, indefinite with one
+        pytest.param(_SIGN_CHANGING, 1.0, 6, 3, True, id="sign-change"),
+        pytest.param(_SIGN_CHANGING, 1.0, 6, 1, True, id="sign-change-indefinite"),
+        # no doubling allowed: the first torus is also the last
+        pytest.param(lambda r: np.exp(-3.0 * np.asarray(r)), 0.8, 7, 0, False,
+                     id="no-doubling"),
+        pytest.param(_TOP_HAT, 1.0, 16, 0, True, id="no-doubling-indefinite"),
+        # roundoff negatives in the accepted spectrum, zeroed
+        pytest.param(_GAUSSIAN, 1.0, 10, 3, False, id="zeroed"),
     ],
 )
 def test_circulant_lag_table_matches_dense_embedding(corr, variance, n,
                                                      max_doublings, doubles,
                                                      request):
+    # every field, cold or drawn from a plan, and every EmbeddingError text
+    # (from either call) is the dense reference's
     side = 2 * n + 1
+    try:
+        plan = prepare_circulant(corr, variance, n, max_doublings=max_doublings)
+    except EmbeddingError as exc:
+        plan = str(exc)
     for replicate in (0, 3):
         ref, M = _dense_circulant(corr, variance, n, 11, replicate, max_doublings)
         assert (M > next_fast_len(2 * side, real=True)) == doubles
@@ -1232,10 +1258,15 @@ def test_circulant_lag_table_matches_dense_embedding(corr, variance, n,
                 circulant_simulate(corr, variance, n, seed=11, replicate=replicate,
                                    max_doublings=max_doublings)
             assert str(exc.value) == ref
+            assert plan == ref
         else:
-            got = circulant_simulate(corr, variance, n, seed=11, replicate=replicate,
-                                     max_doublings=max_doublings).values
-            assert np.array_equal(got, ref)
+            assert plan.size == M
+            for kwargs in ({}, {"plan": plan}):
+                got = circulant_simulate(corr, variance, n, seed=11,
+                                         replicate=replicate,
+                                         max_doublings=max_doublings,
+                                         **kwargs).values
+                assert np.array_equal(got, ref)
 
 
 def test_circulant_evaluates_each_lag_once():
@@ -1308,14 +1339,17 @@ def test_circulant_memory_preflight_refuses_before_allocating():
     assert peak < 10 * 2**20
 
 
-def test_circulant_working_set_is_one_complex_and_one_real_array():
+def test_circulant_small_torus_working_set_is_one_complex_array():
     # n = 12, Matern(0.4, 0.38): M = 400 after three doublings (as in
-    # test_circulant_evaluates_each_lag_once); the lean body holds 24 bytes
-    # per torus point plus the lag table, never the old 82.
+    # test_circulant_evaluates_each_lag_once).  The body holds the complex
+    # draw buffer, 16 bytes per torus point; at this small M the lag octant
+    # and the spectrum builder's row and column blocks add about 3.6 more
+    # (19.6 traced).  A separate real spectrum would add 8, the old body
+    # held 82.
     corr = lambda r: matern_correlation(0.4, 0.38, r)
     M = 400
     peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 12, seed=0))
-    assert peak <= 28 * M * M, f"{peak / M**2:.1f} bytes per torus point"
+    assert peak <= 24 * M * M, f"{peak / M**2:.1f} bytes per torus point"
 
 
 def test_circulant_working_set_is_one_complex_array():
@@ -1368,6 +1402,118 @@ def test_circulant_worker_count_does_not_change_bytes(corr, n):
     g1 = circulant_simulate(corr, 1.3, n, seed=19, replicate=2, workers=1)
     g2 = circulant_simulate(corr, 1.3, n, seed=19, replicate=2, workers=2)
     assert g1.values.tobytes() == g2.values.tobytes()
+    plan = prepare_circulant(corr, 1.3, n, workers=2)
+    g3 = circulant_simulate(corr, 1.3, n, seed=19, replicate=2, workers=2,
+                            plan=plan)
+    assert g3.values.tobytes() == g1.values.tobytes()
+
+
+def test_circulant_search_drops_a_rejected_torus_at_its_first_column_block(
+        monkeypatch):
+    # n = 12, Matern(0.4, 0.38): the tori M = 50, 100 and 200 are rejected
+    # with a negative eigenvalue in column block 0, so each transforms that
+    # block only; the accepted M = 400 transforms all 13 blocks of its
+    # 201-column half.  The last torus allowed is never dropped early, so
+    # that its EmbeddingError reports the full minimum: with two doublings,
+    # M = 200 transforms all 7 blocks.
+    blocks = []
+
+    class CountingFft:
+        def __getattr__(self, name):
+            return getattr(scipy.fft, name)
+
+        def fft(self, x, *args, axis=-1, **kwargs):
+            if axis == 0 and x.shape[1] <= fields_mod._COL_BLOCK:
+                blocks.append(x.shape[0])
+            return scipy.fft.fft(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(fields_mod, "_fft", CountingFft())
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    circulant_simulate(corr, 1.0, 12, seed=0)
+    assert Counter(blocks) == {50: 1, 100: 1, 200: 1, 400: 13}
+    blocks.clear()
+    with pytest.raises(EmbeddingError):
+        circulant_simulate(corr, 1.0, 12, seed=0, max_doublings=2)
+    assert Counter(blocks) == {50: 1, 100: 1, 200: 7}
+
+
+def test_circulant_plan_reports_its_safeguards():
+    # test_05's embedding: the three rejected tori stop at their first
+    # column block, so their lambda_min is an upper bound only; M = 1728 is
+    # accepted with no eigenvalue zeroed.  Each bound 8 * sum|octant| is
+    # 1.0-3 % above lambda_max (the correlation is positive, so lambda_max
+    # is the spectrum at 0, sum|base| <= 8 * sum|octant|).
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    plan = prepare_circulant(corr, Matern(0.4, 0.38).g_squared_integral(), 50)
+    d = plan.diagnostics
+    tori = d["tori"]
+    assert [t["size"] for t in tori] == [216, 432, 864, 1728]
+    assert [t["partial"] for t in tori] == [True, True, True, False]
+    assert [t["lambda_min"] / t["lambda_max"] for t in tori] == pytest.approx(
+        [-1.56e-3, -2.87e-4, -2.99e-6, 1.18e-7], rel=0.01)
+    assert [t["bound"] / t["lambda_max"] for t in tori] == pytest.approx(
+        [1.029, 1.016, 1.010, 1.009], abs=0.001)
+    assert (d["size"], d["doublings"], d["zeroed"], d["most_negative"]) == (
+        1728, 3, 0, 0.0)
+    assert plan.size == 1728 and plan.sqrt_half.shape == (1728, 865)
+    assert plan.sqrt_half.flags.c_contiguous
+    assert not plan.sqrt_half.flags.writeable
+    with pytest.raises(TypeError):
+        d["zeroed"] = 1
+    with pytest.raises(TypeError):
+        tori[0]["partial"] = False
+
+
+def test_circulant_plan_reports_zeroed_eigenvalues():
+    # A Gaussian correlation's spectrum falls to roundoff: its first torus
+    # (M = 45) is accepted with a few eigenvalues at -1e-17 of lambda_max.
+    # They are counted in the half and zeroed, and the plan's square roots
+    # are those of the dense spectrum clipped at 0.
+    plan = prepare_circulant(_GAUSSIAN, 1.0, 10)
+    d = plan.diagnostics
+    M, h = plan.size, plan.size // 2
+    idx = np.arange(M)
+    lag = np.minimum(idx, M - idx).astype(float)
+    spec = fft2(_GAUSSIAN(np.hypot(lag[None, :], lag[:, None]) / 10)).real
+    half = spec[:, :h + 1]
+    assert (M, d["doublings"]) == (45, 0)
+    assert d["zeroed"] == np.count_nonzero(half < 0.0) > 0
+    assert d["most_negative"] == half.min() == d["tori"][-1]["lambda_min"]
+    assert d["most_negative"] >= -1e-10 * d["tori"][-1]["lambda_max"]
+    assert np.array_equal(plan.sqrt_half, np.sqrt(np.maximum(half, 0.0)))
+
+
+@pytest.mark.parametrize("change", [
+    {"variance": 1.1},
+    {"n": 11},
+    {"max_doublings": 2},
+    # the same values from another callable: the plan records the callable
+    {"correlation": lambda r: matern_correlation(0.5, 1.0, r)},
+], ids=["variance", "n", "max_doublings", "correlation"])
+def test_circulant_plan_for_other_settings_is_refused(change):
+    args = {"correlation": lambda r: matern_correlation(0.5, 1.0, r),
+            "variance": 1.0, "n": 10, "max_doublings": 3}
+    plan = prepare_circulant(**args)
+    circulant_simulate(**args, plan=plan)
+    with pytest.raises(ValidationError, match="different settings"):
+        circulant_simulate(**{**args, **change}, plan=plan)
+
+
+def test_prepare_circulant_memory_estimate_covers_traced_warm_peak(monkeypatch):
+    # test_05's embedding: prepare_circulant checks, before each torus, the
+    # plan's real half (about 4 bytes per torus point) beside one draw's
+    # working set, so its last estimate covers a plan and a draw from it.
+    needs = []
+    check = fields_mod._require_memory
+    monkeypatch.setattr(fields_mod, "_require_memory",
+                        lambda need, what: (needs.append(need), check(need, what)))
+    corr = lambda r: matern_correlation(0.4, 0.38, r)
+    peak = _replicate_peak(lambda: circulant_simulate(
+        corr, 1.0, 50, seed=0, plan=prepare_circulant(corr, 1.0, 50)))
+    M = 1728
+    assert len(needs) == 4
+    assert peak <= needs[-1] <= 23 * M * M, (
+        f"peak {peak / M**2:.2f}, estimate {needs[-1] / M**2:.2f} bytes per point")
 
 
 # ---------------------------------------------------------------------------

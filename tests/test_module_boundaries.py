@@ -292,23 +292,34 @@ def test_policy_type_test_is_detected(source, scopes):
     assert policy_type_tests(source) == scopes
 
 
-# One FFT-convolution path: a row rfft is taken only in fields._row_spectrum
-# and an irfft only in fields._convolved_block; no module takes a 2-D or
-# n-D real transform, which would be a second path beside them.
-FFT_HOMES = {"rfft": "_row_spectrum", "irfft": "_convolved_block"}
+# One FFT-convolution path and one spectrum builder: each 1-D transform has
+# named homes in fields.py.  A row rfft is taken only in _row_spectrum and an
+# irfft only in _convolved_block.  A complex fft is the column pass of
+# _row_spectrum, of _kernel_spectrum (the one builder of even spectra) and
+# the circulant draw's two passes; an ifft is _convolved_block's column
+# inverse.  No module takes a 2-D or n-D real transform, which would be a
+# second path beside them.
+FFT_CALLS = sorted([
+    ("rfft", "_row_spectrum"), ("fft", "_row_spectrum"),
+    ("fft", "_kernel_spectrum"),
+    ("ifft", "_convolved_block"), ("irfft", "_convolved_block"),
+    ("fft", "_circulant_draw"), ("fft", "_circulant_draw"),
+])
 _REAL_ND = ("rfft2", "irfft2", "rfftn", "irfftn")
 
 
 def fft_calls(source: str, names) -> list:
     """(name, innermost enclosing function or None) of each call in `source`
     of an FFT named in `names`, as `mod.rfft(...)` or a bare `rfft(...)`,
-    and (name, "import") of each import of one by name."""
+    and (name, "import") of each import of one by name from an FFT module
+    (`from scipy.fft import fft`, not `from scipy import fft`)."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        elif isinstance(node, ast.ImportFrom):
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[-1] in ("fft", "fftpack")):
             found.extend((alias.name, "import") for alias in node.names
                          if alias.name in names)
         elif isinstance(node, ast.Call):
@@ -323,16 +334,22 @@ def fft_calls(source: str, names) -> list:
     return found
 
 
-def real_fft_calls(source: str) -> list:
-    """fft_calls of the real FFTs, 1-D and n-D."""
-    return fft_calls(source, set(FFT_HOMES) | set(_REAL_ND))
+def one_path_fft_calls(source: str) -> list:
+    """fft_calls of the 1-D transforms with homes and of the real n-D ones."""
+    return fft_calls(source, {name for name, _ in FFT_CALLS} | set(_REAL_ND))
+
+
+def stray_fft_calls(source: str) -> list:
+    """one_path_fft_calls outside the transform's homes."""
+    homes = set(FFT_CALLS)
+    return [call for call in one_path_fft_calls(source) if call not in homes]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_fft_convolution_has_one_path(path):
-    calls = real_fft_calls(path.read_text())
+    calls = one_path_fft_calls(path.read_text())
     if path.name == "fields.py":
-        assert sorted(calls) == sorted(FFT_HOMES.items())
+        assert sorted(calls) == FFT_CALLS
     else:
         assert calls == []
 
@@ -346,18 +363,35 @@ def test_fft_convolution_has_one_path(path):
     "import numpy as np\ndef _row_spectrum(x):\n    return np.fft.irfftn(x)",
 ])
 def test_stray_real_fft_is_detected(source):
-    assert [call for call in real_fft_calls(source)
-            if FFT_HOMES.get(call[0]) != call[1]]
+    assert stray_fft_calls(source)
+
+
+# A second column-pass builder, or a complex transform beside the homes
+@pytest.mark.parametrize("source", [
+    "from scipy import fft as _fft\ndef _circulant_search(z):\n"
+    "    return _fft.fft(z, axis=0)",
+    "from scipy import fft as _fft\ndef _plan_spectrum(rows):\n"
+    "    return _fft.fft(rows, axis=0, overwrite_x=True)",
+    "from scipy import fft as _fft\ndef _simulate(s):\n    return _fft.ifft(s, axis=0)",
+    "import numpy as np\ny = np.fft.fft(x)",
+    "from scipy.fft import ifft",
+    "from numpy.fft import fft as column_pass",
+])
+def test_stray_complex_fft_is_detected(source):
+    assert stray_fft_calls(source)
 
 
 def test_complex_fft_and_homes_pass():
     source = ("from scipy import fft as _fft\n"
               "def _row_spectrum(b):\n    return _fft.fft(_fft.rfft(b), axis=0)\n"
+              "def _kernel_spectrum(col):\n    return _fft.fft(col, axis=0)\n"
               "def _convolved_block(s):\n"
               "    return _fft.irfft(_fft.ifft(s, axis=0))\n"
-              "def circulant(z):\n"
-              "    return _fft.fft(z, axis=1), _fft.next_fast_len(9)\n")
-    assert sorted(real_fft_calls(source)) == sorted(FFT_HOMES.items())
+              "def _circulant_draw(z):\n"
+              "    f = _fft.fft(z, axis=0)\n"
+              "    return _fft.fft(f, axis=1), _fft.next_fast_len(9)\n")
+    assert sorted(one_path_fft_calls(source)) == FFT_CALLS
+    assert stray_fft_calls(source) == []
 
 
 # One forward 2-D spectrum path: a 2-D spectrum is formed by row
