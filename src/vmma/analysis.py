@@ -23,21 +23,23 @@ Three groups of tools:
 
   The step-kernel cells fall into three bands of rings by their canonical
   index a: near (kappa < a <= _NEAR_CUTOFF), inner far (up to _OUTER_FIRST)
-  and outer far.  Every cell takes its band's tensor-Gauss rule, except the
-  cells a kernel kink may cross, which take adaptive radial quadrature and
-  alone share the adaptive budget.  Each band's order is chosen once per
-  hybrid_mse call by a probe on the band's innermost ring: the lowest
-  candidate whose multiplicity-weighted ring sum agrees with the band's
-  reference to _GAUSS_AGREEMENT relative.  The near band's reference is the
-  adaptive radial reduction, and with no candidate accepted it takes the
-  adaptive path; the far bands' reference is the 12-point rule, which they
-  keep when no lower order agrees.  Gauss error is set by the distance to
-  the integrand's nearest singularity (Trefethen 2008, SIAM Rev. 50(1), the
-  Bernstein ellipse); the kernel's only singularity is at the origin and
-  its exponential scale is the same in every cell, so a band's innermost
-  ring is its hardest.  MseEntry.far_order reports the inner far band's
-  order.  The bands are summed in chunks of whole rings, so no per-cell
-  array grows with n.
+  and outer far.  Every cell takes its band's cell rule -- a set of points
+  and weights on the unit cell (quadrature.cell_rule) -- except the cells a
+  kernel kink may cross, which take adaptive radial quadrature and alone
+  share the adaptive budget.  Each band's rule is chosen once per hybrid_mse
+  call by a probe on the band's innermost ring: the cheapest candidate
+  whose multiplicity-weighted ring sum agrees with the band's reference to
+  _GAUSS_AGREEMENT relative.  The candidates are m x m Gauss products, and
+  for the outer far band also the 12-point degree-7 rule.  The near band's
+  reference is the adaptive radial reduction, and with no candidate
+  accepted it takes the adaptive path; the far bands' reference is the
+  12 x 12 product, which they keep when no cheaper rule agrees.  Gauss
+  error is set by the distance to the integrand's nearest singularity
+  (Trefethen 2008, SIAM Rev. 50(1), the Bernstein ellipse); the kernel's
+  only singularity is at the origin and its exponential scale is the same
+  in every cell, so a band's innermost ring is its hardest.
+  MseEntry.far_order reports the inner far band's order.  The bands are
+  summed in chunks of whole rings, so no per-cell array grows with n.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ from .fields import (
 )
 from .kernels import KernelSpec, Matern
 from .quadrature import (
-    gauss_nodes,
+    TWELVE_POINT,
+    cell_rule,
     radial_cell_integral,
     square_exterior_radial_integral,
 )
@@ -343,18 +346,21 @@ def roughness_study(
 
 # The step-kernel cells fall into three bands of rings by the canonical index
 # a: near (a <= _NEAR_CUTOFF), inner far (a < _OUTER_FIRST) and outer far.
-# Each band takes the lowest tensor-Gauss order among its candidates whose
-# multiplicity-weighted sum over the band's innermost ring agrees with the
-# band's reference to _GAUSS_AGREEMENT relative: the adaptive radial
-# reduction for the near band, the _FAR_ORDER rule for the far bands.
+# Each band takes the cheapest cell rule among its candidates, which are
+# ordered by point count, whose multiplicity-weighted sum over the band's
+# innermost ring agrees with the band's reference to _GAUSS_AGREEMENT
+# relative: the adaptive radial reduction for the near band, the
+# _FAR_ORDER x _FAR_ORDER product for the far bands.  An int is an order of
+# the Gauss product; the inner far band takes only those, so
+# MseEntry.far_order is an order.
 _NEAR_CUTOFF = 12
 _OUTER_FIRST = 52
 _NEAR_CANDIDATES = (12, 16, 24)
 _FAR_ORDER = 12
 _FAR_CANDIDATES = (6, 8)
-_OUTER_CANDIDATES = (4, 6, 8)
+_OUTER_CANDIDATES = (TWELVE_POINT, 4, 6, 8)
 _GAUSS_AGREEMENT = 1e-13
-# relative error charged to a band's tensor-Gauss sum at the least: the
+# relative error charged to a band's cell-rule sum at the least: the
 # reference's own roundoff, which the probe cannot resolve
 _GAUSS_ROUNDOFF = 1e-14
 # canonical cells per chunk of whole rings in the step-kernel sums
@@ -418,18 +424,15 @@ def _kink_mask(a, b, kinks_cells):
     return mask
 
 
-def _tensor_cell_integrals(kernel, n, a, b, g0, order):
-    """Per cell, the order x order tensor-Gauss value of the integral over
-    the unit cell at (a, b) of (g(|j+u|/n) - g0)^2, accumulated node by
-    node over (cells,) arrays."""
-    nodes, wts = gauss_nodes(order)  # on [0, 1]
-    x = nodes - 0.5
+def _tensor_cell_integrals(kernel, n, a, b, g0, rule):
+    """Per cell, the cell rule's value (quadrature.cell_rule: an order of
+    the Gauss product, or TWELVE_POINT) of the integral over the unit cell
+    at (a, b) of (g(|j+u|/n) - g0)^2, accumulated point by point over
+    (cells,) arrays."""
     acc = np.zeros(np.shape(a))
-    for i in range(order):
-        for k in range(order):
-            r = np.hypot(a + x[i], b + x[k]) / n
-            d = kernel.eval_g(r) - g0
-            acc += (wts[i] * wts[k]) * d * d
+    for ux, uy, w in zip(*cell_rule(rule)):
+        d = kernel.eval_g(np.hypot(a + ux, b + uy) / n) - g0
+        acc += w * d * d
     return acc
 
 
@@ -449,17 +452,17 @@ def _adaptive_cell_integrals(kernel, n, a, b, g0, tol, kinks_cells):
 
 
 def _band_order(kernel, n, policy, kinks_cells, ring, candidates, reference):
-    """Tensor-Gauss order for a band whose innermost ring is `ring`.
+    """Cheapest cell rule for a band whose innermost ring is `ring`.
 
     Integrates the ring's cells (kink cells excluded) at their
-    representative radii with the reference -- an order, or None for the
-    adaptive radial reduction -- and with each candidate order, cheapest
+    representative radii with the reference -- a cell rule, or None for the
+    adaptive radial reduction -- and with each candidate rule, cheapest
     first.  A candidate is accepted when its signed, multiplicity-weighted
     ring sum agrees with the reference's to _GAUSS_AGREEMENT relative; a
     zero reference passes only on an exact zero.  The ring sum is compared,
     not each cell: far out, g(|j+u|/n) - g0 loses digits in proportion to
     the distance in cells, and that roundoff (about 1e-13 per cell beyond
-    a = 50) would reject every order cell by cell.  Returns (order, its
+    a = 50) would reject every rule cell by cell.  Returns (rule, its
     relative discrepancy), or (reference, 0.0) when no candidate agrees or
     the ring has only kink cells.
     """
@@ -474,11 +477,11 @@ def _band_order(kernel, n, policy, kinks_cells, ring, candidates, reference):
     else:
         cells = _tensor_cell_integrals(kernel, n, a, b, g0, reference)
     ref = float(np.sum(mult * cells))
-    for order in candidates:
-        s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, order)))
+    for rule in candidates:
+        s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, rule)))
         diff = abs(s - ref)
         if diff <= _GAUSS_AGREEMENT * abs(ref):
-            return order, diff / abs(ref) if ref else 0.0
+            return rule, diff / abs(ref) if ref else 0.0
     return reference, 0.0
 
 
@@ -496,32 +499,32 @@ def _ring_chunks(lo, hi):
 
 
 def _step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells):
-    """Tensor-Gauss part of the sum over canonical cells lo < a <= hi of
+    """Cell-rule part of the sum over canonical cells lo < a <= hi of
     mult * integral over the unit cell at (a, b) of (g(|j+u|/n) - g(r_j/n))^2,
     in units of the unit cell (caller divides by n^2).
 
-    bands lists (b_lo, b_hi, order, rel): the rings b_lo < a <= b_hi take the
-    order x order rule, whose sum is charged max(rel, _GAUSS_ROUNDOFF) of
-    itself as its error; order None sends the band's cells to the adaptive
-    path.  The rings are walked in chunks of _ring_chunks, so no per-cell
-    array grows with hi.  Returns (sum, error charged, adaptive cells),
-    the last a list of (a, b, g0, mult) arrays: the band cells without an
-    order and every cell a kink circle may cross.
+    bands lists (b_lo, b_hi, rule, rel): the rings b_lo < a <= b_hi take the
+    band's cheapest rule, as its probe chose it, whose sum is charged
+    max(rel, _GAUSS_ROUNDOFF) of itself as its error; rule None sends the
+    band's cells to the adaptive path.  The rings are walked in chunks of
+    _ring_chunks, so no per-cell array grows with hi.  Returns (sum, error
+    charged, adaptive cells), the last a list of (a, b, g0, mult) arrays:
+    the band cells without a rule and every cell a kink circle may cross.
     """
     total = err = 0.0
     adaptive = []
-    for b_lo, b_hi, order, rel in bands:
+    for b_lo, b_hi, rule, rel in bands:
         for c_lo, c_hi in _ring_chunks(max(lo, b_lo), min(hi, b_hi)):
             a, b, mult = octant_cells(c_hi, c_lo)
             g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
-            if order is None:
+            if rule is None:
                 adaptive.append((a, b, g0, mult))
                 continue
             kink = _kink_mask(a, b, kinks_cells)
             if np.any(kink):
                 adaptive.append((a[kink], b[kink], g0[kink], mult[kink]))
                 a, b, g0, mult = a[~kink], b[~kink], g0[~kink], mult[~kink]
-            s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, order)))
+            s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, rule)))
             total += s
             err += s * max(rel, _GAUSS_ROUNDOFF)
     return total, err, adaptive
@@ -549,15 +552,15 @@ def hybrid_mse(
 
     tol bounds the summed ABSOLUTE error estimate of E_n (a quarter of tol
     per term); it is not a relative tolerance per term.  D1's quarter is
-    split evenly over its cells.  In D2 and D3 each tensor-Gauss band is
+    split evenly over its cells.  In D2 and D3 each cell-rule band is
     charged max(its probe's relative discrepancy, _GAUSS_ROUNDOFF) of its
     own sum; the adaptively integrated cells -- the kink cells, and the near
-    band's when its probe accepts no order -- split a quarter of tol evenly,
+    band's when its probe accepts no rule -- split a quarter of tol evenly,
     counted with their multiplicities.  A component is therefore only
     guaranteed to about tol/component relative, no accuracy at all for one
     far below tol, and pass a smaller tol when a small term matters on its
     own.  Measured: for Matern(0.5, 60) at n = 20, D2 = 1.44e-7 is 3e-15
-    relative off a 24-point product-Gauss sum on the tensor-Gauss near band,
+    relative off a 24-point product-Gauss sum on the cell-rule near band,
     but was 5e-9 off with its near cells on the adaptive path.
 
     Emits the rate-hypothesis warning when the kernel's decay exponent makes
@@ -607,7 +610,7 @@ def hybrid_mse(
     err1 /= n**2
 
     # ---- D2 and D3: step-kernel cells, octant representatives, by band.
-    # Each band's order comes from a probe on its innermost ring.
+    # Each band's rule comes from a probe on its innermost ring.
     specs = ((kappa, _NEAR_CUTOFF, _NEAR_CANDIDATES, None),
              (_NEAR_CUTOFF, _OUTER_FIRST - 1, _FAR_CANDIDATES, _FAR_ORDER),
              (_OUTER_FIRST - 1, N, _OUTER_CANDIDATES, _FAR_ORDER))
@@ -616,17 +619,17 @@ def hybrid_mse(
     for i, (lo, hi, candidates, reference) in enumerate(specs):
         lo, hi = max(lo, kappa), min(hi, N)
         if lo < hi:
-            order, rel = _band_order(kernel, n, policy, kinks_cells, lo + 1,
-                                     candidates, reference)
-            bands.append((lo, hi, order, rel))
+            rule, rel = _band_order(kernel, n, policy, kinks_cells, lo + 1,
+                                    candidates, reference)
+            bands.append((lo, hi, rule, rel))
             if i == 1:
-                far_order = order
+                far_order = rule
     parts = [_step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells)
              for lo, hi in ((kappa, min(n, N)), (min(n, N), N))]
 
     # the adaptive budget is split over the cells that take the adaptive
     # path, counted with their multiplicities: the kink cells, and the near
-    # band's when its probe accepts no order.  The tensor-Gauss bands are
+    # band's when its probe accepts no rule.  The cell-rule bands are
     # charged their probes' discrepancies, far below tol_cell per cell, so
     # charging them would starve the adaptive cells.  Cell integrals are
     # computed in cell units, hence the n^2 Jacobian factor.

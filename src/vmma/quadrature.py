@@ -1,5 +1,5 @@
 """Radial quadrature on grid cells and a square's exterior, plus cached
-Gauss-Legendre nodes.
+Gauss-Legendre nodes and quadrature rules on the unit cell.
 
 The integrands we meet are functions of the distance to a grid point, often
 with an algebraic singularity or a kink on a circle.  Reducing an integral
@@ -28,6 +28,8 @@ __all__ = [
     "radial_cell_integral",
     "square_exterior_radial_integral",
     "gauss_nodes",
+    "cell_rule",
+    "TWELVE_POINT",
 ]
 
 
@@ -36,6 +38,55 @@ def gauss_nodes(m: int):
     """Gauss-Legendre nodes/weights on [0, 1], cached."""
     x, w = np.polynomial.legendre.leggauss(m)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+# The fully symmetric degree-7 rule for the square, tabulated in Stroud
+# (1971), Approximate Calculation of Multiple Integrals.  Its 12 points are
+# the lower bound for degree 7; the 4 x 4 Gauss product, of the same degree,
+# spends 16.
+TWELVE_POINT = "12-point degree 7"
+
+
+def _twelve_point_rule():
+    """(ux, uy, w) of the 12-point rule on [-1/2, 1/2]^2.  On [-1, 1]^2 it
+    has (+-r, 0) and (0, +-r) with weight 98/405, and (+-s, +-s) and
+    (+-t, +-t) with the weights below, summing to 4; the nodes are halved
+    and the weights quartered for the unit cell."""
+    q = math.sqrt(583.0)
+    r = math.sqrt(6.0 / 7.0)
+    s = math.sqrt((114.0 - 3.0 * q) / 287.0)
+    t = math.sqrt((114.0 + 3.0 * q) / 287.0)
+    pts = [(x, y, 98.0 / 405.0)
+           for x, y in ((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))]
+    for c, w in ((s, (178981.0 + 2769.0 * q) / 472230.0),
+                 (t, (178981.0 - 2769.0 * q) / 472230.0)):
+        pts += [(x, y, w) for x in (c, -c) for y in (c, -c)]
+    return tuple(np.array(col) * scale
+                 for col, scale in zip(zip(*pts), (0.5, 0.5, 0.25)))
+
+
+@lru_cache(maxsize=32)
+def cell_rule(rule):
+    """Points (ux, uy) and weights w of a quadrature rule on the unit cell
+    [-1/2, 1/2]^2, cached as read-only arrays: sum(w * f(ux, uy)) is the
+    rule's value of the integral of f over the cell.
+
+    rule is an int m >= 1 for the m x m Gauss-Legendre product, or
+    TWELVE_POINT for the 12-point degree-7 rule; ValidationError for
+    anything else.  The product is gauss_nodes(m) shifted by -1/2 and
+    flattened i-major (ux = x_i, uy = x_k, w = w_i * w_k), so summing
+    w * f point by point repeats the nested loop over i and k bit for bit.
+    """
+    if rule == TWELVE_POINT:
+        ux, uy, w = _twelve_point_rule()
+    else:
+        m = check_int(rule, "cell rule order", lo=1)
+        x, wx = gauss_nodes(m)
+        ux, uy = np.repeat(x - 0.5, m), np.tile(x - 0.5, m)
+        w = np.outer(wx, wx).ravel()
+    for c in (ux, uy, w):
+        c.setflags(write=False)
+    return ux, uy, w
 
 
 def _quadrant_arc(r: float, x0: float, x1: float, y0: float, y1: float) -> float:

@@ -43,7 +43,7 @@ from vmma.fields import (
     prepare_circulant,
 )
 from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
-from vmma.quadrature import radial_cell_integral
+from vmma.quadrature import TWELVE_POINT, radial_cell_integral
 
 
 def _grid(values, spacing=0.1):
@@ -440,6 +440,46 @@ def test_mse_far_cells_match_twelve_point_rule(kernel, policy):
 def test_mse_far_order_drops_for_smooth_kernel():
     e = hybrid_mse(Matern(0.5, 1.0), SchemeParams(n=20, gamma=0.5, kappa=1))
     assert e.far_order == 6
+
+
+@pytest.mark.parametrize("n,rule", [(20, 6), (40, TWELVE_POINT),
+                                    (80, TWELVE_POINT)])
+def test_mse_outer_band_probe_picks_cheapest_rule(n, rule):
+    # The outer far band's probe on its innermost ring, a = 52, tries the
+    # 12-point degree-7 rule first.  It is 1.8e-14 and 1.1e-14 off the
+    # 12 x 12 reference at n = 40 and 80.  At n = 20 a cell spans twice the
+    # kernel's scale it spans at n = 40: both degree-7 rules miss, the
+    # 12-point rule by 1.2e-13 and the 4 x 4 product by 1.6e-13, and order 6
+    # (8.6e-15) is the cheapest that agrees.
+    k = Matern(0.5, 1.0)
+    policy = SchemeParams(n=n, gamma=0.5, kappa=1).policy
+    got, rel = analysis._band_order(k, n, policy, (), analysis._OUTER_FIRST,
+                                    analysis._OUTER_CANDIDATES,
+                                    analysis._FAR_ORDER)
+    assert got == rule
+    assert rel <= analysis._GAUSS_AGREEMENT
+
+
+def test_mse_default_ladder_frozen():
+    # The `vmma mse` default ladder, frozen from the all-Gauss-product outer
+    # far band (orders 4, 6, 8) before the 12-point rule joined its
+    # candidates.  The 12-point rule moves D3 by about 1e-14 relative at
+    # n = 80 and leaves the other terms bit for bit.
+    frozen = {
+        20: (0.002597164689229315, 0.015065128003138297,
+             0.00017087219166430064, 0.00013628266529009192,
+             0.017969447549322004),
+        40: (0.0006565821910872221, 0.008187268846322385,
+             4.437754527013013e-05, 2.5646531382208997e-06,
+             0.008890793235817956),
+        80: (0.00016483955373201753, 0.004267507214259484,
+             1.1305983491968686e-05, 9.703299669486749e-09,
+             0.00444366245478314),
+    }
+    rep = mse_study(Matern(0.5, 1.0), [20, 40, 80], gamma=0.5, kappa=1)
+    for e in rep.entries:
+        got = (e.d1, e.d2, e.d3, e.d4, e.e_n)
+        assert got == pytest.approx(frozen[e.n], rel=1e-13, abs=0.0), e.n
 
 
 def test_mse_far_order_falls_back_for_steep_kernel():

@@ -125,13 +125,18 @@ def test_public_and_own_names_pass():
 
 # The one home of each numerical primitive: QUADPACK (scipy.integrate) is
 # driven only from quadrature.py, Bessel K (scipy.special.kv) is evaluated
-# only in kernels.py.
-HOMES = {"scipy.integrate": "quadrature.py", "scipy.special.kv": "kernels.py"}
+# only in kernels.py, and Gauss-Legendre nodes
+# (numpy.polynomial.legendre.leggauss), with the cell rules built on them,
+# are formed only in quadrature.py.
+_LEGGAUSS = "numpy.polynomial.legendre.leggauss"
+HOMES = {"scipy.integrate": "quadrature.py", "scipy.special.kv": "kernels.py",
+         _LEGGAUSS: "quadrature.py"}
 
 
 def primitive_uses(source: str) -> dict:
-    """Each import of scipy.integrate and each reference to
-    scipy.special.kv in `source`, keyed as in HOMES."""
+    """Each import of scipy.integrate, each reference to scipy.special.kv
+    and each import of or reference to leggauss (any `<x>.leggauss`) in
+    `source`, keyed as in HOMES."""
     tree = ast.parse(source)
     special = {"scipy.special"}
     found = {key: [] for key in HOMES}
@@ -149,6 +154,8 @@ def primitive_uses(source: str) -> dict:
                 found["scipy.integrate"].append(f"from {node.module} import ...")
             if node.module == "scipy.special" and "kv" in names:
                 found["scipy.special.kv"].append("from scipy.special import kv")
+            if "leggauss" in names:
+                found[_LEGGAUSS].append(f"from {node.module} import leggauss")
             if node.module == "scipy":
                 special.update(alias.asname or alias.name for alias in node.names
                                if alias.name == "special")
@@ -158,6 +165,8 @@ def primitive_uses(source: str) -> dict:
                 found["scipy.special.kv"].append(ast.unparse(node))
             elif ast.unparse(node) == "scipy.integrate":
                 found["scipy.integrate"].append(ast.unparse(node))
+            elif node.attr == "leggauss":
+                found[_LEGGAUSS].append(ast.unparse(node))
     return found
 
 
@@ -189,6 +198,11 @@ def test_bessel_k_is_the_one_kv_call_site():
     ("from scipy import special\nspecial.kv(0.5, 1.0)", "scipy.special.kv"),
     ("import scipy.special as sp\nsp.kv(0.5, 1.0)", "scipy.special.kv"),
     ("import scipy.special\nscipy.special.kv(0.5, 1.0)", "scipy.special.kv"),
+    ("import numpy as np\nnp.polynomial.legendre.leggauss(4)", _LEGGAUSS),
+    ("from numpy.polynomial.legendre import leggauss", _LEGGAUSS),
+    ("from numpy.polynomial import legendre as L\nL.leggauss(4)", _LEGGAUSS),
+    ("import numpy.polynomial.legendre\n"
+     "numpy.polynomial.legendre.leggauss(4)", _LEGGAUSS),
 ])
 def test_primitive_use_is_detected(source, key):
     assert primitive_uses(source)[key]
@@ -197,7 +211,8 @@ def test_primitive_use_is_detected(source, key):
 def test_other_scipy_uses_pass():
     source = ("from scipy.special import hyp2f1, roots_jacobi\n"
               "from scipy import fft as _fft, special as _sp\n"
-              "_sp.kve(0.5, 1.0)\nparams.kv\nfrom scipy import fft\n")
+              "_sp.kve(0.5, 1.0)\nparams.kv\nfrom scipy import fft\n"
+              "np.polynomial.legendre.legval(0.5, c)\n")
     assert primitive_uses(source) == {key: [] for key in HOMES}
 
 
