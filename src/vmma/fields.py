@@ -33,8 +33,9 @@ columns, -N..-1 in the last N).  It is even in both axes, so its spectrum
 is real and even, and the plan keeps only the real quarter rfft2(centred,
 s=(P, P))[:P//2+1].real.  The one builder of even spectra
 (_kernel_spectrum) transforms only the N+1 distinct rows along the rows,
-then the columns a block at a time, keeping each block's real part; neither
-the centred nor the dense matrix nor a complex spectrum is ever held whole.
+then yields the column transforms a block at a time, of which the plan
+keeps rows 0..P//2's real part; neither the centred nor the dense matrix
+nor a complex spectrum is ever held whole.
 The sheet reaches one complex (P, P//2+1) spectrum a row block at a time:
 each block is zero-padded to width P and transformed along its rows, then
 the columns are transformed in place, which is bit-identical to rfft2(x,
@@ -60,18 +61,15 @@ are formed and sorted in the grown octant's own tail, the correlation is
 called once per torus size, on the sorted distinct distances of that size's
 new lags, and its values are scattered back there.  The base matrix
 is the octant's kernel centred on index 0 with N = M//2, so its spectrum is
-the real part of its rfft2.  The embedding search builds that half (columns
-0..M//2, all M rows) with _kernel_spectrum a column block at a time, and
-each block is stored zeroed below 0 and square-rooted: in a cold call
-straight into the imaginary part of the complex (M, M) draw buffer, whose
-first rows also hold the distinct rows' spectra until their columns are
-transformed, and in prepare_circulant into the plan's own real half, which
-each draw from the plan copies into its buffer.  Neither the base matrix
-nor a full spectrum is ever held.  Every |eigenvalue| is at most B = (1 +
-1e-9) * 8 * sum|octant|, since a canonical lag occurs at most 8 times on
-the torus, so a torus before the last one allowed is dropped at its first
-column block with a value below -1e-10 * B: the full test (minimum >=
--1e-10 * maximum) would reject it too.
+the real part of its rfft2.  The embedding search (_circulant_search,
+which describes it) takes that half (columns 0..M//2, all M rows) from the
+same builder's column blocks and keeps each block zeroed below 0 and
+square-rooted: in a cold call straight into the imaginary part of the
+complex (M, M) draw buffer, whose first rows also hold the distinct rows'
+spectra until their columns are transformed, and in prepare_circulant into
+the plan's own real half, which each draw from the plan copies into its
+buffer.  Neither the base matrix nor a full spectrum is ever held, and the
+columns after a block that rules a torus out are never transformed.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -555,32 +553,6 @@ def _convolved_block(spec: np.ndarray, fft_a: np.ndarray, start: int,
     return out
 
 
-def _circular_convolve(fft_a: np.ndarray, b: np.ndarray, period: int,
-                       start: int, side: int, workers: int | None) -> np.ndarray:
-    """Circular convolution of period `period` of a kernel, given by its
-    spectrum `fft_a` at that period (see _convolved_block), with the sheet
-    b; returns the side x side block from (start, start) as a contiguous
-    array.  The engines feed the same path (_row_spectrum, _convolved_block)
-    with their streamed sheets, and only there is a row rfft or an irfft
-    taken.
-
-    The block equals the linear convolution wherever no term wraps: for the
-    far field (a plan's kernel centred on 0, start N, side 2*half+1, period
-    >= side(b)) every kept output reads only cells inside the sheet; for the
-    full linear convolution (kernel from index 0, start 0) the period must
-    cover the whole output.
-    """
-    rows = _padded_rows(lambda r0, k: b[r0:r0 + k], b.shape[0], period)
-    return _convolved_block(_row_spectrum(rows, period, workers), fft_a,
-                            start, side, workers)
-
-
-def _sheet_period(params: SchemeParams, half: int) -> int:
-    """FFT period of the far field: the fast length of the noise sheet side
-    S = 2*(n_trunc+half)+1."""
-    return _fft.next_fast_len(2 * (params.n_trunc + half) + 1, real=True)
-
-
 def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Full 2D linear convolution of two real square matrices via FFT.
 
@@ -595,9 +567,10 @@ def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.nd
         raise ValidationError(f"conv2_fft: second matrix not square 2D, got {b.shape}")
     out = a.shape[0] + b.shape[0] - 1
     fsh = _fft.next_fast_len(out, real=True)
-    fa = _row_spectrum(_padded_rows(lambda r0, k: a[r0:r0 + k], a.shape[0], fsh),
-                       fsh, workers)
-    return _circular_convolve(fa, b, fsh, 0, out, workers)
+    fa, fb = (_row_spectrum(_padded_rows(lambda r0, k: x[r0:r0 + k],
+                                         x.shape[0], fsh), fsh, workers)
+              for x in (a, b))
+    return _convolved_block(fb, fa, 0, out, workers)
 
 
 def _available_memory(meminfo: str = "/proc/meminfo",
@@ -739,12 +712,6 @@ def _octant_entries(octant: np.ndarray, i: np.ndarray,
     return octant[hi * (hi + 1) // 2 + lo]
 
 
-def _octant_rows(octant: np.ndarray, N: int) -> np.ndarray:
-    """The (2N+1)^2 step-kernel matrix, offset 0 at the middle."""
-    k = np.arange(-N, N + 1)
-    return _octant_entries(octant, k[:, None], k[None, :])
-
-
 def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
     """Sum of squares over the (2N+1)^2 matrix an octant fills, each
     canonical cell counted with its octant_cells multiplicity: 8, 4 on an
@@ -762,47 +729,32 @@ def _octant_sq_sum(octant: np.ndarray, N: int) -> float:
 
 
 def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
-                     workers: int | None, out: np.ndarray | None = None,
-                     rows: np.ndarray | None = None,
-                     stop_below: float | None = None):
-    """The real spectrum rfft2(c, s=(period, period)).real, bit for bit, of
-    the kernel c that `octant` fills (see _octant_entries; offsets up to N,
-    2N <= period), centred on index 0: offsets 0..N in rows and columns
-    0..N, offsets -N..-1 in the last N.  c is even in both axes, so its
-    spectrum is real and even.  The first out.shape[0] rows go into `out`,
-    a float array or view with period//2+1 columns: by default a new real
-    quarter, (period//2+1)^2.  Returns `out`.
+                     workers: int | None, rows: np.ndarray | None = None):
+    """Yield (c0, col) over the column blocks of the spectrum of the kernel
+    c that `octant` fills (see _octant_entries; offsets up to N, 2N <=
+    period), centred on index 0: offsets 0..N in rows and columns 0..N,
+    offsets -N..-1 in the last N.  col is the complex (period, k) transform
+    of columns c0..c0+k-1, _COL_BLOCK at a time over columns 0..period//2,
+    held in one reused buffer (valid until the next block).  c is even in
+    both axes, so its spectrum is real and even: the blocks' col[:period//2
+    + 1].real joined are rfft2(c, s=(period, period)).real bit for bit, and
+    col.real is fft2(c).real's, except that fft2 fills the rows m >
+    period//2 of the self-conjugate columns (0, and period//2 when period
+    is even) from row period-m.
 
     Row period-m of c equals row m, so only its N+1 distinct rows are
     filled from the octant, a block of rows at a time, and transformed
     along the rows by _row_spectrum into `rows`, a complex (N+1,
-    period//2+1) array or view (new when None).  The columns are then
-    transformed _COL_BLOCK at a time in one (period, _COL_BLOCK) buffer
-    holding rows 0..N, rows N..1 again from period-N and zeros between,
-    and only each block's real part is kept.  `rows` is read a column block
-    before the same columns of `out` are written, so the two may share
-    those columns' memory.  Neither c, the dense matrix nor a complex
-    spectrum is ever held.
-
-    With `stop_below` (the circulant's embedding search), `out` takes all
-    period rows, the half of fft2(c).real, and each column block, once
-    transformed, takes fft2's fill for real input on the self-conjugate
-    columns (0, and period//2 when period is even: rows m > period//2 take
-    row period-m), updates a running minimum and maximum, and is stored
-    zeroed below 0 and square-rooted.  The build stops after the first
-    block whose minimum is below stop_below.  Returns then a dict of the
-    blocks built: lambda_min, lambda_max, the count `zeroed` of the values
-    set to 0, and `partial`, true when columns were left untransformed.
+    period//2+1) array or view (new when None).  Each column block is then
+    transformed in a buffer holding rows 0..N, rows N..1 again from
+    period-N and zeros between.  Block c0 reads its columns of `rows`
+    before it is yielded, so the consumer may overwrite them from then on.
+    Neither c, the dense matrix nor a whole spectrum is ever held, and a
+    consumer that stops early leaves the later columns untransformed.
     """
     w = fft_workers(workers)
     h = period // 2 + 1
-    out = np.empty((h, h)) if out is None else out
     offsets = np.arange(N + 1)
-    search = None
-    if stop_below is not None:
-        search = {"lambda_min": math.inf, "lambda_max": -math.inf,
-                  "zeroed": 0, "partial": False}
-        self_conjugate = (0, h - 1) if period % 2 == 0 else (0,)
 
     def distinct_rows():
         # rows r0..r1-1 hold octant entry (r, c) at the columns c < r0 and
@@ -831,26 +783,7 @@ def _kernel_spectrum(octant: np.ndarray, N: int, period: int,
         col[:N + 1] = rows[:, c0:c1]
         col[N + 1:period - N] = 0.0
         col[period - N:] = rows[N:0:-1, c0:c1]
-        col = _fft.fft(col, axis=0, overwrite_x=True, workers=w)
-        if search is None:
-            out[:, c0:c1] = col[:out.shape[0]].real
-            continue
-        lam = col.real
-        for c in self_conjugate:
-            if c0 <= c < c1:
-                lam[h:, c - c0] = lam[period - h:0:-1, c - c0]
-        lo, hi = float(lam.min()), float(lam.max())
-        search["lambda_min"] = min(search["lambda_min"], lo)
-        search["lambda_max"] = max(search["lambda_max"], hi)
-        if lo < stop_below:
-            search["partial"] = c1 < h
-            break
-        if lo < 0.0:
-            negative = lam < 0.0
-            search["zeroed"] += int(np.count_nonzero(negative))
-            np.copyto(lam, 0.0, where=negative)
-        np.sqrt(lam, out=out[:, c0:c1])
-    return out if search is None else search
+        yield c0, _fft.fft(col, axis=0, overwrite_x=True, workers=w)
 
 
 @dataclass(frozen=True)
@@ -875,9 +808,10 @@ class HybridPlan:
     def a_matrix(self) -> np.ndarray:
         """The (2N+1)^2 step kernel, rebuilt on each access: the plan keeps
         only its spectrum's real quarter."""
-        return _octant_rows(
+        k = np.arange(-self.params.n_trunc, self.params.n_trunc + 1)
+        return _octant_entries(
             _step_kernel_octant(self.kernel, self.params, self.block is not None),
-            self.params.n_trunc)
+            k[:, None], k[None, :])
 
 
 def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
@@ -891,9 +825,9 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
     # a realised one is the caller's array or the output of its model's own
     # engine, whose check counted it, and a cold replicate realises it
     # before it builds its plan.
-    fsh = _sheet_period(params, m0)
-    h = fsh // 2 + 1
     S = 2 * (params.n_trunc + m0) + 1
+    fsh = _fft.next_fast_len(S, real=True)
+    h = fsh // 2 + 1
     side = 2 * m0 + 1
     need = (8 * h * h + 16 * fsh * h + 8 * side * side
             + 8 * _ROW_BLOCK * (S + fsh + 2 * h))
@@ -911,10 +845,13 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         weights = np.array([cell_weight(kernel, params.n, j, params.policy)
                             for j in block.offsets])
     octant = _step_kernel_octant(kernel, params, inner)
+    fft_a = np.empty((h, h))
+    for c0, col in _kernel_spectrum(octant, params.n_trunc, fsh, workers):
+        fft_a[:, c0:c0 + col.shape[1]] = col[:h].real
     return HybridPlan(
         kernel=kernel, params=params, half=m0, block=block, weights=weights,
-        fft_a=_kernel_spectrum(octant, params.n_trunc, fsh, workers),
-        fshape=fsh, a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
+        fft_a=fft_a, fshape=fsh,
+        a_sq_sum=_octant_sq_sum(octant, params.n_trunc),
     )
 
 
@@ -1161,12 +1098,22 @@ def _circulant_search(correlation, variance: float, n: int,
     With `plan`, buffer is a new contiguous real (M, M//2+1) half of sqrt(λ)
     and the preflight also counts it; else it is the cold call's complex
     (M, M) draw buffer, whose imaginary part holds that half in columns
-    0..M//2.  Each torus's spectrum is built by _kernel_spectrum, which
-    stops at the first column block below -1e-10 * bound except on the last
-    torus allowed, whose full lambda_min the EmbeddingError reports.  bound
-    bounds every |λ|: a canonical lag occurs at most 8 times on the torus.
-    So an early stop happens only where the full test, λ_min >= -1e-10 *
-    λ_max, rejects too.
+    0..M//2 and whose first rows keep the builder's `rows`.
+
+    The eigenvalues are the real part of the spectrum of the base matrix,
+    the lag octant's kernel centred on index 0 with N = M//2, which
+    _kernel_spectrum yields a column block at a time.  Each block takes
+    fft2's fill for real input on the self-conjugate columns (0, and M//2
+    when M is even: rows m > M//2 take row M-m), so that it holds
+    fft2(base).real bit for bit, and updates the torus's λ_min and λ_max.
+    Every |λ| is at most bound = (1 + 1e-9) * 8 * sum|octant| (a canonical
+    lag occurs at most 8 times on the torus), so a torus before the last
+    one allowed is dropped at its first block below -1e-10 * bound, which
+    the full test λ_min >= -1e-10 * λ_max rejects too (`partial` when
+    columns were left untransformed).  The last torus is built whole, so
+    that the EmbeddingError reports its full λ_min.  Each kept block is
+    stored zeroed below 0 (counted) and square-rooted, so no pass over the
+    whole half is left for the test, the zeroing or the square root.
     """
     w = fft_workers(workers)
     M = _fft.next_fast_len(2 * (2 * n + 1), real=True)
@@ -1184,37 +1131,49 @@ def _circulant_search(correlation, variance: float, n: int,
                         f"(doubling {doubling} of {max_doublings})")
         octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
         bound = (1.0 + 1e-9) * 8.0 * float(np.sum(np.abs(octant)))
-        # the base matrix (lag (min(i, M-i), min(j, M-j)) at (i, j)) is the
-        # octant's kernel centred on index 0 with N = h, so its spectrum is
-        # the real part of the half rfft2(base) (columns 0..h); a cold call
-        # forms it in its draw buffer, where the distinct rows' spectra
-        # also wait
         if plan:
             buf = half = np.empty((M, h + 1))
             rows = None
         else:
             buf = np.empty((M, M), dtype=complex)
             half, rows = buf.imag[:, :h + 1], buf[:h + 1, :h + 1]
-        last = doubling == max_doublings
-        torus = _kernel_spectrum(octant, h, M, w, out=half, rows=rows,
-                                 stop_below=-math.inf if last else -1e-10 * bound)
-        zeroed = torus.pop("zeroed")
-        tori.append(MappingProxyType({"size": M, "bound": bound, **torus}))
-        if (not torus["partial"]
-                and torus["lambda_min"] >= -1e-10 * torus["lambda_max"]):
+        stop = -math.inf if doubling == max_doublings else -1e-10 * bound
+        self_conjugate = (0, h) if M % 2 == 0 else (0,)
+        lam_min, lam_max, zeroed, partial = math.inf, -math.inf, 0, False
+        for c0, col in _kernel_spectrum(octant, h, M, w, rows):
+            c1 = c0 + col.shape[1]
+            lam = col.real
+            for c in self_conjugate:
+                if c0 <= c < c1:
+                    lam[h + 1:, c - c0] = lam[M - h - 1:0:-1, c - c0]
+            lo = float(lam.min())
+            lam_min = min(lam_min, lo)
+            lam_max = max(lam_max, float(lam.max()))
+            if lo < stop:
+                partial = c1 <= h
+                break
+            if lo < 0.0:
+                negative = lam < 0.0
+                zeroed += int(np.count_nonzero(negative))
+                np.copyto(lam, 0.0, where=negative)
+            np.sqrt(lam, out=half[:, c0:c1])
+        tori.append(MappingProxyType({
+            "size": M, "bound": bound, "lambda_min": lam_min,
+            "lambda_max": lam_max, "partial": partial}))
+        if not partial and lam_min >= -1e-10 * lam_max:
             break
-        del half, rows, buf   # a view alone would keep the buffer alive
+        # a view alone would keep its buffer alive
+        del half, rows, buf, col, lam
         M = _fft.next_fast_len(2 * M, real=True)
     else:
         raise EmbeddingError(
             f"circulant embedding not nonnegative definite after "
             f"{max_doublings} doublings (most negative eigenvalue "
-            f"{tori[-1]['lambda_min']:.6e})"
+            f"{lam_min:.6e})"
         )
     return buf, MappingProxyType({
         "tori": tuple(tori), "size": M, "doublings": doubling,
-        "zeroed": zeroed,
-        "most_negative": tori[-1]["lambda_min"] if zeroed else 0.0,
+        "zeroed": zeroed, "most_negative": lam_min if zeroed else 0.0,
     })
 
 

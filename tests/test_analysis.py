@@ -399,8 +399,8 @@ def test_mse_frozen_values_purepower_kink_ring():
 
 def _step_kernel_reference(kernel, n, N, kappa, policy):
     """(D2 + D3, D3) by product Gauss-Legendre over every step-kernel cell
-    kappa < max|j| <= N: the 12-point rule on cells with a > 12, 24 points
-    on the cells nearer the origin's singularity.  Representatives a >= b
+    kappa < max|j| <= N: the 12 x 12 Gauss product on cells with a > 12,
+    the 24 x 24 product on the cells nearer the origin's singularity.  Representatives a >= b
     carry their octant multiplicities; representative radii follow the
     policy (midpoint |j|, optimal box(j, alpha)^(1/alpha))."""
     a, b = np.array([(a, b) for a in range(kappa + 1, N + 1)
@@ -428,7 +428,7 @@ def _step_kernel_reference(kernel, n, N, kappa, policy):
                          ids=["midpoint", "optimal"])
 @pytest.mark.parametrize("kernel", [Matern(0.5, 1.0), Matern(0.05, 1.0),
                                     ExpDecay(-0.5)], ids=repr)
-def test_mse_far_cells_match_twelve_point_rule(kernel, policy):
+def test_mse_far_cells_match_gauss_product_reference(kernel, policy):
     for n in (20, 40):
         p = SchemeParams(n=n, gamma=0.5, kappa=1, policy=policy)
         e = hybrid_mse(kernel, p)
@@ -483,12 +483,13 @@ def test_mse_default_ladder_frozen():
 
 
 def test_mse_far_order_falls_back_for_steep_kernel():
-    # lam = 60 varies on a third of a cell at n = 20: the 8-point rule is
-    # 4.8e-11 off the 12-point rule on the innermost far cells, so the
-    # probe keeps the 12-point rule.  At n = 20 every D3 cell (a > 20) is a
-    # far cell, so D3 checks the far rule itself.  D2 is about 1.4e-7 here
-    # and its near cells take the tensor-Gauss near band, which on this
-    # steep kernel matches the 24-point reference to about 3e-15 relative.
+    # lam = 60 varies on a third of a cell at n = 20: the 8 x 8 Gauss
+    # product is 4.8e-11 off the 12 x 12 product on the innermost far
+    # cells, so the probe keeps the 12 x 12 product.  At n = 20 every D3
+    # cell (a > 20) is a far cell, so D3 checks the far rule itself.  D2 is
+    # about 1.4e-7 here and its near cells take the tensor-Gauss near band,
+    # which on this steep kernel matches the 24 x 24 product reference to
+    # about 3e-15 relative.
     k = Matern(0.5, 60.0)
     policy = EvaluationPolicy()
     p = SchemeParams(n=20, gamma=0.5, kappa=1, policy=policy)

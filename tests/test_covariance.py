@@ -26,7 +26,7 @@ from vmma.covariance import (
     representative_radii,
 )
 from vmma.errors import QuadratureError, ValidationError
-from vmma.fields import SchemeParams, _octant_rows, prepare_hybrid
+from vmma.fields import SchemeParams, _octant_entries, prepare_hybrid
 from vmma.kernels import ExpDecay, Matern, PurePower
 
 OPTIMAL = EvaluationPolicy(mode="optimal", central_mode="optimal_L")
@@ -381,11 +381,12 @@ def test_representative_radii_origin_is_scalar_optimal_radius():
 def test_octant_cells_index_and_orbit_sizes(hi):
     a, b, mult = octant_cells(hi)
     assert np.all((0 <= b) & (b <= a) & (a <= hi))
-    # cell k sits at index a(a+1)/2 + b, the index _octant_rows reads: the
-    # matrix it fills holds k exactly on cell (a[k], b[k]) and its mult[k]
-    # images under the grid's symmetries
+    # cell k sits at index a(a+1)/2 + b, the index _octant_entries reads:
+    # the matrix it fills holds k exactly on cell (a[k], b[k]) and its
+    # mult[k] images under the grid's symmetries
     assert np.array_equal(a * (a + 1) // 2 + b, np.arange(a.size))
-    filled = _octant_rows(np.arange(a.size), hi)
+    k = np.arange(-hi, hi + 1)
+    filled = _octant_entries(np.arange(a.size), k[:, None], k[None, :])
     assert np.array_equal(filled[hi + b, hi + a], np.arange(a.size))
     assert np.array_equal(np.bincount(filled.ravel()), mult)
     assert mult.sum() == (2 * hi + 1) ** 2

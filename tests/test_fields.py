@@ -38,8 +38,10 @@ from vmma.fields import (
     SchemeParams,
     _ROW_BLOCK,
     _available_memory,
-    _circular_convolve,
     _convolved_block,
+    _kernel_spectrum,
+    _padded_rows,
+    _row_spectrum,
     circulant_simulate,
     conv2_fft,
     fft_workers,
@@ -694,8 +696,9 @@ def test_far_field_circular_convolution_matches_direct_sum(n, gamma, kappa, half
     B = np.random.default_rng(n + half).standard_normal((S, S))
     for plan in (prepare_hybrid(Matern(0.4, 1.0), p, half=half),
                  prepare_riemann(Matern(0.4, 1.0), p, half=half)):
-        got = _circular_convolve(plan.fft_a, B, plan.fshape, N,
-                                 2 * half + 1, 1)
+        rows = _padded_rows(lambda r0, k: B[r0:r0 + k], S, plan.fshape)
+        got = _convolved_block(_row_spectrum(rows, plan.fshape, 1), plan.fft_a,
+                               N, 2 * half + 1, 1)
         ref = _far_field_direct(plan.a_matrix, B, N, half)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
 
@@ -779,6 +782,26 @@ def test_replicate_working_set_within_two_spectra(scheme):
     P = plan.fshape
     spectrum = P * (P // 2 + 1) * 16
     assert peak <= 2 * spectrum, f"peak {peak / spectrum:.2f} spectra"
+
+
+@pytest.fixture
+def column_blocks(monkeypatch):
+    """The period of each column-block transform (a complex fft along axis
+    0 of at most _COL_BLOCK columns) that the engines take while the test
+    runs, in order."""
+    blocks = []
+
+    class CountingFft:
+        def __getattr__(self, name):
+            return getattr(scipy.fft, name)
+
+        def fft(self, x, *args, axis=-1, **kwargs):
+            if axis == 0 and x.shape[1] <= fields_mod._COL_BLOCK:
+                blocks.append(x.shape[0])
+            return scipy.fft.fft(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(fields_mod, "_fft", CountingFft())
+    return blocks
 
 
 def _centred(a, period):
@@ -944,6 +967,34 @@ def test_plan_spectrum_equals_rfft2_of_step_kernel(mode):
         assert np.array_equal(plan.fft_a, ref)
         assert plan.a_sq_sum == pytest.approx(np.sum(plan.a_matrix**2),
                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("N, period", [(70, 150), (70, 147), (70, 140)],
+                         ids=["even", "odd", "2N=period"])
+def test_kernel_spectrum_yields_rfft2_and_fft2_column_blocks(N, period,
+                                                            column_blocks):
+    # the builder's column blocks are the real quarter of rfft2 and, with
+    # fft2's fill for real input on the self-conjugate columns, the half of
+    # fft2; a consumer that stops after block 0 costs one column transform
+    octant = np.random.default_rng(N + period).standard_normal(
+        (N + 1) * (N + 2) // 2)
+    k = np.arange(-N, N + 1)
+    c = _centred(fields_mod._octant_entries(octant, k[:, None], k[None, :]),
+                 period)
+    h = period // 2 + 1
+    quarter, half = np.empty((h, h)), np.empty((period, h))
+    for c0, col in _kernel_spectrum(octant, N, period, 1):
+        quarter[:, c0:c0 + col.shape[1]] = col[:h].real
+        half[:, c0:c0 + col.shape[1]] = col.real
+    for j in (0, h - 1) if period % 2 == 0 else (0,):
+        half[h:, j] = half[period - h:0:-1, j]
+    assert np.array_equal(quarter, rfft2(c).real[:h])
+    assert np.array_equal(half, fft2(c).real[:, :h])
+    assert column_blocks == [period] * -(-h // fields_mod._COL_BLOCK)
+
+    column_blocks.clear()
+    c0, _ = next(_kernel_spectrum(octant, N, period, 1))
+    assert (c0, column_blocks) == (0, [period])
 
 
 @pytest.mark.parametrize("half, period", [(None, 36), (3, 27)])
@@ -1409,32 +1460,20 @@ def test_circulant_worker_count_does_not_change_bytes(corr, n):
 
 
 def test_circulant_search_drops_a_rejected_torus_at_its_first_column_block(
-        monkeypatch):
+        column_blocks):
     # n = 12, Matern(0.4, 0.38): the tori M = 50, 100 and 200 are rejected
     # with a negative eigenvalue in column block 0, so each transforms that
     # block only; the accepted M = 400 transforms all 13 blocks of its
     # 201-column half.  The last torus allowed is never dropped early, so
     # that its EmbeddingError reports the full minimum: with two doublings,
     # M = 200 transforms all 7 blocks.
-    blocks = []
-
-    class CountingFft:
-        def __getattr__(self, name):
-            return getattr(scipy.fft, name)
-
-        def fft(self, x, *args, axis=-1, **kwargs):
-            if axis == 0 and x.shape[1] <= fields_mod._COL_BLOCK:
-                blocks.append(x.shape[0])
-            return scipy.fft.fft(x, *args, axis=axis, **kwargs)
-
-    monkeypatch.setattr(fields_mod, "_fft", CountingFft())
     corr = lambda r: matern_correlation(0.4, 0.38, r)
     circulant_simulate(corr, 1.0, 12, seed=0)
-    assert Counter(blocks) == {50: 1, 100: 1, 200: 1, 400: 13}
-    blocks.clear()
+    assert Counter(column_blocks) == {50: 1, 100: 1, 200: 1, 400: 13}
+    column_blocks.clear()
     with pytest.raises(EmbeddingError):
         circulant_simulate(corr, 1.0, 12, seed=0, max_doublings=2)
-    assert Counter(blocks) == {50: 1, 100: 1, 200: 7}
+    assert Counter(column_blocks) == {50: 1, 100: 1, 200: 7}
 
 
 def test_circulant_plan_reports_its_safeguards():

@@ -123,6 +123,65 @@ def test_public_and_own_names_pass():
     assert private_cross_imports(source) == []
 
 
+# No dead private code: each module-level private function, class or
+# constant is loaded somewhere in its own module beyond its definition.  A
+# private name that only tests use, or nothing, is code the package never
+# runs.
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def unused_privates(source: str) -> list:
+    """The module-level private functions, classes and constants of
+    `source` that no module-level statement other than their own
+    definitions loads."""
+    body = ast.parse(source).body
+    defined = {}
+    for stmt in body:
+        for name in _defined_names(stmt):
+            if _private(name):
+                defined.setdefault(name, []).append(stmt)
+    return [name for name, own in defined.items()
+            if not any(isinstance(node, ast.Name) and node.id == name
+                       and isinstance(node.ctx, ast.Load)
+                       for stmt in body if all(stmt is not d for d in own)
+                       for node in ast.walk(stmt))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_privates(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def _f(x):\n    return x", ["_f"]),
+    ("class _Plan:\n    pass", ["_Plan"]),
+    ("_BLOCK = 64\n_A, (_B, c) = 1, (2, 3)\nc", ["_BLOCK", "_A", "_B"]),
+    ("_N: int = 3", ["_N"]),
+    # only its own body calls it
+    ("def _f(n):\n    return _f(n - 1) if n else 0", ["_f"]),
+    # an attribute or a local of the same name is not the module's name
+    ("def _g():\n    pass\ndef f(obj):\n    _g = obj._g\n    return obj._g",
+     ["_g"]),
+])
+def test_unused_private_name_is_detected(source, names):
+    assert unused_privates(source) == names
+
+
+def test_used_private_names_pass():
+    source = ("import numpy as np\n_X = 1\n_Y = _X + 1\n"
+              "def _f():\n    return _Y\n"
+              "def g():\n    return _f()\n"
+              "class _C:\n    pass\n"
+              "PLANS = [_C]\n__all__ = ['g']\npublic = 2\n")
+    assert unused_privates(source) == []
+
+
 # The one home of each numerical primitive: QUADPACK (scipy.integrate) is
 # driven only from quadrature.py, Bessel K (scipy.special.kv) is evaluated
 # only in kernels.py, and Gauss-Legendre nodes
