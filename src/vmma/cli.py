@@ -15,7 +15,9 @@ keys; explicit flags always win) and ``--verbose`` (echoes the effective
 configuration to stderr as JSON that ``--config`` accepts back).
 ``simulate`` and ``roughness`` also accept ``--threads``, which caps the FFT
 worker count of that call (1 without it) and never changes any output value;
-``mse`` and ``covariance`` run no FFT and take no ``--threads``.
+``mse`` and ``covariance`` run no FFT and take no ``--threads``.  Every
+field's normal draw runs on one extra thread beside the caller's, with or
+without ``--threads``, which caps the FFT workers only.
 
 Exit codes: 0 success, 2 argument/usage errors, 3 numeric failures.
 """

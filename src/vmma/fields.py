@@ -77,16 +77,21 @@ s1 = 2*(half+kappa)+1 and d = (2*kappa+1)^2 + 1, mapped through the block's
 Cholesky factor; then the plain cell masses are drawn as an (S, S) standard
 normal sheet scaled by 1/n with S = 2*(N+half)+1, whose central s1 x s1 block
 is REPLACED by the plain components of the correlated family (the overdraw
-keeps the layout independent of kappa).  The family is drawn _FAMILY_BLOCK
-rows at a time and the sheet _ROW_BLOCK rows at a time, which consumes the
-stream in the same order and gives the same values bit for bit as single
-draws.  The hybrid engine streams them: each family block is added into the
-near sum for the output rows it completes (its last 2*kappa rows carry over
-to the next block), and each sheet block is modulated and transformed at
-once, so neither the family nor the sheet is ever held whole.  The family's
-plain channel waits for the sheet in the caller's array: the engine keeps it
-in the spectrum's own rows and columns lo..lo+s1 (lo = N-kappa), each row
-read just before its row block's rfft overwrites it.  The volatility, from
+keeps the layout independent of kappa).  Every engine draws through
+_drawn: one thread per call owns the stream and draws the layout's normals
+in its order, _FAMILY_UNIT family rows or _SHEET_UNIT sheet rows at a time,
+into a ring of _RING slots, while the caller's thread maps, sums, modulates
+and transforms the draws it has taken.  Unit-wise draws consume the stream
+in the same order and give the same values bit for bit as single draws, so
+neither the thread nor the units change an output bit or the stream's final
+position.  The hybrid engine streams them: each block of _FAMILY_BLOCK
+family rows is added into the near sum for the output rows it completes
+(its last 2*kappa rows carry over to the next block), and each block of
+_ROW_BLOCK sheet rows is modulated and transformed at once, so neither the
+family nor the sheet is ever held whole.  The family's plain channel waits
+for the sheet in the caller's array: the engine keeps it in the spectrum's
+own rows and columns lo..lo+s1 (lo = N-kappa), each row read just before
+its row block's rfft overwrites it.  The volatility, from
 its own stream, is realised before the noise is drawn and, in a call that
 builds its own plan, before the host plan, so a nested field
 (ExpVmmaVolatility) never runs beside the host plan's quarter.
@@ -94,9 +99,11 @@ builds its own plan, before the host plan, so a nested field
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
+import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -370,11 +377,17 @@ class ExpVmmaVolatility(VolatilityModel):
 # Row blocks: noise draw and FFT convolution
 
 
-# Rows per block of the streamed sheet draw and of the row-wise FFTs.
+# Rows per block of the streamed sheet and of the row-wise FFTs.
 _ROW_BLOCK = 64
-# Rows per block of the correlated family's draw; above 2*kappa (at most 10),
-# so that every block completes some near-sum output rows.
+# Rows per block of the correlated family's near sum; above 2*kappa (at most
+# 10), so that every block completes some near-sum output rows.
 _FAMILY_BLOCK = 16
+# Slots in the ring of drawn normals (_drawn), and the rows of the family
+# and of a plain sheet that one slot holds: the ring stays small beside one
+# row block, and the units divide _FAMILY_BLOCK and _ROW_BLOCK.
+_RING = 3
+_FAMILY_UNIT = 4
+_SHEET_UNIT = 16
 # Columns per block of an even kernel's column transforms (_kernel_spectrum):
 # its (period, _COL_BLOCK) complex buffer is small beside any spectrum.
 _COL_BLOCK = 16
@@ -395,44 +408,105 @@ def _padded_rows(get_rows, nrows: int, width: int):
         yield r0, buf[:k]
 
 
+@contextlib.contextmanager
+def _drawn(rng: np.random.Generator, shapes: list):
+    """Draw rng.standard_normal(shape) for each shape in `shapes`, in order,
+    on one producer thread; the one draw routine of the three engines.
+
+    Yields an iterator over the draws, the stream's values bit for bit.  The
+    thread owns rng from the first draw to the last and fills a ring of
+    _RING preallocated slots, at most _RING draws ahead of the caller, who
+    meanwhile transforms the draws already taken.  Each draw is a view of
+    its slot that stays valid until the next one is asked for.  The thread
+    starts on entry and is stopped and joined on exit, however the block
+    ends; an exception raised in it is raised in the caller's thread, the
+    same object, when the caller next asks for a draw.
+    """
+    ring = np.empty((_RING, max(math.prod(s) for s in shapes)))
+    slots = [ring[i % _RING, :math.prod(s)].reshape(s)
+             for i, s in enumerate(shapes)]
+    free, full = threading.Semaphore(_RING), threading.Semaphore(0)
+    stop, failed = threading.Event(), []
+
+    def produce():
+        try:
+            for slot in slots:
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=slot)
+                full.release()
+        except BaseException as exc:   # raised again in the caller's thread
+            failed.append(exc)
+            full.release()
+
+    def taken():
+        for slot in slots:
+            full.acquire()
+            if failed:
+                raise failed[0]
+            yield slot
+            free.release()
+
+    thread = threading.Thread(target=produce, name="vmma-draw", daemon=True)
+    thread.start()
+    try:
+        yield taken()
+    finally:
+        stop.set()
+        free.release()
+        thread.join()
+
+
 def _noise_rows(rng: np.random.Generator, n: int, S: int, width: int,
                 chol: np.ndarray | None = None, family: np.ndarray | None = None,
                 take_family=None, central: np.ndarray | None = None):
     """Draw one replicate's noise in the fixed layout, a block of rows at a
-    time; the one draw routine of the step-kernel engines.
+    time, through _drawn; the draw of the step-kernel engines.
 
     With a Cholesky factor, first the correlated family: for each block of
     _FAMILY_BLOCK rows r0..r0+k-1, z ~ N(0,1) of shape (k, s1, d) is mapped
-    to z @ chol.T in family[:k] (s1 = family.shape[1]), its plain channel is
-    stored in central[r0:r0+k] (an (s1, s1) float array of the caller's),
-    then take_family(r0, k) is called, and the next block overwrites
-    family[:k].  Then the plain sheet, N(0,1)/n of shape (S, S) with its
-    central s1 x s1 block (from row and column (S-s1)//2) replaced by
-    `central`, is yielded as (r0, rows) blocks padded to `width` (see
-    _padded_rows); a block's rows of `central` are read before it is
+    to z @ chol.T in family[:k] (s1 = family.shape[1]), _FAMILY_UNIT rows
+    per draw, its plain channel is stored in central[r0:r0+k] (an (s1, s1)
+    float array of the caller's), then take_family(r0, k) is called, and the
+    next block overwrites family[:k].  Then the plain sheet, N(0,1)/n of
+    shape (S, S) with its central s1 x s1 block (from row and column
+    (S-s1)//2) replaced by `central`, is yielded as (r0, rows) blocks of
+    _ROW_BLOCK rows, zero-padded to `width` in one reused buffer (valid
+    until the next block), into which each draw of _SHEET_UNIT rows is
+    divided by n; a block's rows of `central` are read before it is
     yielded, so the caller may overwrite them from then on.  The family is
-    drawn when the first sheet block is asked for.  Block-wise draws and
-    matmuls give the single draw's values bit for bit.
+    drawn when the first sheet block is asked for.  The draws' shapes are
+    the layout's rows in order, so they and the unit-wise matmuls give the
+    single draw's values bit for bit.  A caller that stops before the last
+    block closes the generator, which joins the draw's thread.
     """
-    s1 = 0
+    s1 = d = 0
     if chol is not None:
         s1, d = family.shape[1], chol.shape[0]
+    lo = (S - s1) // 2
+    shapes = [(min(_FAMILY_UNIT, s1 - u), s1, d)
+              for u in range(0, s1, _FAMILY_UNIT)]
+    shapes += [(min(_SHEET_UNIT, S - u), S) for u in range(0, S, _SHEET_UNIT)]
+    buf = np.zeros((_ROW_BLOCK, width))
+    with _drawn(rng, shapes) as draws:
         for r0 in range(0, s1, _FAMILY_BLOCK):
             k = min(_FAMILY_BLOCK, s1 - r0)
-            np.matmul(rng.standard_normal((k, s1, d)), chol.T, out=family[:k])
+            for u in range(0, k, _FAMILY_UNIT):
+                z = next(draws)
+                np.matmul(z, chol.T, out=family[u:u + z.shape[0]])
             central[r0:r0 + k] = family[:k, :, -1]
             take_family(r0, k)
-    lo = (S - s1) // 2
-
-    def sheet_rows(r0, k):
-        rows = rng.standard_normal((k, S))
-        rows /= n
-        a, b = max(r0, lo), min(r0 + k, lo + s1)
-        if a < b:
-            rows[a - r0:b - r0, lo:lo + s1] = central[a - lo:b - lo]
-        return rows
-
-    yield from _padded_rows(sheet_rows, S, width)
+        family = None   # so that the caller can free it before the sheet
+        for r0 in range(0, S, _ROW_BLOCK):
+            rows = buf[:min(_ROW_BLOCK, S - r0)]
+            for u in range(0, rows.shape[0], _SHEET_UNIT):
+                z = next(draws)
+                np.divide(z, n, out=rows[u:u + z.shape[0], :S])
+            a, b = max(r0, lo), min(r0 + rows.shape[0], lo + s1)
+            if a < b:
+                rows[a - r0:b - r0, lo:lo + s1] = central[a - lo:b - lo]
+            yield r0, rows
 
 
 def sample_noise(
@@ -820,22 +894,27 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
     # The plan plus one replicate: the plan's real (P//2+1)^2 spectrum
     # quarter, the replicate's complex (P, P//2+1) spectrum (which also
     # holds the family's plain channel), the output, one sheet row block
-    # (its draw, padded rows and row spectrum) and, with an inner block, the
-    # family's row window and one block's draw.  No (S, S) volatility sheet:
-    # a realised one is the caller's array or the output of its model's own
-    # engine, whose check counted it, and a cold replicate realises it
-    # before it builds its plan.
+    # (its padded rows and row spectrum), the draw's ring and, with an inner
+    # block, the family's row window, though it is freed before the sheet's
+    # row blocks: the sum leaves room for the small objects beside these
+    # arrays (1.1-2.7 % of it at n = 64 and 128).  No (S, S) volatility
+    # sheet: a realised one is the caller's array or the output of its
+    # model's own engine, whose check counted it, and a cold replicate
+    # realises it before it builds its plan.
     S = 2 * (params.n_trunc + m0) + 1
     fsh = _fft.next_fast_len(S, real=True)
     h = fsh // 2 + 1
     side = 2 * m0 + 1
     need = (8 * h * h + 16 * fsh * h + 8 * side * side
-            + 8 * _ROW_BLOCK * (S + fsh + 2 * h))
+            + 8 * _ROW_BLOCK * (fsh + 2 * h))
+    slot = _SHEET_UNIT * S
     if inner:
         kappa = params.kappa
         s1 = side + 2 * kappa
         d = (2 * kappa + 1) ** 2 + 1
-        need += 8 * (2 * _FAMILY_BLOCK + 2 * kappa) * s1 * d
+        need += 8 * (_FAMILY_BLOCK + 2 * kappa) * s1 * d
+        slot = max(slot, _FAMILY_UNIT * s1 * d)
+    need += 8 * _RING * slot
     _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
                           f"(plan and one replicate, FFT period {fsh})")
     check_rate_hypothesis(kernel, params)
@@ -924,7 +1003,7 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
     P = plan.fshape
     spec = np.empty((P, P // 2 + 1), dtype=complex)
     if plan.block is None:
-        rows = _noise_rows(rng_noise, n, S, P)
+        noise = _noise_rows(rng_noise, n, S, P)
     else:
         # win holds family rows r0 - carry .. r0 + k - 1 while r0 is summed
         carry = 2 * kappa
@@ -936,6 +1015,7 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
             # r0 is in, rows up to r0 + k - carry are complete; every block
             # completes some (the first has k > carry: s1 > carry,
             # _FAMILY_BLOCK > 10)
+            nonlocal win
             o0, o1 = max(r0 - carry, 0), r0 + k - carry
             for idx, (j1, j2) in enumerate(plan.block.offsets):
                 # noise cell i - j for output i: shift the family by -j
@@ -946,16 +1026,23 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
                     contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
                                               N - j1:N - j1 + side]
                 x_tilde[o0:o1] += plan.weights[idx] * contrib
-            win[:carry] = win[k:k + carry]
+            if o1 < side:
+                win[:carry] = win[k:k + carry]
+            else:
+                win = None   # all summed: free it before the sheet's blocks
 
         # the family's plain channel waits in the spectrum's rows and
         # columns lo..lo+s1 (sheet cells N-kappa..) until its row rfft
         lo, s1 = N - kappa, side + carry
-        rows = _noise_rows(rng_noise, n, S, P, plan.block.chol, win[carry:],
-                           near_sum, spec.view(float)[lo:lo + s1, lo:lo + s1])
-    if sigma is not None:
-        rows = _modulated(rows, sigma)
-    spec = _row_spectrum(rows, P, workers, out=spec)
+        noise = _noise_rows(rng_noise, n, S, P, plan.block.chol, win[carry:],
+                            near_sum, spec.view(float)[lo:lo + s1, lo:lo + s1])
+    try:
+        rows = noise if sigma is None else _modulated(noise, sigma)
+        spec = _row_spectrum(rows, P, workers, out=spec)
+    finally:
+        # an error past the draw leaves it suspended: join its thread here,
+        # not when the traceback lets go of this frame
+        noise.close()
     # the far field goes straight into the near sum, when there is one
     values = _convolved_block(spec, plan.fft_a, N, side, workers,
                               into=None if plan.block is None else x_tilde)
@@ -1122,11 +1209,12 @@ def _circulant_search(correlation, variance: float, n: int,
     for doubling in range(max_doublings + 1):
         h = M // 2
         # the octant, one draw buffer (a cold call forms the half in it, a
-        # plan's draws each take one), the builder's complex column block
-        # and its row block (padded rows, their row spectra, index arrays),
-        # and a plan's own half
+        # plan's draws each take one) and the draw's ring, the builder's
+        # complex column block and its row block (padded rows, their row
+        # spectra, index arrays), and a plan's own half
         _require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
-                        + 32 * _ROW_BLOCK * M + (8 * M * (h + 1) if plan else 0),
+                        + 8 * _RING * _SHEET_UNIT * M + 32 * _ROW_BLOCK * M
+                        + (8 * M * (h + 1) if plan else 0),
                         f"circulant embedding on a torus of side M={M} "
                         f"(doubling {doubling} of {max_doublings})")
         octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
@@ -1180,7 +1268,8 @@ def _circulant_search(correlation, variance: float, n: int,
 def _circulant_draw(z: np.ndarray, n: int, seed: int, replicate: int,
                     workers: int | None) -> FieldGrid:
     """The field from the complex (M, M) draw buffer z, whose imaginary part
-    holds sqrt(λ) in columns 0..M//2; the one draw of circulant_simulate."""
+    holds sqrt(λ) in columns 0..M//2; the one draw of circulant_simulate,
+    through _drawn: zr, then zi, _SHEET_UNIT rows at a time."""
     w = fft_workers(workers)
     M, side = z.shape[0], 2 * n + 1
     h = M // 2
@@ -1196,17 +1285,17 @@ def _circulant_draw(z: np.ndarray, n: int, seed: int, replicate: int,
         scale[r0:r1, h + 1:] = scale[M - r0:M - r1:-1, M - h - 1:0:-1]
 
     # z = sqrt(λ) * (zr + 1j*zi) with zr, then zi, drawn as (M, M) arrays:
-    # standard_normal rejects the strided z.real as out=, so both parts go
-    # through one reused row buffer, which keeps the stream order.  Each
+    # standard_normal rejects the strided z.real as out=, so both parts are
+    # drawn by _drawn, _SHEET_UNIT rows at a time in the stream order.  Each
     # part is its draw times the scale still in z.imag: a*c and b*c, the
     # bits of the complex-by-real product (a + bj) * c.
-    rng = rng_stream(seed, 0, replicate)
-    buf = np.empty((_ROW_BLOCK, M))
-    for part in (z.real, z.imag):
-        for r0 in range(0, M, _ROW_BLOCK):
-            k = min(_ROW_BLOCK, M - r0)
-            rng.standard_normal(out=buf[:k])
-            np.multiply(buf[:k], scale[r0:r0 + k], out=part[r0:r0 + k])
+    units = [(min(_SHEET_UNIT, M - r0), M) for r0 in range(0, M, _SHEET_UNIT)]
+    with _drawn(rng_stream(seed, 0, replicate), units * 2) as draws:
+        for part in (z.real, z.imag):
+            for r0 in range(0, M, _SHEET_UNIT):
+                x = next(draws)
+                np.multiply(x, scale[r0:r0 + x.shape[0]],
+                            out=part[r0:r0 + x.shape[0]])
     # fft2 transforms axis 0 then axis 1; only rows :side of the second pass
     # are kept, so it runs on those rows alone (same bits as fft2's)
     f = _fft.fft(z, axis=0, workers=w, overwrite_x=True)
@@ -1285,13 +1374,13 @@ def circulant_simulate(
     the one complex M^2 draw buffer, in whose imaginary part the square
     roots of the embedding's half spectrum are formed and wait for the
     draw, plus the packed lag octant, (M/2+1)(M/2+2)/2 values, and the
-    spectrum builder's row and column blocks; only the first 2n+1 rows take
-    the final transform's second pass (tracemalloc peak 52.6 MB, 17.6 bytes
-    per point, at M = 1728).  A draw from a plan holds the draw buffer
-    beside the plan (48.8 MB there, the plan's half 12.0 MB).  Before each
-    M's lag octant and buffer that estimate is checked against the
-    available memory, and ValidationError
-    is raised when it does not fit; ValidationError is also raised unless n
+    spectrum builder's row and column blocks, and the draw's ring; only the
+    first 2n+1 rows take the final transform's second pass (tracemalloc
+    peak 52.6 MB, 17.6 bytes per point, at M = 1728).  A draw from a plan
+    holds the draw buffer beside the plan (48.6 MB there, the plan's half
+    12.0 MB).  Before each M's lag octant and buffer that estimate is
+    checked against the available memory, and ValidationError is raised
+    when it does not fit; ValidationError is also raised unless n
     is an integer >= 1, max_doublings an integer >= 0, variance finite and
     positive (bools are not integers) and correlation returns finite real
     values of its argument's shape.  The draw comes from

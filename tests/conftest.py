@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis configuration."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +16,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("vmma")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail any test that leaves a thread running: the engines join their
+    draw thread before a call returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ distributional checks with 3-standard-error tolerances.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -131,6 +133,15 @@ def test_rng_stream_reproducible_and_disjoint():
     for bad in ((42, 0, 1.7), (42, 0, True), (4.2, 0, 7), (42, 0, -1)):
         with pytest.raises(ValidationError):
             rng_stream(*bad)
+
+
+def test_rng_stream_first_normals_are_frozen():
+    # Every same-seed output and every dense reference here starts from
+    # rng_stream, so a change in numpy's SeedSequence, Philox or normal
+    # sampler would move them all together and pass every comparison.
+    got = [repr(float(x)) for x in rng_stream(0, 0, 0).standard_normal(4)]
+    assert got == ["-0.2059740286292238", "-0.12884495093462758",
+                   "-0.28978987549091256", "-1.271943284573895"]
 
 
 def test_fft_workers_resolution():
@@ -291,6 +302,189 @@ def test_sample_noise_matches_dense_reference(kappa):
     w1, plain = sample_noise(p, block, rng_stream(2, 0, 7), half=half)
     assert np.array_equal(w1, family[:, :, :-1])
     assert np.array_equal(plain, sheet)
+
+
+# ---------------------------------------------------------------------------
+# the draw thread
+# ---------------------------------------------------------------------------
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class _Stream:
+    """rng_stream(*key), recording the thread of each standard_normal call
+    and raising _DrawFailed at call number `fail_at` (never when None)."""
+
+    def __init__(self, *key, fail_at=None):
+        self.rng, self.fail_at, self.threads = rng_stream(*key), fail_at, []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_at:
+            raise _DrawFailed(self.fail_at)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+_DRAW_ENGINES = ["hybrid", "riemann", "sample_noise", "circulant"]
+
+
+def _draw_with(engine, stream, monkeypatch):
+    """One call of `engine` that takes its normals from `stream`: 7 draws
+    for hybrid and sample_noise, 3 for riemann and 4 for circulant."""
+    k, p = Matern(0.5, 1.0), SchemeParams(n=6, gamma=0.4, kappa=1, seed=3)
+    if engine == "hybrid":
+        return hybrid_simulate(k, p, rng_noise=stream)
+    if engine == "riemann":
+        return riemann_simulate(k, p, rng_noise=stream)
+    if engine == "sample_noise":
+        return sample_noise(p, build_block(-0.5, 1, 6), stream)
+    monkeypatch.setattr(fields_mod, "rng_stream", lambda *key: stream)
+    return circulant_simulate(lambda r: matern_correlation(0.5, 1.0, r), 1.0, 6)
+
+
+def _position(rng):
+    """A Philox stream's position, comparable with ==."""
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+def test_draws_under_contention_equal_serial_draws():
+    # Four callers at once, each with its own stream, under a short switch
+    # interval: a slot drawn over before it was taken, or taken twice, would
+    # change the draws.
+    shapes = [(3, 5), (1, 7), (4, 2, 3)] * 40
+    got = {}
+
+    def take(i):
+        with fields_mod._drawn(rng_stream(8, i), shapes) as draws:
+            got[i] = np.concatenate([z.ravel().copy() for z in draws])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=take, args=(i,)) for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for i in range(4):
+        rng = rng_stream(8, i)
+        ref = np.concatenate([rng.standard_normal(s).ravel() for s in shapes])
+        assert got[i].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("engine", _DRAW_ENGINES)
+def test_draw_runs_on_one_other_thread_that_ends_with_the_call(engine,
+                                                                monkeypatch):
+    stream = _Stream(3, 0, 0)
+    start = threading.active_count()
+    _draw_with(engine, stream, monkeypatch)
+    assert threading.active_count() == start
+    assert len(set(stream.threads)) == 1
+    assert threading.get_ident() not in stream.threads
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3])
+@pytest.mark.parametrize("engine", _DRAW_ENGINES)
+def test_draw_error_reaches_the_caller_and_ends_the_thread(engine, fail_at,
+                                                           monkeypatch):
+    # the first, second and third draw fail: for riemann the third is its
+    # last, for circulant the first of the imaginary part
+    start = threading.active_count()
+    with pytest.raises(_DrawFailed) as failed:
+        _draw_with(engine, _Stream(3, 0, 0, fail_at=fail_at), monkeypatch)
+    # checked while the exception, whose traceback holds the call's
+    # frames, is still referenced
+    assert failed.value.args == (fail_at,)
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
+def test_family_consumer_error_ends_the_draw_thread(error):
+    # take_family raises at the first family block, while the thread has
+    # the ring full and waits for a free slot
+    block = build_block(-0.5, 1, 6)
+    s1, S = 15, 37
+
+    def take_family(r0, k):
+        raise error("consumer failed")
+
+    start = threading.active_count()
+    with pytest.raises(error) as raised:
+        for _ in fields_mod._noise_rows(
+                rng_stream(3, 0, 0), 6, S, S, block.chol,
+                np.empty((fields_mod._FAMILY_BLOCK, s1, block.dim)),
+                take_family, np.empty((s1, s1))):
+            pass
+    assert raised.value.args == ("consumer failed",)
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+@pytest.mark.parametrize("prepare, simulate", [
+    (prepare_hybrid, hybrid_simulate), (prepare_riemann, riemann_simulate)])
+def test_error_past_the_row_blocks_ends_the_draw_thread(prepare, simulate,
+                                                        modulated, monkeypatch):
+    # the row spectrum takes one sheet block and raises, so the draw is
+    # left suspended; the engine closes it before the error leaves the call
+    k, p = Matern(0.5, 1.0), SchemeParams(n=40, gamma=0.3, kappa=1, seed=3)
+    plan = prepare(k, p)
+    side = 2 * (p.n_trunc + p.n) + 1
+    vol = ProvidedGridVol(np.full((side, side), 2.0)) if modulated else None
+
+    def row_spectrum(rows, *args, **kwargs):
+        next(iter(rows))
+        raise _DrawFailed("downstream")
+
+    monkeypatch.setattr(fields_mod, "_row_spectrum", row_spectrum)
+    start = threading.active_count()
+    with pytest.raises(_DrawFailed) as raised:
+        simulate(k, p, vol, plan=plan)
+    assert raised.value.args == ("downstream",)
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("kappa", [0, 2])
+@pytest.mark.parametrize("simulate", [hybrid_simulate, riemann_simulate])
+def test_draw_leaves_the_stream_where_serial_draws_do(simulate, kappa):
+    # the documented shapes drawn whole, one after the other, move a fresh
+    # stream to where the engine's unit-wise threaded draw leaves rng_noise
+    k, p = Matern(0.5, 1.0), SchemeParams(n=6, gamma=0.4, kappa=kappa, seed=3)
+    rng = rng_stream(3, 0, 9)
+    simulate(k, p, rng_noise=rng)
+    ref = rng_stream(3, 0, 9)
+    s1, S = 2 * (p.n + kappa) + 1, 2 * (p.n_trunc + p.n) + 1
+    if simulate is hybrid_simulate:
+        ref.standard_normal((s1, s1, (2 * kappa + 1) ** 2 + 1))
+    ref.standard_normal((S, S))
+    assert _position(rng) == _position(ref)
+    ref.standard_normal(1)
+    assert _position(rng) != _position(ref)
+
+
+def test_circulant_draw_leaves_the_stream_where_serial_draws_do(monkeypatch):
+    # zr, then zi, each (M, M)
+    streams = []
+
+    def stream(*key):
+        streams.append(rng_stream(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(fields_mod, "rng_stream", stream)
+    corr = lambda r: matern_correlation(0.5, 1.0, r)
+    circulant_simulate(corr, 1.0, 6, seed=3, replicate=9)
+    M = prepare_circulant(corr, 1.0, 6).size
+    ref = rng_stream(3, 0, 9)
+    ref.standard_normal((M, M))
+    ref.standard_normal((M, M))
+    assert len(streams) == 1 and _position(streams[0]) == _position(ref)
 
 
 # ---------------------------------------------------------------------------
