@@ -39,12 +39,19 @@ Three groups of tools:
   only singularity is at the origin and its exponential scale is the same
   in every cell, so a band's innermost ring is its hardest.
   MseEntry.far_order reports the inner far band's order.  The bands are
-  summed in chunks of whole rings, so no per-cell array grows with n.
+  summed in chunks of whole rings, so no per-cell array grows with n.  The
+  calling thread and one helper thread, started and joined by each
+  hybrid_mse call, work the chunks off one ordered list (the D2 rings, then
+  the D3 rings, band by band); the caller adds the chunk sums in that
+  order, so the bits are those of a serial walk.  The probes, the adaptive
+  cells, D1 and D4 stay on the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -498,36 +505,99 @@ def _ring_chunks(lo, hi):
         lo = top
 
 
-def _step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells):
-    """Cell-rule part of the sum over canonical cells lo < a <= hi of
+def _chunk_cells(kernel, n, policy, kinks_cells, c_lo, c_hi, rule):
+    """Cell-rule sum over the canonical cells c_lo < a <= c_hi of
     mult * integral over the unit cell at (a, b) of (g(|j+u|/n) - g(r_j/n))^2,
-    in units of the unit cell (caller divides by n^2).
+    in units of the unit cell, with `rule` (quadrature.cell_rule).  Returns
+    (sum, adaptive cells), the last a list of (a, b, g0, mult) arrays: the
+    cells a kink circle may cross, or with rule None every cell and no sum
+    (None).  A pure function of its arguments, so any thread may run it."""
+    a, b, mult = octant_cells(c_hi, c_lo)
+    g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
+    if rule is None:
+        return None, [(a, b, g0, mult)]
+    adaptive = []
+    kink = _kink_mask(a, b, kinks_cells)
+    if np.any(kink):
+        adaptive.append((a[kink], b[kink], g0[kink], mult[kink]))
+        a, b, g0, mult = a[~kink], b[~kink], g0[~kink], mult[~kink]
+    s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, rule)))
+    return s, adaptive
+
+
+def _on_two_threads(work, tasks):
+    """[work(task) for task in tasks], computed on the calling thread and
+    one helper thread.
+
+    Both threads take task indices from one shared iterator and store each
+    result by its index, so the list, and any reduction of it in index
+    order, does not depend on which thread ran what.  The helper runs in a
+    copy of the caller's context (numpy's errstate is a context variable),
+    starts with the call and is joined on every exit.  After the first exception in
+    either thread neither takes another task, and that exception, the same
+    object, is raised in the caller once the helper has ended.
+    """
+    results = [None] * len(tasks)
+    indices = iter(range(len(tasks)))
+    lock = threading.Lock()
+    failed = []
+
+    def take():
+        try:
+            while not failed:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                results[i] = work(tasks[i])
+        except BaseException as exc:   # raised again in the caller's thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run,
+                              args=(take,), name="vmma-mse", daemon=True)
+    helper.start()
+    try:
+        take()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
+def _step_cell_sums(kernel, n, spans, policy, bands, kinks_cells):
+    """Cell-rule part, per span (lo, hi), of the sum over canonical cells
+    lo < a <= hi of mult * integral over the unit cell at (a, b) of
+    (g(|j+u|/n) - g(r_j/n))^2, in units of the unit cell (caller divides by
+    n^2).
 
     bands lists (b_lo, b_hi, rule, rel): the rings b_lo < a <= b_hi take the
     band's cheapest rule, as its probe chose it, whose sum is charged
     max(rel, _GAUSS_ROUNDOFF) of itself as its error; rule None sends the
-    band's cells to the adaptive path.  The rings are walked in chunks of
-    _ring_chunks, so no per-cell array grows with hi.  Returns (sum, error
-    charged, adaptive cells), the last a list of (a, b, g0, mult) arrays:
-    the band cells without a rule and every cell a kink circle may cross.
+    band's cells to the adaptive path.  Each span's rings are cut band by
+    band into the chunks of _ring_chunks, and the chunks of all spans form
+    one ordered task list, which _chunk_cells works off on two threads (at
+    most two chunks live, so no per-cell array grows with hi).  The chunk
+    sums are then added span by span in task order, the order of a serial
+    walk, so the bits do not depend on the threads.  Returns, per span,
+    (sum, error charged, adaptive cells), the last a list of (a, b, g0,
+    mult) arrays: the band cells without a rule and every cell a kink
+    circle may cross.
     """
-    total = err = 0.0
-    adaptive = []
-    for b_lo, b_hi, rule, rel in bands:
-        for c_lo, c_hi in _ring_chunks(max(lo, b_lo), min(hi, b_hi)):
-            a, b, mult = octant_cells(c_hi, c_lo)
-            g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
-            if rule is None:
-                adaptive.append((a, b, g0, mult))
-                continue
-            kink = _kink_mask(a, b, kinks_cells)
-            if np.any(kink):
-                adaptive.append((a[kink], b[kink], g0[kink], mult[kink]))
-                a, b, g0, mult = a[~kink], b[~kink], g0[~kink], mult[~kink]
-            s = float(np.sum(mult * _tensor_cell_integrals(kernel, n, a, b, g0, rule)))
-            total += s
-            err += s * max(rel, _GAUSS_ROUNDOFF)
-    return total, err, adaptive
+    tasks = [(span, c_lo, c_hi, rule, rel)
+             for span, (lo, hi) in enumerate(spans)
+             for b_lo, b_hi, rule, rel in bands
+             for c_lo, c_hi in _ring_chunks(max(lo, b_lo), min(hi, b_hi))]
+    chunks = _on_two_threads(
+        lambda t: _chunk_cells(kernel, n, policy, kinks_cells, *t[1:4]), tasks)
+    parts = [[0.0, 0.0, []] for _ in spans]
+    for (span, _, _, _, rel), (s, adaptive) in zip(tasks, chunks):
+        part = parts[span]
+        part[2] += adaptive
+        if s is not None:
+            part[0] += s
+            part[1] += s * max(rel, _GAUSS_ROUNDOFF)
+    return [tuple(part) for part in parts]
 
 
 def hybrid_mse(
@@ -624,8 +694,8 @@ def hybrid_mse(
             bands.append((lo, hi, rule, rel))
             if i == 1:
                 far_order = rule
-    parts = [_step_cell_sums(kernel, n, lo, hi, policy, bands, kinks_cells)
-             for lo, hi in ((kappa, min(n, N)), (min(n, N), N))]
+    parts = _step_cell_sums(kernel, n, ((kappa, min(n, N)), (min(n, N), N)),
+                            policy, bands, kinks_cells)
 
     # the adaptive budget is split over the cells that take the adaptive
     # path, counted with their multiplicities: the kink cells, and the near

@@ -17,7 +17,9 @@ configuration to stderr as JSON that ``--config`` accepts back).
 worker count of that call (1 without it) and never changes any output value;
 ``mse`` and ``covariance`` run no FFT and take no ``--threads``.  Every
 field's normal draw runs on one extra thread beside the caller's, with or
-without ``--threads``, which caps the FFT workers only.
+without ``--threads``, which caps the FFT workers only; ``mse`` likewise
+sums its step-kernel cells on the caller's thread and one extra thread,
+with the values of a serial run bit for bit.
 
 Exit codes: 0 success, 2 argument/usage errors, 3 numeric failures.
 """

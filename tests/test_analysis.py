@@ -6,8 +6,10 @@ sampler as an exact reference law, closed-form error decompositions, and
 frozen decomposition values for one configuration.
 """
 
+import contextvars
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -35,7 +37,7 @@ from vmma.covariance import (
     octant_cells,
     representative_radii,
 )
-from vmma.errors import DegenerateDataError, ValidationError
+from vmma.errors import DegenerateDataError, QuadratureError, ValidationError
 from vmma.fields import (
     FieldGrid,
     SchemeParams,
@@ -591,6 +593,153 @@ def test_mse_peak_memory_flat_in_n():
             tracemalloc.stop()
     chunk = 8 * 8 * analysis._CHUNK_CELLS
     assert peaks[80] <= peaks[40] + chunk, peaks
+
+
+# Every field of hybrid_mse's entry, frozen from the serial chunk walk
+# (before the chunks ran on two threads): Matern(0.5, 1) at n = 20 for
+# kappa = 0, 1, 2; the PurePower kink ring; and n = 40 with one ring per
+# chunk, where many chunks interleave with their adaptive kink cells.
+_MATERN = Matern(0.5, 1.0)
+_KINK = PurePower(-0.5, R=1.0, beta_decay=-4.0)
+_FROZEN_ENTRIES = [
+    (_MATERN, 20, 0, None,
+     (20, 0.0012021006572525657, 0.0430502352787565, 0.00017087219166430064,
+      0.00013628266529009192, 0.04455949079296346, 0.30963060532384884, 6)),
+    (_MATERN, 20, 1, None,
+     (20, 0.002597164689229315, 0.015065128003138297, 0.00017087219166430064,
+      0.00013628266529009192, 0.017969447549322004, 0.12486432908049158, 6)),
+    (_MATERN, 20, 2, None,
+     (20, 0.003250094483282078, 0.008243108305248176, 0.00017087219166430064,
+      0.00013628266529009192, 0.011800357645484648, 0.08199716414592187, 6)),
+    (_KINK, 20, 1, None,
+     (20, 5.3904389331888296e-33, 0.08880372862490411, 0.0, 0.0,
+      0.08880372862490411, 1.7760745724980822, 6)),
+    (_MATERN, 40, 1, 1,
+     (40, 0.0006565821910872221, 0.008187268846322385, 4.4377545270130045e-05,
+      2.5646531382208997e-06, 0.008890793235817956, 0.10615269240979948, 6)),
+]
+
+
+@pytest.mark.parametrize("kernel, n, kappa, chunk_cells, frozen", _FROZEN_ENTRIES,
+                         ids=["kappa0", "kappa1", "kappa2", "kink", "rings40"])
+def test_mse_entries_frozen_bit_for_bit(kernel, n, kappa, chunk_cells, frozen,
+                                        monkeypatch):
+    if chunk_cells is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_CELLS", chunk_cells)
+    e = hybrid_mse(kernel, SchemeParams(n=n, gamma=0.5, kappa=kappa))
+    assert dataclasses.astuple(e) == frozen
+
+
+def test_mse_charges_d1_error_estimate(monkeypatch):
+    # Each of D1's 9 inner cells reports an error of 1e-6 in cell units:
+    # 9e-6 / n^2 = 2.25e-8 is over tol 1e-9, so the call must refuse it.
+    real = analysis.radial_cell_integral
+
+    def loose(*args, **kwargs):
+        return real(*args, **kwargs)[0], 1e-6
+
+    monkeypatch.setattr(analysis, "radial_cell_integral", loose)
+    with pytest.raises(QuadratureError, match="2.25e-08"):
+        hybrid_mse(_MATERN, SchemeParams(n=20, gamma=0.5, kappa=1))
+
+
+def test_mse_charges_cell_rule_bands(monkeypatch):
+    # Charging each cell-rule band its whole sum gives an error estimate of
+    # D2 + D3 (1.52e-2), far over tol: the band charges reach the check.
+    monkeypatch.setattr(analysis, "_GAUSS_ROUNDOFF", 1.0)
+    with pytest.raises(QuadratureError, match="1.52e-02"):
+        hybrid_mse(_MATERN, SchemeParams(n=20, gamma=0.5, kappa=1))
+
+
+# ---------------------------------------------------------------------------
+# the MSE helper thread
+# ---------------------------------------------------------------------------
+
+
+_TOKEN = contextvars.ContextVar("test_analysis_token")
+
+
+def _chunks_on_both_threads(monkeypatch, seen):
+    """Patch analysis._chunk_cells so that each thread's first chunk waits
+    for the other's (both threads then work chunks) and each call appends
+    (thread, _TOKEN's value) to `seen`; one ring per chunk."""
+    real = analysis._chunk_cells
+    both = threading.Barrier(2, timeout=30)
+    first = set()
+
+    def chunk(*args):
+        me = threading.current_thread()
+        seen.append((me, _TOKEN.get(None)))
+        if me not in first:
+            first.add(me)
+            both.wait()
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_chunk_cells", chunk)
+    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 1)
+
+
+def test_mse_chunks_run_on_the_caller_and_one_thread_that_ends_with_the_call(
+        monkeypatch):
+    seen = []
+    _chunks_on_both_threads(monkeypatch, seen)
+    start = threading.active_count()
+    e = hybrid_mse(_MATERN, SchemeParams(n=40, gamma=0.5, kappa=1))
+    assert threading.active_count() == start
+    threads = {t for t, _ in seen}
+    assert len(threads) == 2 and threading.current_thread() in threads
+    (helper,) = threads - {threading.current_thread()}
+    assert helper.name == "vmma-mse" and not helper.is_alive()
+    assert dataclasses.astuple(e) == _FROZEN_ENTRIES[-1][-1]
+
+
+def test_mse_chunks_see_the_callers_context(monkeypatch):
+    seen = []
+    _chunks_on_both_threads(monkeypatch, seen)
+    token = _TOKEN.set("caller")
+    try:
+        hybrid_mse(_MATERN, SchemeParams(n=40, gamma=0.5, kappa=1))
+    finally:
+        _TOKEN.reset(token)
+    assert len({t for t, _ in seen}) == 2
+    assert {v for _, v in seen} == {"caller"}
+
+
+class _ChunkFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on", ["caller", "helper"])
+def test_mse_chunk_error_reaches_the_caller_and_ends_the_thread(on,
+                                                                monkeypatch):
+    # _tensor_cell_integrals raises in the first chunk of one thread (each
+    # thread's first chunk waits for the other's, so both threads have one);
+    # the failed thread takes no other chunk, and the same exception object
+    # leaves hybrid_mse once the helper has been joined
+    seen = []
+    _chunks_on_both_threads(monkeypatch, seen)
+    real = analysis._tensor_cell_integrals
+    error = _ChunkFailed(on)
+    caller = threading.current_thread()
+    fired = []
+
+    def on_target(thread):
+        return (thread is caller) == (on == "caller")
+
+    def failing(*args):
+        me = threading.current_thread()
+        if not fired and on_target(me) and any(t is me for t, _ in seen):
+            fired.append(me)
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_tensor_cell_integrals", failing)
+    start = threading.active_count()
+    with pytest.raises(_ChunkFailed) as raised:
+        hybrid_mse(_MATERN, SchemeParams(n=40, gamma=0.5, kappa=1))
+    assert raised.value is error
+    assert threading.active_count() == start
+    assert len([t for t, _ in seen if on_target(t)]) == 1
 
 
 def test_mse_study_report_and_csv():
