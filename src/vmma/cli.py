@@ -84,8 +84,9 @@ def parse_volatility(text: str) -> VolatilityModel:
 
 
 def format_volatility(vol: VolatilityModel) -> str:
+    """Inverse of parse_volatility (canonical text form)."""
     if isinstance(vol, ConstantVol):
-        return f"const:{vol.c:g}"
+        return f"const:{float(vol.c)!r}"
     if isinstance(vol, ExpVmmaVolatility):
         return f"expvmma:{format_kernel(vol.inner_kernel)}"
     raise ValidationError(f"cannot format volatility of type {type(vol).__name__}")

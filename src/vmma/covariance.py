@@ -19,7 +19,8 @@ box_power_integrals, and representative_radii below.
 The cross integrals take one fixed polar product rule about the cell centre
 (Gauss-Legendre in the angle, Gauss-Jacobi in the scaled radius), whose
 radial weight absorbs the ||u||**a singularity of the pairs with the origin;
-its orders 16 and 24 agree to about 1e-15, and tol bounds their difference.
+its orders 16 and 24 agree to about 1e-15, and _CROSS_TOL bounds their
+difference.
 They are reached through build_block, whose matrix at n = 1 holds them
 unscaled.  Every build computes its block afresh: nothing is cached between
 calls.
@@ -245,6 +246,7 @@ def _canonical_pair(ja, jb):
 
 
 _CROSS_ORDERS = (16, 24)  # the polar rule's two orders; their gap is the estimate
+_CROSS_TOL = 1e-10  # bound on that gap; QuadratureError above it (seen: ~1e-15)
 _CROSS_CHUNK = 128  # pairs per evaluation: temporaries stay under ~10 MB
 
 
@@ -270,14 +272,14 @@ def _polar_rule(m: int, beta: float):
             np.concatenate([by, bx, -by, -bx]), np.tile(w, 4))
 
 
-def _cross_integrals(pairs, alpha: float, tol: float) -> np.ndarray:
+def _cross_integrals(pairs, alpha: float) -> np.ndarray:
     """Cross integrals of the offset pairs pairs[i] = (ja, jb), ja != jb.
 
     Pairs with the origin integrate ||jb - u||**a against the rule's weight
     ||u||**a, which absorbs the singularity at the cell centre (a Duffy-type
     treatment); the rest take the plain weight.  Both orders of
     _CROSS_ORDERS run, and QuadratureError is raised if any pair's two
-    values differ by more than tol.
+    values differ by more than _CROSS_TOL.
     """
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2, 2)
     swap = ~pairs[:, 1].any(axis=1)
@@ -301,10 +303,10 @@ def _cross_integrals(pairs, alpha: float, tol: float) -> np.ndarray:
                 est.append((f * w).sum(axis=1))
             out[rows] = est[1]
             err = max(err, float(np.max(np.abs(est[1] - est[0]))))
-    if err > tol:
+    if err > _CROSS_TOL:
         raise QuadratureError(
             f"cross integrals: orders {_CROSS_ORDERS} differ by {err:.3e} "
-            f"> tol {tol:.3e}"
+            f"> tol {_CROSS_TOL:.3e}"
         )
     return out
 
@@ -339,7 +341,7 @@ def _block_offsets(kappa: int):
     return tuple((a, b) for a in rng for b in rng)
 
 
-def _base_matrix(alpha: float, kappa: int, tol: float) -> np.ndarray:
+def _base_matrix(alpha: float, kappa: int) -> np.ndarray:
     """Unscaled (n = 1) covariance of ((power integrals)_j, plain mass).
 
     Diagonal and plain-mass column from the closed form on the canonical
@@ -359,23 +361,23 @@ def _base_matrix(alpha: float, kappa: int, tol: float) -> np.ndarray:
     pairs = {}
     slot = [pairs.setdefault(_canonical_pair(offs[i], offs[k]), len(pairs))
             for i, k in zip(*upper)]
-    vals = _cross_integrals(list(pairs), alpha, tol)[slot]
+    vals = _cross_integrals(list(pairs), alpha)[slot]
     m[upper] = m[upper[::-1]] = vals
     return m
 
 
-def build_block(alpha: float, kappa: int, n: int, tol: float = 1e-10) -> CovarianceBlock:
+def build_block(alpha: float, kappa: int, n: int) -> CovarianceBlock:
     """Covariance block and Cholesky factor for grid resolution n.
 
     The n-dependence is a diagonal similarity: scaling each power integral by
     n**(-1-alpha) and the plain mass by n**(-1) maps the unit-resolution
     matrix to the resolution-n one exactly, and the Cholesky factor scales the
-    same way.
+    same way.  QuadratureError if the cross integrals miss _CROSS_TOL.
     """
     alpha = check_real(alpha, "alpha", -1.0, 0.0)
     kappa = check_int(kappa, "kappa", 0, 5)
     n = check_int(n, "n", lo=1)
-    base = _base_matrix(alpha, kappa, check_real(tol, "tol", lo=0.0))
+    base = _base_matrix(alpha, kappa)
     offs = _block_offsets(kappa)
     d = base.shape[0]
     scale = np.full(d, float(n) ** (-1.0 - alpha))
@@ -447,7 +449,7 @@ def representative_radii(a, b, alpha: float, policy: EvaluationPolicy) -> np.nda
     return np.where((a == 0.0) & (b == 0.0), r0, r)
 
 
-def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
+def central_L_coefficient(kernel, n: int) -> float:
     """L2-optimal constant weight for the central cell.
 
     Minimizing the central-cell contribution to the squared error over a
@@ -455,7 +457,8 @@ def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
 
         w* = int ||u||**(2a) L(||u||/n) du  /  int ||u||**(2a) du,
 
-    both integrals over the unit cell (the denominator is box(0, 2a)).
+    both integrals over the unit cell (the denominator is box(0, 2a)); the
+    numerator is a radial_cell_integral at its absolute tolerance 1e-12.
     """
     alpha = kernel.alpha
     n = check_int(n, "n", lo=1)
@@ -463,7 +466,7 @@ def central_L_coefficient(kernel, n: int, tol: float = 1e-12) -> float:
     def fr(r):
         return r ** (2.0 * alpha) * kernel.eval_L(r / n)
 
-    num, _ = radial_cell_integral(fr, 0, 0, tol=tol,
+    num, _ = radial_cell_integral(fr, 0, 0,
                                   breakpoints=[n * q for q in kernel.kink_radii])
     return num / float(box_power_integrals(0, 0, 2.0 * alpha))
 

@@ -100,6 +100,7 @@ builds its own plan, before the host plan, so a nested field
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import sys
@@ -198,10 +199,6 @@ class SchemeParams:
     def c_n(self) -> float:
         """Physical truncation radius (n_trunc + 1/2)/n."""
         return (self.n_trunc + 0.5) / self.n
-
-    @property
-    def grid_side(self) -> int:
-        return 2 * self.n + 1
 
 
 @dataclass(frozen=True)
@@ -341,20 +338,18 @@ class ExpVmmaVolatility(VolatilityModel):
     """Lognormal volatility: sigma^2 = exp(X') with X' itself a simulated
     rough field (hybrid scheme, unit volatility) on the extended window.
 
-    The inner field's roughness exponent must be strictly larger than the
-    host kernel's (smoother volatility than field), which engines check at
-    simulation time via validate_against.
+    The inner field takes the default SchemeParams truncation and block
+    (gamma 0.3, kappa 1), as the grammar expvmma:<kernel> writes it.  Its
+    roughness exponent must be strictly larger than the host kernel's
+    (smoother volatility than field), which engines check at simulation
+    time via validate_against.
     """
 
     inner_kernel: KernelSpec
-    gamma: float = 0.3
-    kappa: int = 1
 
     def __post_init__(self):
         if not isinstance(self.inner_kernel, KernelSpec):
             raise ValidationError("inner_kernel must be a KernelSpec")
-        check_real(self.gamma, "gamma", lo=0.0)
-        check_int(self.kappa, "kappa", 0, 5)
 
     def validate_against(self, kernel: KernelSpec):
         if not self.inner_kernel.alpha > kernel.alpha:
@@ -364,7 +359,7 @@ class ExpVmmaVolatility(VolatilityModel):
             )
 
     def realize(self, n, half, rng, workers=None):
-        params = SchemeParams(n=n, gamma=self.gamma, kappa=self.kappa)
+        params = SchemeParams(n=n)
         plan = prepare_hybrid(self.inner_kernel, params, half=half,
                               workers=workers)
         grid = hybrid_simulate(self.inner_kernel, params, ConstantVol(1.0),
@@ -418,9 +413,10 @@ def _drawn(rng: np.random.Generator, shapes: list):
     _RING preallocated slots, at most _RING draws ahead of the caller, who
     meanwhile transforms the draws already taken.  Each draw is a view of
     its slot that stays valid until the next one is asked for.  The thread
-    starts on entry and is stopped and joined on exit, however the block
-    ends; an exception raised in it is raised in the caller's thread, the
-    same object, when the caller next asks for a draw.
+    runs in a copy of the caller's context (contextvars), starts on entry
+    and is stopped and joined on exit, however the block ends; an exception
+    raised in it is raised in the caller's thread, the same object, when
+    the caller next asks for a draw.
     """
     ring = np.empty((_RING, max(math.prod(s) for s in shapes)))
     slots = [ring[i % _RING, :math.prod(s)].reshape(s)
@@ -448,7 +444,8 @@ def _drawn(rng: np.random.Generator, shapes: list):
             yield slot
             free.release()
 
-    thread = threading.Thread(target=produce, name="vmma-draw", daemon=True)
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(produce,), name="vmma-draw", daemon=True)
     thread.start()
     try:
         yield taken()

@@ -11,7 +11,10 @@ the small-scale roughness of the simulated field and L is slowly varying at 0
 * PurePower(alpha, R): g(x) = x**alpha on (0, R], zero beyond.
 
 `parse_kernel` / `format_kernel` implement the CLI grammar
-(``matern:nu=0.5,lambda=1.0`` etc.) and round-trip.
+(``matern:nu=0.5,lambda=1.0`` etc.), and parse_kernel(format_kernel(k)) == k
+exactly for float arguments: each family's large-x decay is fixed by its
+formula, so the grammar writes every instance.  A user kernel with
+polynomial decay subclasses KernelSpec and overrides its beta_decay.
 """
 
 from __future__ import annotations
@@ -57,12 +60,14 @@ class KernelSpec:
 
     Subclasses provide:
       alpha          roughness exponent in (-1, 0)
-      beta_decay     declared large-x decay exponent (metadata: |g| <= C
-                     x**beta_decay for large x, must be < -1 for square
-                     integrability at infinity); -inf (the default) means
-                     faster-than-polynomial decay or compact support.  Used
-                     only by the truncation-growth hypothesis check, not
-                     validated symbolically.
+      beta_decay     class attribute: the large-x decay exponent (|g| <= C
+                     x**beta_decay for large x, < -1 for square
+                     integrability at infinity).  The default -inf means
+                     faster-than-polynomial decay or compact support, which
+                     covers the built-in families; a user kernel with
+                     polynomial decay overrides it.  Read only by the
+                     truncation-growth hypothesis check, not validated
+                     symbolically.
       _L(x)          the slowly varying factor on a float array x >= 0,
                      defined at x = 0 by its limit; eval_L and eval_g
                      validate x and unwrap scalars around it
@@ -120,11 +125,6 @@ class KernelSpec:
         return 2.0 * np.pi * val
 
 
-def _check_beta(beta: float):
-    if not beta < -1.0:
-        raise ValidationError(f"beta_decay must be < -1, got {beta}")
-
-
 @dataclass(frozen=True)
 class Matern(KernelSpec):
     """Matern-type kernel: g(x) = x**(nu-1) * [x**mu * K_mu(lam*x)] with
@@ -138,12 +138,10 @@ class Matern(KernelSpec):
 
     nu: float
     lam: float = 1.0
-    beta_decay: float = -math.inf
 
     def __post_init__(self):
         check_real(self.nu, "Matern nu", 0.0, 1.0)
         check_real(self.lam, "Matern lambda", lo=0.0)
-        _check_beta(self.beta_decay)
 
     @property
     def alpha(self) -> float:
@@ -178,11 +176,9 @@ class ExpDecay(KernelSpec):
     """g(x) = x**alpha * exp(-x);  L(x) = exp(-x), L(0+) = 1."""
 
     alpha: float
-    beta_decay: float = -math.inf
 
     def __post_init__(self):
         check_real(self.alpha, "alpha", -1.0, 0.0)
-        _check_beta(self.beta_decay)
 
     def _L(self, x):
         return np.exp(-x)
@@ -198,12 +194,10 @@ class PurePower(KernelSpec):
 
     alpha: float
     R: float = 1.0
-    beta_decay: float = -math.inf
 
     def __post_init__(self):
         check_real(self.alpha, "alpha", -1.0, 0.0)
         check_real(self.R, "PurePower R", lo=0.0)
-        _check_beta(self.beta_decay)
 
     @property
     def kink_radii(self) -> tuple:
@@ -279,9 +273,9 @@ def _none(kw: dict, spec: str) -> dict:
 def format_kernel(kernel: KernelSpec) -> str:
     """Inverse of parse_kernel (canonical text form)."""
     if isinstance(kernel, Matern):
-        return f"matern:nu={kernel.nu!r},lambda={kernel.lam!r}"
+        return f"matern:nu={float(kernel.nu)!r},lambda={float(kernel.lam)!r}"
     if isinstance(kernel, ExpDecay):
-        return f"expdecay:alpha={kernel.alpha!r}"
+        return f"expdecay:alpha={float(kernel.alpha)!r}"
     if isinstance(kernel, PurePower):
-        return f"power:alpha={kernel.alpha!r},R={kernel.R!r}"
+        return f"power:alpha={float(kernel.alpha)!r},R={float(kernel.R)!r}"
     raise ValidationError(f"cannot format kernel of type {type(kernel).__name__}")

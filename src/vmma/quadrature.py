@@ -124,13 +124,12 @@ def radial_integral(fr, theta, lo: float, hi: float, cuts, tol: float):
 
 
 def square_exterior_radial_integral(fr, half_side: float, tol: float = 1e-12,
-                                    upper: float = np.inf, breakpoints=()):
+                                    breakpoints=()):
     """Integral of fr(||u||) over the region outside the square [-a, a]^2.
 
     a = half_side.  The circle leaves the square between r = a and the
     corner radius a*sqrt(2); its angular measure outside is 2*pi less four
-    times the first-quadrant arc inside.  `upper` bounds the radial integral
-    (np.inf by default; fr must then be integrable at infinity).
+    times the first-quadrant arc inside; fr must be integrable at infinity.
     `breakpoints` lists radii where fr is not smooth; the quadrature splits
     there.  fr must accept scalar input.  ValidationError unless half_side
     is a finite real > 0.
@@ -138,13 +137,11 @@ def square_exterior_radial_integral(fr, half_side: float, tol: float = 1e-12,
     Returns (value, est_abs_error).
     """
     a = check_real(half_side, "half_side", lo=0.0)
-    if upper <= a:
-        return 0.0, 0.0
 
     def theta(r: float) -> float:
         return 2.0 * math.pi - 4.0 * _quadrant_arc(r, 0.0, a, 0.0, a)
 
-    return radial_integral(fr, theta, a, upper,
+    return radial_integral(fr, theta, a, math.inf,
                            (a * math.sqrt(2.0), *breakpoints), tol)
 
 

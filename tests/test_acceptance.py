@@ -361,7 +361,7 @@ def test_09_volatility_modulation_is_visible():
     t0 = time.perf_counter()
     n, reps, block = 50, 20, 5
     host = ExpDecay(-0.3)
-    vol = ExpVmmaVolatility(ExpDecay(-0.2), gamma=0.3, kappa=1)
+    vol = ExpVmmaVolatility(ExpDecay(-0.2))
     vol.validate_against(host)
     params = SchemeParams(n=n, gamma=0.3, kappa=1, seed=0)
     plan = prepare_hybrid(host, params)

@@ -8,6 +8,7 @@ frozen decomposition values for one configuration.
 
 import contextvars
 import dataclasses
+import itertools
 import math
 import threading
 import tracemalloc
@@ -237,6 +238,58 @@ def test_roughness_study_shape_and_determinism():
         assert a.mean_dim == b.mean_dim  # bitwise reproducible
 
 
+_SMALL_STUDY = dict(alphas=[-0.5], schemes=["hybrid:1", "riemann"], n=8,
+                    gamma=0.3, replicates=4, seed=3, keep_estimates=True)
+
+
+def _degenerate_on(monkeypatch, calls):
+    """Make analysis.square_increment_dim raise DegenerateDataError on the
+    study's estimates numbered (from 0, in study order) in `calls`."""
+    real, count = analysis.square_increment_dim, itertools.count()
+
+    def estimate(grid):
+        if next(count) in calls:
+            raise DegenerateDataError("patched")
+        return real(grid)
+
+    monkeypatch.setattr(analysis, "square_increment_dim", estimate)
+
+
+def test_roughness_study_skips_degenerate_replicates(monkeypatch):
+    ref = roughness_study(**_SMALL_STUDY)
+    # estimates 0-3 are the hybrid row's replicates, 4-7 the riemann row's
+    _degenerate_on(monkeypatch, {1, 2})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = roughness_study(**_SMALL_STUDY)
+    assert [str(w.message) for w in caught] == [
+        "roughness_study: skipped 2 degenerate replicate(s) at alpha=-0.5, "
+        "scheme=hybrid:1"]
+    hyb, rie = rep.rows
+    assert (hyb.replicates, hyb.skipped) == (2, 2)
+    assert (rie.replicates, rie.skipped) == (4, 0)
+    kept = np.asarray([ref.rows[0].estimates[i] for i in (0, 3)])
+    assert hyb.estimates == tuple(kept) and rie == dataclasses.replace(
+        ref.rows[1], seconds_first=rie.seconds_first,
+        seconds_total=rie.seconds_total)
+    # the CSV is that of a study over the usable estimates alone
+    usable = dataclasses.replace(
+        ref, rows=(dataclasses.replace(
+            ref.rows[0], mean_dim=float(kept.mean()),
+            var_dim=float(kept.var(ddof=1)), replicates=2, skipped=2),
+            ref.rows[1]))
+    assert "\n".join(rep.to_csv_lines()) == "\n".join(usable.to_csv_lines())
+
+
+def test_roughness_study_needs_two_usable_estimates(monkeypatch):
+    _degenerate_on(monkeypatch, {4, 5, 7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DegenerateDataError,
+                           match=r"fewer than two usable .*riemann \(3 degenerate"):
+            roughness_study(**_SMALL_STUDY)
+
+
 def test_roughness_study_csv_shape():
     rep = roughness_study(
         alphas=[-0.5], schemes=["hybrid:1"], n=16, gamma=0.3, replicates=3, seed=0
@@ -356,7 +409,7 @@ def test_mse_central_correction_fraction_declines():
 def test_mse_purepower_cutoff_outside_window():
     # Cutoff radius beyond the truncation square: the tail term is exactly
     # the closed-form ring integral of r^(2 alpha) between the square and R.
-    k = PurePower(-0.5, R=10.0, beta_decay=-4.0)
+    k = PurePower(-0.5, R=10.0)
     p = SchemeParams(n=4, gamma=0.5, kappa=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -394,7 +447,7 @@ def test_mse_frozen_values_purepower_kink_ring():
     # near square: the cells it crosses take the adaptive path and share
     # the adaptive budget.  Frozen D2 from the code before those cells were
     # counted in the budget split.
-    k = PurePower(-0.5, R=1.0, beta_decay=-4.0)
+    k = PurePower(-0.5, R=1.0)
     e = hybrid_mse(k, SchemeParams(n=20, gamma=0.5, kappa=1))
     assert e.d2 == pytest.approx(0.08880372862490157, abs=1e-9)
 
@@ -600,7 +653,7 @@ def test_mse_peak_memory_flat_in_n():
 # kappa = 0, 1, 2; the PurePower kink ring; and n = 40 with one ring per
 # chunk, where many chunks interleave with their adaptive kink cells.
 _MATERN = Matern(0.5, 1.0)
-_KINK = PurePower(-0.5, R=1.0, beta_decay=-4.0)
+_KINK = PurePower(-0.5, R=1.0)
 _FROZEN_ENTRIES = [
     (_MATERN, 20, 0, None,
      (20, 0.0012021006572525657, 0.0430502352787565, 0.00017087219166430064,

@@ -6,13 +6,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vmma.analysis import mse_study
 from vmma.cli import format_volatility, main, parse_volatility
+from vmma.covariance import EvaluationPolicy
 from vmma.errors import QuadratureError, ValidationError
-from vmma.fields import ConstantVol, ExpVmmaVolatility
-from vmma.gridio import read_vmg
-from vmma.kernels import ExpDecay
+from vmma.fields import ConstantVol, ExpVmmaVolatility, SchemeParams, hybrid_simulate
+from vmma.gridio import read_vmg, write_grid
+from vmma.kernels import ExpDecay, Matern, PurePower, format_kernel, parse_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +42,30 @@ def test_volatility_round_trip():
     for text in ("const:1.5", "expvmma:expdecay:alpha=-0.2"):
         v = parse_volatility(text)
         assert parse_volatility(format_volatility(v)) == v
+
+
+def _reals(lo, hi=None):
+    """Finite floats in (lo, hi), as Python or NumPy floats."""
+    x = st.floats(lo, hi, exclude_min=True, exclude_max=hi is not None,
+                  allow_infinity=False)
+    return x | x.map(np.float64)
+
+
+_KERNELS = st.one_of(
+    st.builds(Matern, _reals(0.0, 1.0), _reals(0.0)),
+    st.builds(ExpDecay, _reals(-1.0, 0.0)),
+    st.builds(PurePower, _reals(-1.0, 0.0), _reals(0.0)),
+)
+
+
+@settings(max_examples=200)
+@given(kernel=_KERNELS, c=_reals(0.0))
+def test_grammar_writes_every_model_exactly(kernel, c):
+    # every field of every kernel family and grammar volatility survives
+    # its text form bit for bit
+    assert parse_kernel(format_kernel(kernel)) == kernel
+    for vol in (ConstantVol(c), ExpVmmaVolatility(kernel)):
+        assert parse_volatility(format_volatility(vol)) == vol
 
 
 def test_parse_volatility_rejects_malformed():
@@ -126,6 +155,21 @@ def test_fft_free_commands_take_no_threads_option():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_simulate_policy_optimal_is_the_api_policy(tmp_path):
+    vol = ["--vol", "expvmma:expdecay:alpha=-0.2"]
+    argv, out = _simulate_args(tmp_path, "opt.vmg", ["--policy", "optimal", *vol])
+    assert main(argv) == 0
+    params = SchemeParams(n=12, gamma=0.3, seed=4,
+                          policy=EvaluationPolicy(mode="optimal"))
+    grid = hybrid_simulate(Matern(0.5, 1.0), params,
+                           ExpVmmaVolatility(ExpDecay(-0.2)))
+    api = write_grid(grid, tmp_path / "api.vmg", "vmg")
+    assert out.read_bytes() == api.read_bytes()
+    argv, mid = _simulate_args(tmp_path, "mid.vmg", vol)
+    assert main(argv) == 0
+    assert mid.read_bytes() != out.read_bytes()
 
 
 def test_simulate_missing_kernel_exits_2(tmp_path):
@@ -395,6 +439,17 @@ def test_mse_csv_output(tmp_path):
     # E_n decreasing in n
     e_col = [float(l.split(",")[5]) for l in lines[1:4]]
     assert e_col[0] > e_col[1] > e_col[2]
+
+
+def test_mse_policy_optimal_is_the_api_policy(tmp_path):
+    argv = ["mse", "--kernel", "matern:nu=0.5,lambda=1", "--n-list", "8,12,16"]
+    out, mid = tmp_path / "opt.csv", tmp_path / "mid.csv"
+    assert main([*argv, "--policy", "optimal", "--out", str(out)]) == 0
+    report = mse_study(Matern(0.5, 1.0), [8, 12, 16], gamma=0.5, kappa=1,
+                       policy=EvaluationPolicy(mode="optimal"))
+    assert out.read_bytes() == ("\n".join(report.to_csv_lines()) + "\n").encode()
+    assert main([*argv, "--out", str(mid)]) == 0
+    assert mid.read_bytes() != out.read_bytes()
 
 
 def test_mse_requires_kernel():

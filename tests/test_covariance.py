@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from vmma import covariance
 from vmma.covariance import (
     DEFAULT_POLICY,
     EvaluationPolicy,
@@ -25,7 +26,7 @@ from vmma.covariance import (
     octant_cells,
     representative_radii,
 )
-from vmma.errors import QuadratureError, ValidationError
+from vmma.errors import NotPositiveDefiniteError, QuadratureError, ValidationError
 from vmma.fields import SchemeParams, _octant_entries, prepare_hybrid
 from vmma.kernels import ExpDecay, Matern, PurePower
 
@@ -297,11 +298,29 @@ def test_block_dihedral_diagonal_entries_bit_identical():
     assert len({diag[idx[o]] for o in corners}) == 1
 
 
-def test_block_tolerance_below_rule_error_raises():
+def test_block_tolerance_below_rule_error_raises(monkeypatch):
     # The polar rule's orders 16 and 24 differ by up to ~1e-15 on this
     # block, so a tolerance of 1e-18 cannot be met.
+    monkeypatch.setattr(covariance, "_CROSS_TOL", 1e-18)
     with pytest.raises(QuadratureError):
-        build_block(-0.5, 1, 10, tol=1e-18)
+        build_block(-0.5, 1, 10)
+
+
+def test_block_cholesky_failing_after_jitter_raises(monkeypatch):
+    calls = []
+
+    def never(matrix):
+        calls.append(matrix)
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    with pytest.raises(NotPositiveDefiniteError, match="even with jitter"):
+        build_block(-0.5, 1, 10)
+    # the plain matrix, then the same matrix with the jitter on its diagonal
+    assert len(calls) == 2
+    jitter = calls[1] - calls[0]
+    assert np.array_equal(jitter, np.diag(np.diag(jitter)))
+    assert np.all(np.diag(jitter) > 0.0)
 
 
 def test_block_validation():
@@ -313,8 +332,6 @@ def test_block_validation():
         build_block(-0.5, -1, 10)
     with pytest.raises(ValidationError):
         build_block(-0.5, 1, 0)
-    with pytest.raises(ValidationError):
-        build_block(-0.5, 1, 10, tol=-1.0)
     with pytest.raises(ValidationError):
         build_block(-0.5, True, 4)
 

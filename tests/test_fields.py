@@ -6,7 +6,9 @@ linearity/determinism identities, an exact circulant reference, and
 distributional checks with 3-standard-error tolerances.
 """
 
+import contextvars
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -57,7 +59,8 @@ from vmma.fields import (
     scheme_variance,
     volatility_from_log_field,
 )
-from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
+from vmma.kernels import (ExpDecay, KernelSpec, Matern, PurePower,
+                          matern_correlation)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +72,6 @@ def test_scheme_params_truncation():
     p = SchemeParams(n=100, gamma=0.3)
     assert p.n_trunc == 398  # floor(100^1.3)
     assert p.c_n == pytest.approx((398 + 0.5) / 100)
-    assert p.grid_side == 201
     assert SchemeParams(n=10, gamma=0.5).n_trunc == 31
 
 
@@ -200,13 +202,11 @@ def test_expvmma_validation():
         v.validate_against(ExpDecay(-0.1))  # host smoother than inner
     with pytest.raises(ValidationError):
         v.validate_against(ExpDecay(-0.2))  # equal roughness
-    with pytest.raises(ValidationError):
-        ExpVmmaVolatility(inner, kappa=True)
 
 
 def test_expvmma_realize_is_positive_and_deterministic():
     inner = ExpDecay(-0.2)
-    v = ExpVmmaVolatility(inner, gamma=0.3, kappa=1)
+    v = ExpVmmaVolatility(inner)
     s1 = v.realize(8, 12, rng_stream(5, 1, 0))
     s2 = v.realize(8, 12, rng_stream(5, 1, 0))
     assert s1.shape == (25, 25)
@@ -313,15 +313,21 @@ class _DrawFailed(Exception):
     pass
 
 
+_TOKEN = contextvars.ContextVar("test_fields_token")
+
+
 class _Stream:
     """rng_stream(*key), recording the thread of each standard_normal call
-    and raising _DrawFailed at call number `fail_at` (never when None)."""
+    and the value _TOKEN has there, and raising _DrawFailed at call number
+    `fail_at` (never when None)."""
 
     def __init__(self, *key, fail_at=None):
-        self.rng, self.fail_at, self.threads = rng_stream(*key), fail_at, []
+        self.rng, self.fail_at = rng_stream(*key), fail_at
+        self.threads, self.tokens = [], []
 
     def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.get_ident())
+        self.tokens.append(_TOKEN.get(None))
         if len(self.threads) == self.fail_at:
             raise _DrawFailed(self.fail_at)
         return self.rng.standard_normal(*args, **kwargs)
@@ -389,6 +395,17 @@ def test_draw_runs_on_one_other_thread_that_ends_with_the_call(engine,
     assert threading.active_count() == start
     assert len(set(stream.threads)) == 1
     assert threading.get_ident() not in stream.threads
+
+
+@pytest.mark.parametrize("engine", _DRAW_ENGINES)
+def test_draw_sees_the_callers_context(engine, monkeypatch):
+    stream = _Stream(3, 0, 0)
+    token = _TOKEN.set("caller")
+    try:
+        _draw_with(engine, stream, monkeypatch)
+    finally:
+        _TOKEN.reset(token)
+    assert stream.tokens and set(stream.tokens) == {"caller"}
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 3])
@@ -724,10 +741,20 @@ def test_hybrid_isotropy_of_increments():
     assert abs(diff.mean()) < 3.0 * se + 1e-12
 
 
+class _PolynomialTail(KernelSpec):
+    """g(x) = x**-0.5 * (1+x)**-3.5, which decays like x**-4."""
+
+    alpha = -0.5
+    beta_decay = -4.0
+
+    def _L(self, x):
+        return (1.0 + x) ** -3.5
+
+
 def test_hybrid_rate_hypothesis_warning():
     # Slow polynomial tail + small gamma: truncation may not vanish fast
     # enough; the preparation warns but proceeds.
-    k = PurePower(-0.5, R=1.0, beta_decay=-4.0)
+    k = _PolynomialTail()
     p = SchemeParams(n=8, gamma=0.15, kappa=1)
     with pytest.warns(RateHypothesisWarning):
         prepare_hybrid(k, p)
@@ -1272,28 +1299,40 @@ def test_cold_modulated_preflight_refuses_before_allocating():
     assert peak < 10 * 2**20
 
 
-def test_available_memory_caps_by_cgroup_limit(tmp_path):
-    # MemAvailable, capped by the cgroup v2 headroom memory.max -
+def test_available_memory_caps_by_cgroup_limit(tmp_path, monkeypatch):
+    # MemAvailable, else os.sysconf's free pages when meminfo has no such
+    # line or cannot be read, capped by the cgroup v2 headroom memory.max -
     # memory.current when a limit is set; "max" or no cgroup files leave it.
-    meminfo = tmp_path / "meminfo"
-    meminfo.write_text("MemTotal:  8000000 kB\nMemAvailable:  4000000 kB\n")
-    cgroup = tmp_path / "cgroup"
-    cgroup.mkdir()
-    host = 4000000 * 1024
+    sysconf = {"SC_AVPHYS_PAGES": 3000000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
+    free_pages = 3000000 * 4096
+    cases = [
+        ("MemTotal:  8000000 kB\nMemAvailable:  4000000 kB\n", 4000000 * 1024),
+        ("MemTotal:  8000000 kB\nMemFree:  1000000 kB\n", free_pages),
+        (None, free_pages),  # a directory: reading it raises OSError
+    ]
+    for i, (text, host) in enumerate(cases):
+        meminfo = tmp_path / f"meminfo{i}"
+        if text is None:
+            meminfo.mkdir()
+        else:
+            meminfo.write_text(text)
+        cgroup = tmp_path / f"cgroup{i}"
+        cgroup.mkdir()
 
-    def avail():
-        return _available_memory(str(meminfo), str(cgroup))
+        def avail():
+            return _available_memory(str(meminfo), str(cgroup))
 
-    assert avail() == host
-    (cgroup / "memory.current").write_text("5000\n")
-    (cgroup / "memory.max").write_text("max\n")
-    assert avail() == host
-    (cgroup / "memory.max").write_text(f"{5000 + 2**30}\n")
-    assert avail() == 2**30
-    (cgroup / "memory.max").write_text(f"{5000 + 2 * host}\n")
-    assert avail() == host
-    (cgroup / "memory.max").write_text("4000\n")
-    assert avail() == 0
+        assert avail() == host
+        (cgroup / "memory.current").write_text("5000\n")
+        (cgroup / "memory.max").write_text("max\n")
+        assert avail() == host
+        (cgroup / "memory.max").write_text(f"{5000 + 2**30}\n")
+        assert avail() == 2**30
+        (cgroup / "memory.max").write_text(f"{5000 + 2 * host}\n")
+        assert avail() == host
+        (cgroup / "memory.max").write_text("4000\n")
+        assert avail() == 0
 
 
 def _dense_radii(N):

@@ -118,8 +118,6 @@ def test_constructor_validation():
         ExpDecay(-1.0)
     with pytest.raises(ValidationError):
         PurePower(-0.5, R=0.0)
-    with pytest.raises(ValidationError):
-        ExpDecay(-0.5, beta_decay=0.0)  # must decay faster than x**-1
     for lam in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             Matern(0.5, lam)

@@ -128,9 +128,9 @@ def test_radial_unit_box_indicator_breakpoint():
 
 
 def test_square_exterior_area_closed_form():
-    # fr = 1 up to radius U > a*sqrt(2): area = pi U^2 - (2a)^2.
+    # fr = 1 up to radius U = 3 > a*sqrt(2): area = pi U^2 - (2a)^2.
     val, _ = square_exterior_radial_integral(
-        lambda r: 1.0, half_side=1.0, upper=3.0
+        lambda r: float(r <= 3.0), half_side=1.0, breakpoints=(3.0,)
     )
     assert val == pytest.approx(math.pi * 9.0 - 4.0, abs=1e-10)
 
