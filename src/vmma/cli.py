@@ -12,7 +12,11 @@ Four subcommands:
 
 Every command accepts ``--config FILE`` (JSON with long option names as
 keys; explicit flags always win) and ``--verbose`` (echoes the effective
-configuration to stderr as JSON that ``--config`` accepts back).
+configuration to stderr as JSON that ``--config`` accepts back).  Each
+option is declared once, in ``_OPTIONS``, with its kind, default and
+argparse keywords; that one entry makes the flag, the config key, the
+strict cast and choices check of every config and effective value (all
+before any work starts) and the echo.
 ``simulate`` and ``roughness`` also accept ``--threads``, which caps the FFT
 worker count of that call (1 without it) and never changes any output value;
 ``mse`` and ``covariance`` run no FFT and take no ``--threads``.  Every
@@ -36,7 +40,7 @@ from .analysis import (
     parse_scheme,
     roughness_study,
 )
-from .covariance import DEFAULT_POLICY, EvaluationPolicy, build_block
+from .covariance import EvaluationPolicy, build_block
 from .errors import NumericError, ValidationError, VmmaError, check_int
 from .fields import (
     ConstantVol,
@@ -92,17 +96,72 @@ def format_volatility(vol: VolatilityModel) -> str:
     raise ValidationError(f"cannot format volatility of type {type(vol).__name__}")
 
 
-def _parse_policy(name: str) -> EvaluationPolicy:
-    name = name.strip().lower()
-    if name == "midpoint":
-        return DEFAULT_POLICY
-    if name == "optimal":
-        return EvaluationPolicy(mode="optimal", central_mode="optimal_L")
-    raise ValidationError(f"unknown policy {name!r} (midpoint or optimal)")
-
-
 # ---------------------------------------------------------------------------
-# Configuration plumbing
+# Options: each declared once
+
+
+# _OPTIONS[command][key] = (kind, default, argparse keywords).  The key is the
+# config key, the flag's dest and the --verbose echo key; the flag is
+# "--" + key with "_" as "-", unless the keywords name another as "flag".
+# kind is int, float, str or [kind] for a list (a JSON list or a
+# comma-separated flag).
+_POLICY = (str, "midpoint", dict(choices=["midpoint", "optimal"]))
+_THREADS = (int, None, dict(
+    help="cap FFT worker count (default 1); never changes results"))
+_OPTIONS = {
+    "simulate": {
+        "kernel": (str, None, dict(
+            help="kernel grammar, e.g. matern:nu=0.5,lambda=1")),
+        "scheme": (str, "hybrid", dict(choices=["hybrid", "riemann", "circulant"])),
+        "n": (int, 100, dict(help="grid half-resolution (side 2n+1)")),
+        "gamma": (float, 0.3, dict(help="truncation growth exponent")),
+        "kappa": (int, 1, dict(
+            help="half-width of the exactly-integrated inner block")),
+        "vol": (str, "const:1", dict(
+            help="volatility: const:<v> or expvmma:<kernel>")),
+        "seed": (int, 0, {}),
+        "replicate": (int, 0, {}),
+        "policy": _POLICY,
+        "out": (str, "field.vmg", dict(
+            help="output path (extension follows format)")),
+        "formats": ([str], ["vmg"], dict(
+            flag="--format", action="append", choices=["vmg", "csv", "pgm"],
+            help="output format; repeatable")),
+        "threads": _THREADS,
+    },
+    "roughness": {
+        "alphas": ([float], [-0.8, -0.7, -0.6, -0.5, -0.4, -0.3, -0.2, -0.1],
+                   dict(help="comma-separated exponents")),
+        "schemes": ([str], ["hybrid:0", "hybrid:1", "hybrid:2", "hybrid:3",
+                            "riemann"],
+                    dict(help="comma-separated: hybrid[:kappa] or riemann")),
+        "n": (int, 100, {}),
+        "gamma": (float, 0.3, {}),
+        "replicates": (int, 100, {}),
+        "seed": (int, 0, {}),
+        "out": (str, None, dict(help="report CSV path (default stdout)")),
+        "plot_data": (str, None, dict(
+            help="write (alpha, mean_dim) pairs per scheme to this CSV")),
+        "timing_out": (str, None, dict(
+            help="write per-scheme wall times (1 and all replicates)")),
+        "threads": _THREADS,
+    },
+    "mse": {
+        "kernel": (str, None, dict(help="kernel grammar")),
+        "n_list": ([int], [20, 40, 80], dict(
+            help="comma-separated resolutions (>= 3 for the rate fit)")),
+        "gamma": (float, 0.5, {}),
+        "kappa": (int, 1, {}),
+        "policy": _POLICY,
+        "out": (str, None, dict(help="CSV path (default stdout)")),
+    },
+    "covariance": {
+        "alpha": (float, None, {}),
+        "kappa": (int, 1, {}),
+        "n": (int, 1, {}),
+        "out": (str, None, dict(help="CSV path (default stdout)")),
+    },
+}
 
 
 def _load_config(path) -> dict:
@@ -118,90 +177,84 @@ def _load_config(path) -> dict:
     return cfg
 
 
-_STR_KEYS = ("kernel", "vol", "scheme", "policy", "out", "plot_data",
-             "timing_out")
+def _effective(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The options of `args.command` as (raw, typed): `raw` is what
+    --verbose echoes, `typed` what the command runs on.
 
-
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge precedence: explicit flag > config file > command default.
-
+    Merge precedence: explicit flag > config file > the table's default.
     Flags parse with None sentinels so 'explicitly given' is detectable.
     A "command" key, as the --verbose echo writes it, must name this
     subcommand, so an echoed configuration can be fed back via --config.
-    The config's string options (kernel, vol, scheme, policy and the
-    output paths) are cast strictly to str here, before any work starts.
+    Every config value, also one a flag overrides, and every effective
+    value is cast strictly and checked against its choices here, before
+    any work starts.
     """
+    options = _OPTIONS[args.command]
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("command", args.command) != args.command:
         raise ValidationError(
             f"config is for the {cfg['command']!r} command, not {args.command!r}"
         )
-    unknown = set(cfg) - set(defaults) - {"command"}
+    unknown = set(cfg) - set(options) - {"command"}
     if unknown:
         raise ValidationError(
             f"config keys not used by this command: {sorted(unknown)}"
         )
-    for key in _STR_KEYS:
+    raw, typed = {}, {}
+    for key, (kind, default, kw) in options.items():
+        choices = kw.get("choices")
+        flag_val = getattr(args, key)
+        raw[key] = flag_val if flag_val is not None else cfg.get(key, default)
         # null stands for "not given" only where the default is None
-        if key in cfg and (cfg[key] is not None or defaults[key] is not None):
-            _cast(cfg[key], str, key)
-    eff = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            eff[key] = flag_val
-        elif key in cfg:
-            eff[key] = cfg[key]
-        else:
-            eff[key] = default
-    return eff
-
-
-def _echo_config(eff: dict, command: str, verbose: bool):
-    if verbose:
-        payload = {"command": command}
-        payload.update(eff)
-        print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr)
+        if key in cfg and (cfg[key] is not None or default is not None):
+            _cast(cfg[key], kind, key, choices)
+        typed[key] = (None if raw[key] is None and default is None
+                      else _cast(raw[key], kind, key, choices))
+    return raw, typed
 
 
 _KINDS = {int: "integer", float: "number", str: "string"}
 
 
-def _cast(value, kind, key):
-    """`value` as `kind` (int, float or str), or ValidationError naming `key`.
+def _cast(value, kind, key, choices=None):
+    """`value` as `kind` (int, float, str or [kind] for a list), or
+    ValidationError naming `key`; a value outside `choices` is refused too.
 
     Config values arrive as JSON types and flag lists as strings, so the
     cast is strict: an integer is an int that is not a bool, or an integral
     string; a number is an int or float that is not a bool, or a numeric
     string; a string is a str.  Nothing is truncated or coerced from bool.
     """
-    if not isinstance(value, bool):
-        if isinstance(value, kind) or (kind is float and isinstance(value, int)):
-            return kind(value)
-        if isinstance(value, str):
-            try:
-                return kind(value)
-            except ValueError:
-                pass
-    raise ValidationError(f"bad {_KINDS[kind]} {value!r} for {key}")
+    if isinstance(kind, list):
+        return _csv(value, kind[0], key, choices)
+    strict = isinstance(value, kind) or (kind is float and isinstance(value, int))
+    if not isinstance(value, bool) and (strict or isinstance(value, str)):
+        try:
+            typed = kind(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if choices is None or typed in choices:
+                return typed
+    raise ValidationError(f"bad {_KINDS[kind]} {value!r} for {key}"
+                          + (f" (choose from {', '.join(choices)})"
+                             if choices else ""))
 
 
 def _workers(threads) -> int | None:
     """FFT worker count from --threads; None leaves the default of 1."""
-    if threads is None:
-        return None
-    return check_int(_cast(threads, int, "threads"), "--threads", lo=1)
+    return None if threads is None else check_int(threads, "--threads", lo=1)
 
 
-def _csv(value, kind, key) -> tuple:
+def _csv(value, kind, key, choices=None) -> tuple:
     """A list from a config value (a JSON list) or a comma-separated flag,
-    each item cast strictly to `kind`."""
+    each item cast strictly to `kind` and checked against `choices`."""
     if isinstance(value, (list, tuple)):
         items = value
     else:
         items = [x.strip() for x in str(value).split(",") if x.strip()]
     try:
-        return tuple(_cast(x, kind, key) for x in items)
+        return tuple(_cast(x, kind, key, choices) for x in items)
     except ValidationError:
         raise ValidationError(
             f"bad {_KINDS[kind]} list {value!r} for {key}"
@@ -218,25 +271,16 @@ def _write_lines(lines, out):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes its typed options
 
 
-def cmd_simulate(args) -> int:
-    defaults = dict(kernel=None, scheme="hybrid", n=100, gamma=0.3, kappa=1,
-                    vol="const:1", seed=0, replicate=0, out="field.vmg",
-                    formats=["vmg"], policy="midpoint", threads=None)
-    eff = _effective(args, defaults)
-    _echo_config(eff, "simulate", args.verbose)
-    workers = _workers(eff["threads"])
-    if not eff["kernel"]:
+def cmd_simulate(opt: dict) -> int:
+    workers = _workers(opt["threads"])
+    if not opt["kernel"]:
         raise ValidationError("--kernel is required")
-    kernel = parse_kernel(eff["kernel"])
-    vol = parse_volatility(eff["vol"])
-    scheme = eff["scheme"].lower()
-    n = _cast(eff["n"], int, "n")
-    seed = _cast(eff["seed"], int, "seed")
-    replicate = _cast(eff["replicate"], int, "replicate")
-    formats = _csv(eff["formats"], str, "formats")
+    kernel = parse_kernel(opt["kernel"])
+    vol = parse_volatility(opt["vol"])
+    scheme, n = opt["scheme"], opt["n"]
 
     t0 = time.perf_counter()
     if scheme == "circulant":
@@ -251,63 +295,46 @@ def cmd_simulate(args) -> int:
         variance = vol.c**2 * kernel.g_squared_integral()
         grid = circulant_simulate(
             lambda r: matern_correlation(kernel.nu, kernel.lam, r),
-            variance, n, seed=seed, replicate=replicate, workers=workers,
+            variance, n, seed=opt["seed"], replicate=opt["replicate"],
+            workers=workers,
         )
         n_trunc = 0
     else:
-        params = SchemeParams(n=n, gamma=_cast(eff["gamma"], float, "gamma"),
-                              kappa=_cast(eff["kappa"], int, "kappa"), seed=seed,
-                              policy=_parse_policy(eff["policy"]))
+        params = SchemeParams(n=n, gamma=opt["gamma"], kappa=opt["kappa"],
+                              seed=opt["seed"],
+                              policy=EvaluationPolicy(mode=opt["policy"]))
         n_trunc = params.n_trunc
-        if scheme == "hybrid":
-            grid = hybrid_simulate(kernel, params, vol, replicate=replicate,
-                                   workers=workers)
-        elif scheme == "riemann":
-            grid = riemann_simulate(kernel, params, vol, replicate=replicate,
-                                    workers=workers)
-        else:
-            raise ValidationError(
-                f"unknown scheme {eff['scheme']!r} (hybrid, riemann, circulant)"
-            )
+        simulate = hybrid_simulate if scheme == "hybrid" else riemann_simulate
+        grid = simulate(kernel, params, vol, replicate=opt["replicate"],
+                        workers=workers)
     wall = time.perf_counter() - t0
 
-    written = [str(write_grid(grid, eff["out"], fmt)) for fmt in formats]
+    written = [str(write_grid(grid, opt["out"], fmt)) for fmt in opt["formats"]]
     print(f"scheme={scheme} n={n} n_trunc={n_trunc} wall={wall:.3f}s "
           f"wrote {' '.join(written)}")
     return 0
 
 
-def cmd_roughness(args) -> int:
-    defaults = dict(
-        alphas=[-0.8, -0.7, -0.6, -0.5, -0.4, -0.3, -0.2, -0.1],
-        schemes=["hybrid:0", "hybrid:1", "hybrid:2", "hybrid:3", "riemann"],
-        n=100, gamma=0.3, replicates=100, seed=0,
-        out=None, plot_data=None, timing_out=None, threads=None,
-    )
-    eff = _effective(args, defaults)
-    _echo_config(eff, "roughness", args.verbose)
-    workers = _workers(eff["threads"])
-    alphas = _csv(eff["alphas"], float, "alphas")
-    schemes = [parse_scheme(s) for s in _csv(eff["schemes"], str, "schemes")]
+def cmd_roughness(opt: dict) -> int:
+    workers = _workers(opt["threads"])
+    schemes = [parse_scheme(s) for s in opt["schemes"]]
 
     report = roughness_study(
-        alphas, schemes, n=_cast(eff["n"], int, "n"),
-        gamma=_cast(eff["gamma"], float, "gamma"),
-        replicates=_cast(eff["replicates"], int, "replicates"),
-        seed=_cast(eff["seed"], int, "seed"), workers=workers,
+        opt["alphas"], schemes, n=opt["n"], gamma=opt["gamma"],
+        replicates=opt["replicates"], seed=opt["seed"], workers=workers,
     )
-    _write_lines(report.to_csv_lines(), eff["out"])
+    _write_lines(report.to_csv_lines(), opt["out"])
 
-    if eff["plot_data"]:
+    if opt["plot_data"]:
         lines = ["scheme,kappa,alpha,mean_dim"]
         for sc in schemes:
             for row in report.rows:
                 if row.scheme == sc.kind and row.kappa == sc.kappa:
                     kap = "" if row.kappa is None else str(row.kappa)
                     lines.append(f"{row.scheme},{kap},{row.alpha:.17g},{row.mean_dim:.17g}")
-        _write_lines(lines, eff["plot_data"])
+        _write_lines(lines, opt["plot_data"])
 
-    if eff["timing_out"]:
+    if opt["timing_out"]:
         lines = ["scheme,kappa,replicates,seconds"]
         for sc in schemes:
             rows = [r for r in report.rows
@@ -317,40 +344,30 @@ def cmd_roughness(args) -> int:
             t_total = sum(r.seconds_total for r in rows)
             lines.append(f"{sc.kind},{kap},1,{t_first:.6f}")
             lines.append(f"{sc.kind},{kap},{report.replicates},{t_total:.6f}")
-        _write_lines(lines, eff["timing_out"])
+        _write_lines(lines, opt["timing_out"])
     return 0
 
 
-def cmd_mse(args) -> int:
-    defaults = dict(kernel=None, n_list=[20, 40, 80], gamma=0.5, kappa=1,
-                    policy="midpoint", out=None)
-    eff = _effective(args, defaults)
-    _echo_config(eff, "mse", args.verbose)
-    if not eff["kernel"]:
+def cmd_mse(opt: dict) -> int:
+    if not opt["kernel"]:
         raise ValidationError("--kernel is required")
-    kernel = parse_kernel(eff["kernel"])
-    ns = _csv(eff["n_list"], int, "n_list")
-    report = mse_study(kernel, ns, gamma=_cast(eff["gamma"], float, "gamma"),
-                       kappa=_cast(eff["kappa"], int, "kappa"),
-                       policy=_parse_policy(eff["policy"]))
-    _write_lines(report.to_csv_lines(), eff["out"])
+    kernel = parse_kernel(opt["kernel"])
+    report = mse_study(kernel, opt["n_list"], gamma=opt["gamma"],
+                       kappa=opt["kappa"],
+                       policy=EvaluationPolicy(mode=opt["policy"]))
+    _write_lines(report.to_csv_lines(), opt["out"])
     return 0
 
 
-def cmd_covariance(args) -> int:
-    defaults = dict(alpha=None, kappa=1, n=1, out=None)
-    eff = _effective(args, defaults)
-    _echo_config(eff, "covariance", args.verbose)
-    if eff["alpha"] is None:
+def cmd_covariance(opt: dict) -> int:
+    if opt["alpha"] is None:
         raise ValidationError("--alpha is required")
-    block = build_block(_cast(eff["alpha"], float, "alpha"),
-                        _cast(eff["kappa"], int, "kappa"),
-                        _cast(eff["n"], int, "n"))
+    block = build_block(opt["alpha"], opt["kappa"], opt["n"])
     lines = ["i,j,value"]
     for i in range(block.dim):
         for j in range(block.dim):
             lines.append(f"{i},{j},{block.matrix[i, j]:.17g}")
-    _write_lines(lines, eff["out"])
+    _write_lines(lines, opt["out"])
     return 0
 
 
@@ -358,15 +375,12 @@ def cmd_covariance(args) -> int:
 # Parser
 
 
-def _add_common(sp, threads=False):
-    sp.add_argument("--config", default=None, metavar="FILE",
-                    help="JSON file with long option names as keys; flags win")
-    sp.add_argument("--verbose", action="store_true",
-                    help="echo the effective configuration to stderr")
-    if threads:
-        sp.add_argument("--threads", type=int, default=None,
-                        help="cap FFT worker count (default 1); never changes "
-                             "results")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "simulate one field and write grid files"),
+    "roughness": (cmd_roughness, "Monte-Carlo roughness study"),
+    "mse": (cmd_mse, "deterministic hybrid-scheme error decomposition"),
+    "covariance": (cmd_covariance, "dump an inner-block covariance matrix"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,62 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "moving-average random fields on 2D grids.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("simulate", help="simulate one field and write grid files")
-    ps.add_argument("--kernel", help="kernel grammar, e.g. matern:nu=0.5,lambda=1")
-    ps.add_argument("--scheme", choices=["hybrid", "riemann", "circulant"],
-                    default=None)
-    ps.add_argument("--n", type=int, default=None, help="grid half-resolution (side 2n+1)")
-    ps.add_argument("--gamma", type=float, default=None,
-                    help="truncation growth exponent")
-    ps.add_argument("--kappa", type=int, default=None,
-                    help="half-width of the exactly-integrated inner block")
-    ps.add_argument("--vol", default=None,
-                    help="volatility: const:<v> or expvmma:<kernel>")
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--replicate", type=int, default=None)
-    ps.add_argument("--policy", choices=["midpoint", "optimal"], default=None)
-    ps.add_argument("--out", default=None, help="output path (extension follows format)")
-    ps.add_argument("--format", dest="formats", action="append",
-                    choices=["vmg", "csv", "pgm"], default=None,
-                    help="output format; repeatable")
-    _add_common(ps, threads=True)
-    ps.set_defaults(func=cmd_simulate)
-
-    pr = sub.add_parser("roughness", help="Monte-Carlo roughness study")
-    pr.add_argument("--alphas", default=None, help="comma-separated exponents")
-    pr.add_argument("--schemes", default=None,
-                    help="comma-separated: hybrid[:kappa] or riemann")
-    pr.add_argument("--n", type=int, default=None)
-    pr.add_argument("--gamma", type=float, default=None)
-    pr.add_argument("--replicates", type=int, default=None)
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--out", default=None, help="report CSV path (default stdout)")
-    pr.add_argument("--plot-data", dest="plot_data", default=None,
-                    help="write (alpha, mean_dim) pairs per scheme to this CSV")
-    pr.add_argument("--timing-out", dest="timing_out", default=None,
-                    help="write per-scheme wall times (1 and all replicates)")
-    _add_common(pr, threads=True)
-    pr.set_defaults(func=cmd_roughness)
-
-    pm = sub.add_parser("mse", help="deterministic hybrid-scheme error decomposition")
-    pm.add_argument("--kernel", help="kernel grammar")
-    pm.add_argument("--n-list", dest="n_list", default=None,
-                    help="comma-separated resolutions (>= 3 for the rate fit)")
-    pm.add_argument("--gamma", type=float, default=None)
-    pm.add_argument("--kappa", type=int, default=None)
-    pm.add_argument("--policy", choices=["midpoint", "optimal"], default=None)
-    pm.add_argument("--out", default=None, help="CSV path (default stdout)")
-    _add_common(pm)
-    pm.set_defaults(func=cmd_mse)
-
-    pc = sub.add_parser("covariance", help="dump an inner-block covariance matrix")
-    pc.add_argument("--alpha", type=float, default=None)
-    pc.add_argument("--kappa", type=int, default=None)
-    pc.add_argument("--n", type=int, default=None)
-    pc.add_argument("--out", default=None, help="CSV path (default stdout)")
-    _add_common(pc)
-    pc.set_defaults(func=cmd_covariance)
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, (kind, _, kw) in _OPTIONS[command].items():
+            kw = dict(kw)
+            flag = kw.pop("flag", "--" + key.replace("_", "-"))
+            sp.add_argument(flag, dest=key, default=None,
+                            type=None if isinstance(kind, list) else kind, **kw)
+        sp.add_argument("--config", default=None, metavar="FILE",
+                        help="JSON file with long option names as keys; flags win")
+        sp.add_argument("--verbose", action="store_true",
+                        help="echo the effective configuration to stderr")
     return p
 
 
@@ -439,7 +408,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        raw, opt = _effective(args)
+        if args.verbose:
+            print(json.dumps({"command": args.command, **raw}, sort_keys=True,
+                             default=str), file=sys.stderr)
+        return _COMMANDS[args.command][0](opt)
     except ValidationError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -45,7 +45,13 @@ from vmma.fields import (
     circulant_simulate,
     prepare_circulant,
 )
-from vmma.kernels import ExpDecay, Matern, PurePower, matern_correlation
+from vmma.kernels import (
+    ExpDecay,
+    Matern,
+    PurePower,
+    format_kernel,
+    matern_correlation,
+)
 from vmma.quadrature import TWELVE_POINT, radial_cell_integral
 
 
@@ -482,7 +488,7 @@ def _step_kernel_reference(kernel, n, N, kappa, policy):
                                     EvaluationPolicy(mode="optimal")],
                          ids=["midpoint", "optimal"])
 @pytest.mark.parametrize("kernel", [Matern(0.5, 1.0), Matern(0.05, 1.0),
-                                    ExpDecay(-0.5)], ids=repr)
+                                    ExpDecay(-0.5)], ids=format_kernel)
 def test_mse_far_cells_match_gauss_product_reference(kernel, policy):
     for n in (20, 40):
         p = SchemeParams(n=n, gamma=0.5, kappa=1, policy=policy)
@@ -571,7 +577,7 @@ def _adaptive_cells(kernel, n, a, b, policy, tol):
                                     EvaluationPolicy(mode="optimal")],
                          ids=["midpoint", "optimal"])
 @pytest.mark.parametrize("kernel", [Matern(0.5, 1.0), Matern(0.05, 1.0),
-                                    ExpDecay(-0.5)], ids=repr)
+                                    ExpDecay(-0.5)], ids=format_kernel)
 def test_mse_near_band_cells_match_radial_reduction(kernel, policy):
     # The near band's order is chosen on its innermost ring a = kappa + 1,
     # the ring nearest the origin's singularity; there its tensor-Gauss cell

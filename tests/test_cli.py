@@ -3,8 +3,11 @@ output files, exit codes."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmma.analysis import mse_study
-from vmma.cli import format_volatility, main, parse_volatility
+from vmma.cli import build_parser, format_volatility, main, parse_volatility
 from vmma.covariance import EvaluationPolicy
 from vmma.errors import QuadratureError, ValidationError
 from vmma.fields import ConstantVol, ExpVmmaVolatility, SchemeParams, hybrid_simulate
@@ -312,18 +315,30 @@ def test_verbose_echo_feeds_back_as_config(tmp_path, capsys, argv):
     ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8, "vol": 2}, "vol"),
     ("simulate", {"kernel": 5, "n": 8}, "kernel"),
     ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8, "out": 5}, "out"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
+                  "formats": ["vmg", "png"]}, "formats"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
+                  "scheme": "Riemann"}, "scheme"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
+                  "policy": " Optimal "}, "policy"),
+    ("simulate", {"kernel": "matern:nu=0.5,lambda=1", "n": 8,
+                  "scheme": "circulant", "gamma": True}, "gamma"),
+    ("covariance", {"alpha": 10**400}, "alpha"),
 ], ids=["float-int", "bool-int", "fractional-string", "bool-number",
         "float-in-int-list", "float-threads", "number-vol", "number-kernel",
-        "number-out"])
+        "number-out", "format-off-choices", "scheme-off-choices",
+        "policy-off-choices", "bool-number-unused", "int-overflows-number"])
 def test_config_values_are_cast_strictly(tmp_path, capsys, command, cfg, key):
-    # a config value of the wrong JSON type is refused like the flag
-    # would be, never truncated: kappa 1.7 used to run kappa = 1
+    # a config value of the wrong JSON type, or outside its flag's choices,
+    # is refused like the flag would be, never truncated or normalised, and
+    # before any output is written: kappa 1.7 used to run kappa = 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_flag_rejects_fractional_kappa(capsys):
@@ -539,3 +554,25 @@ def test_module_invocation_error_smoke():
     )
     assert r.returncode == 2
     assert "error" in r.stderr.lower()
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands():
+    """Each `vmma ...` command of the README's sh blocks, as an argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("vmma ")]
+
+
+def test_readme_commands_parse():
+    # parse only: a renamed or dropped option breaks this, not the docs
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"simulate", "roughness", "mse",
+                                              "covariance"}
+    for argv in commands:
+        build_parser().parse_args(argv)
