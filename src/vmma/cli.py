@@ -16,7 +16,12 @@ configuration to stderr as JSON that ``--config`` accepts back).  Each
 option is declared once, in ``_OPTIONS``, with its kind, default and
 argparse keywords; that one entry makes the flag, the config key, the
 strict cast and choices check of every config and effective value (all
-before any work starts) and the echo.
+before any work starts) and the echo.  ``simulate`` takes only the options
+its scheme reads: ``--gamma`` is for the hybrid and Riemann schemes,
+``--kappa`` and ``--policy`` for the hybrid scheme alone, and the exact
+circulant baseline takes none of the three.  Another scheme refuses such an
+option, as a flag or a config key, with exit 2 before any work, and its
+echo leaves the option out.
 ``simulate`` and ``roughness`` also accept ``--threads``, which caps the FFT
 worker count of that call (1 without it) and never changes any output value;
 ``mse`` and ``covariance`` run no FFT and take no ``--threads``.  Every
@@ -104,8 +109,10 @@ def format_volatility(vol: VolatilityModel) -> str:
 # config key, the flag's dest and the --verbose echo key; the flag is
 # "--" + key with "_" as "-", unless the keywords name another as "flag".
 # kind is int, float, str or [kind] for a list (a JSON list or a
-# comma-separated flag).
-_POLICY = (str, "midpoint", dict(choices=["midpoint", "optimal"]))
+# comma-separated flag).  A simulate option that only some schemes read
+# lists them as "schemes"; it is refused, and left out of the echo, for
+# any other scheme.
+_POLICIES = ["midpoint", "optimal"]
 _THREADS = (int, None, dict(
     help="cap FFT worker count (default 1); never changes results"))
 _OPTIONS = {
@@ -114,14 +121,18 @@ _OPTIONS = {
             help="kernel grammar, e.g. matern:nu=0.5,lambda=1")),
         "scheme": (str, "hybrid", dict(choices=["hybrid", "riemann", "circulant"])),
         "n": (int, 100, dict(help="grid half-resolution (side 2n+1)")),
-        "gamma": (float, 0.3, dict(help="truncation growth exponent")),
+        "gamma": (float, 0.3, dict(
+            schemes=["hybrid", "riemann"], help="truncation growth exponent")),
         "kappa": (int, 1, dict(
+            schemes=["hybrid"],
             help="half-width of the exactly-integrated inner block")),
         "vol": (str, "const:1", dict(
             help="volatility: const:<v> or expvmma:<kernel>")),
         "seed": (int, 0, {}),
         "replicate": (int, 0, {}),
-        "policy": _POLICY,
+        "policy": (str, "midpoint", dict(
+            choices=_POLICIES, schemes=["hybrid"],
+            help="inner-block weight rule")),
         "out": (str, "field.vmg", dict(
             help="output path (extension follows format)")),
         "formats": ([str], ["vmg"], dict(
@@ -152,7 +163,7 @@ _OPTIONS = {
             help="comma-separated resolutions (>= 3 for the rate fit)")),
         "gamma": (float, 0.5, {}),
         "kappa": (int, 1, {}),
-        "policy": _POLICY,
+        "policy": (str, "midpoint", dict(choices=_POLICIES)),
         "out": (str, None, dict(help="CSV path (default stdout)")),
     },
     "covariance": {
@@ -187,7 +198,8 @@ def _effective(args: argparse.Namespace) -> tuple[dict, dict]:
     subcommand, so an echoed configuration can be fed back via --config.
     Every config value, also one a flag overrides, and every effective
     value is cast strictly and checked against its choices here, before
-    any work starts.
+    any work starts.  So is an option set, by flag or config, for a scheme
+    outside its "schemes": it is refused, and left out of `raw` otherwise.
     """
     options = _OPTIONS[args.command]
     cfg = _load_config(args.config) if args.config else {}
@@ -210,6 +222,14 @@ def _effective(args: argparse.Namespace) -> tuple[dict, dict]:
             _cast(cfg[key], kind, key, choices)
         typed[key] = (None if raw[key] is None and default is None
                       else _cast(raw[key], kind, key, choices))
+        # "scheme" precedes, in the table, every option that lists schemes
+        schemes = kw.get("schemes")
+        if schemes and typed["scheme"] not in schemes:
+            if flag_val is not None or key in cfg:
+                raise ValidationError(
+                    f"{key} does not apply to the {typed['scheme']} scheme "
+                    f"(only to {' and '.join(schemes)})")
+            del raw[key]
     return raw, typed
 
 
@@ -395,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (kind, _, kw) in _OPTIONS[command].items():
             kw = dict(kw)
             flag = kw.pop("flag", "--" + key.replace("_", "-"))
+            schemes = kw.pop("schemes", None)
+            if schemes:
+                kw["help"] = f"{kw['help']} ({' and '.join(schemes)} only)"
             sp.add_argument(flag, dest=key, default=None,
                             type=None if isinstance(kind, list) else kind, **kw)
         sp.add_argument("--config", default=None, metavar="FILE",

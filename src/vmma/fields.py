@@ -193,7 +193,12 @@ class SchemeParams:
     @property
     def n_trunc(self) -> int:
         """Truncation half-width in cells: floor(n**(1+gamma))."""
-        return int(math.floor(float(self.n) ** (1.0 + self.gamma)))
+        try:
+            return int(math.floor(float(self.n) ** (1.0 + self.gamma)))
+        except OverflowError:
+            raise ValidationError(
+                f"truncation window n**(1+gamma) out of range at n={self.n}, "
+                f"gamma={self.gamma}") from None
 
     @property
     def c_n(self) -> float:
@@ -673,13 +678,25 @@ def _available_memory(meminfo: str = "/proc/meminfo",
     return avail
 
 
+def _fast_len(target: int) -> int:
+    """next_fast_len(target, real=True), or `target` itself beyond the
+    lengths scipy's FFT takes (about 2**64 / 11): the memory check that
+    follows refuses any such length."""
+    try:
+        return _fft.next_fast_len(target, real=True)
+    except (ValueError, OverflowError):
+        return target
+
+
 def _require_memory(need: int, what: str):
     """Raise ValidationError, before anything is allocated, when `need` bytes
     for `what` exceed the available memory."""
     avail = _available_memory()
     if need > avail:
+        # in integers: a window beyond every FFT length can need more bytes
+        # than a float holds
         raise ValidationError(
-            f"{what} needs about {need / 2**20:.0f} MiB, but only "
+            f"{what} needs about {(need + 2**19) >> 20} MiB, but only "
             f"{avail / 2**20:.0f} MiB is available"
         )
 
@@ -863,6 +880,10 @@ class HybridPlan:
 
     A hybrid plan carries the inner block and its weights; a Riemann plan
     has block and weights None and a step kernel over the whole window.
+    An engine takes a plan whose kernel, n and gamma, and for a hybrid plan
+    kappa and policy, equal its call's; the seed is the draw's alone, so
+    one plan serves every seed and replicate, and a Riemann plan every
+    kappa and policy.
     """
 
     kernel: KernelSpec
@@ -893,13 +914,14 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
     # holds the family's plain channel), the output, one sheet row block
     # (its padded rows and row spectrum), the draw's ring and, with an inner
     # block, the family's row window, though it is freed before the sheet's
-    # row blocks: the sum leaves room for the small objects beside these
-    # arrays (1.1-2.7 % of it at n = 64 and 128).  No (S, S) volatility
-    # sheet: a realised one is the caller's array or the output of its
-    # model's own engine, whose check counted it, and a cold replicate
-    # realises it before it builds its plan.
+    # row blocks; then 1/64 of that sum for the small objects beside these
+    # arrays (at kappa = 0 the arrays alone exceed the traced peak by only
+    # 0.01-0.13 %, a margin that moves from run to run).  No (S, S)
+    # volatility sheet: a realised one is the caller's array or the output
+    # of its model's own engine, whose check counted it, and a cold
+    # replicate realises it before it builds its plan.
     S = 2 * (params.n_trunc + m0) + 1
-    fsh = _fft.next_fast_len(S, real=True)
+    fsh = _fast_len(S)
     h = fsh // 2 + 1
     side = 2 * m0 + 1
     need = (8 * h * h + 16 * fsh * h + 8 * side * side
@@ -912,6 +934,7 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         need += 8 * (_FAMILY_BLOCK + 2 * kappa) * s1 * d
         slot = max(slot, _FAMILY_UNIT * s1 * d)
     need += 8 * _RING * slot
+    need += need // 64
     _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
                           f"(plan and one replicate, FFT period {fsh})")
     check_rate_hypothesis(kernel, params)
@@ -945,7 +968,9 @@ def prepare_hybrid(
     estimate counts no (S, S) volatility sheet: a realised sigma is the
     caller's own array, or the output of its model's own engine, whose own
     check counts it; a cold hybrid_simulate realises sigma before it builds
-    its plan here."""
+    its plan here.  The plan ignores params.seed: it serves hybrid_simulate
+    for every seed and replicate at the same kernel, n, gamma, kappa and
+    policy."""
     return _prepare(kernel, params, half, workers, inner=True)
 
 
@@ -959,8 +984,18 @@ def prepare_riemann(
     no inner block (block and weights None) whose step kernel covers the
     whole window.  `half` and the memory check, which counts no volatility
     sheet, are as in prepare_hybrid; a cold riemann_simulate realises sigma
-    before it builds its plan here."""
+    before it builds its plan here.  The plan reads only the kernel, n and
+    gamma of `params`, and serves every seed, kappa and policy."""
     return _prepare(kernel, params, half, workers, inner=False)
+
+
+def _plan_settings(params: SchemeParams, inner: bool) -> tuple:
+    """The settings a step-kernel plan is built from: n and gamma, and for a
+    hybrid plan kappa and the policy too.  Never the seed, which only the
+    draw reads."""
+    if inner:
+        return params.n, params.gamma, params.kappa, params.policy
+    return params.n, params.gamma
 
 
 def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
@@ -975,7 +1010,8 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
             raise ValidationError(
                 f"plan was prepared for the "
                 f"{'Riemann' if inner else 'hybrid'} scheme")
-        if plan.kernel != kernel or plan.params != params:
+        if (plan.kernel != kernel or _plan_settings(plan.params, inner)
+                != _plan_settings(params, inner)):
             raise ValidationError("plan was prepared for different settings")
     m0 = params.n if plan is None else plan.half
     n, kappa, N = params.n, params.kappa, params.n_trunc
@@ -1066,10 +1102,11 @@ def hybrid_simulate(
     FFT convolution of the step kernel with sigma-modulated plain noise.
     Noise streams: rng_stream(seed, 0, replicate) for the field, unless
     rng_noise is passed, and rng_stream(seed, 1, replicate) for the
-    volatility.  The plan fixes the output window (see prepare_hybrid).  The
-    noise is streamed in row blocks (see the module docstring), so neither
-    noise family is held whole.  A plan from prepare_riemann is rejected with
-    ValidationError.
+    volatility.  The plan fixes the output window (see prepare_hybrid) and
+    serves every seed; another kernel, n, gamma, kappa or policy is
+    rejected with ValidationError, and so is a plan from prepare_riemann.
+    The noise is streamed in row blocks (see the module docstring), so
+    neither noise family is held whole.
     """
     return _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
                      inner=True)
@@ -1087,9 +1124,11 @@ def riemann_simulate(
 ) -> FieldGrid:
     """Simulate one replicate by the pure step-function (Riemann-sum) scheme.
 
-    All cells use iid plain noise N(0, 1/n^2); kappa plays no role.  The
-    output depends only on (kernel, n, gamma, seed/replicate, vol).  A plan
-    from prepare_hybrid is rejected with ValidationError.
+    All cells use iid plain noise N(0, 1/n^2); kappa and the policy play
+    no role.  The output depends only on (kernel, n, gamma, seed/replicate,
+    vol), and a plan from prepare_riemann serves any kappa, policy and seed
+    at its kernel, n and gamma.  A plan from prepare_hybrid is rejected
+    with ValidationError.
     """
     return _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
                      inner=False)
@@ -1200,7 +1239,7 @@ def _circulant_search(correlation, variance: float, n: int,
     whole half is left for the test, the zeroing or the square root.
     """
     w = fft_workers(workers)
-    M = _fft.next_fast_len(2 * (2 * n + 1), real=True)
+    M = _fast_len(2 * (2 * n + 1))
     octant, old = np.empty(0), -1
     tori = []
     for doubling in range(max_doublings + 1):
@@ -1249,7 +1288,7 @@ def _circulant_search(correlation, variance: float, n: int,
             break
         # a view alone would keep its buffer alive
         del half, rows, buf, col, lam
-        M = _fft.next_fast_len(2 * M, real=True)
+        M = _fast_len(2 * M)
     else:
         raise EmbeddingError(
             f"circulant embedding not nonnegative definite after "

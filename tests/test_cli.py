@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmma.analysis import mse_study
+import vmma.cli as cli_mod
 from vmma.cli import build_parser, format_volatility, main, parse_volatility
 from vmma.covariance import EvaluationPolicy
 from vmma.errors import QuadratureError, ValidationError
@@ -82,13 +83,14 @@ def test_parse_volatility_rejects_malformed():
 # ---------------------------------------------------------------------------
 
 
-def _simulate_args(tmp_path, name, extra=()):
+def _simulate_args(tmp_path, name, extra=(), gamma=("--gamma", "0.3")):
+    # gamma=() for the circulant scheme, which takes no --gamma
     out = tmp_path / name
     return [
         "simulate",
         "--kernel", "matern:nu=0.5,lambda=1",
         "--n", "12",
-        "--gamma", "0.3",
+        *gamma,
         "--seed", "4",
         "--out", str(out),
         *extra,
@@ -130,7 +132,8 @@ def test_simulate_riemann_and_circulant(tmp_path):
     argv, out = _simulate_args(tmp_path, "r.vmg", ["--scheme", "riemann"])
     assert main(argv) == 0
     assert read_vmg(out).side == 25
-    argv, out = _simulate_args(tmp_path, "c.vmg", ["--scheme", "circulant"])
+    argv, out = _simulate_args(tmp_path, "c.vmg", ["--scheme", "circulant"],
+                               gamma=())
     assert main(argv) == 0
     assert read_vmg(out).side == 25
 
@@ -195,9 +198,38 @@ def test_simulate_circulant_too_large_for_memory_exits_2(tmp_path, capsys,
     import vmma.fields as fields_mod
 
     monkeypatch.setattr(fields_mod, "_available_memory", lambda: 4096)
-    argv, out = _simulate_args(tmp_path, "big.vmg", ["--scheme", "circulant"])
+    argv, out = _simulate_args(tmp_path, "big.vmg", ["--scheme", "circulant"],
+                               gamma=())
     assert main(argv) == 2
     assert "available" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 19   # 10**19, beyond a C ssize_t
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "2", "--gamma", "2000"],
+    ["mse", "--gamma", "2000"],
+    ["roughness", "--alphas=-0.5", "--schemes", "hybrid:1", "--gamma", "2000",
+     "--replicates", "2"],
+    ["simulate", "--n", "100", "--gamma", "100"],
+    ["simulate", "--n", "100", "--gamma", "100", "--scheme", "riemann"],
+    ["simulate", "--n", "1000000000", "--gamma", "1"],
+    ["simulate", "--scheme", "circulant", "--n", _HUGE],
+], ids=["simulate-n_trunc", "mse-n_trunc", "roughness-n_trunc",
+        "hybrid-period", "riemann-period", "hybrid-fft-length",
+        "circulant-torus"])
+def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv):
+    # a truncation window beyond a float, or a noise sheet or torus beyond
+    # every FFT length, is refused like any size that does not fit in
+    # memory: exit 2 with a message, no traceback and no file
+    out = tmp_path / "o.vmg"
+    if argv[0] != "roughness":
+        argv = argv + ["--kernel", "matern:nu=0.5,lambda=1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -220,8 +252,6 @@ def test_simulate_circulant_restrictions_exit_2(tmp_path):
 
 
 def test_numeric_failure_exits_3(tmp_path, monkeypatch):
-    import vmma.cli as cli_mod
-
     def boom(*a, **k):
         raise QuadratureError("synthetic numeric failure")
 
@@ -284,6 +314,12 @@ def test_verbose_echoes_config_json(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--kernel", "matern:nu=0.5,lambda=1", "--n", "8",
      "--seed", "4", "--format", "vmg", "--format", "csv"],
+    pytest.param(["simulate", "--kernel", "matern:nu=0.5,lambda=1",
+                  "--scheme", "riemann", "--n", "8", "--gamma", "0.4",
+                  "--seed", "4"], id="simulate-riemann"),
+    pytest.param(["simulate", "--kernel", "matern:nu=0.5,lambda=1",
+                  "--scheme", "circulant", "--n", "8", "--seed", "4"],
+                 id="simulate-circulant"),
     ["roughness", "--alphas=-0.5", "--schemes", "hybrid:1,riemann",
      "--n", "10", "--replicates", "2", "--seed", "1"],
     ["mse", "--kernel", "matern:nu=0.5,lambda=1", "--n-list", "4,6,8"],
@@ -339,6 +375,44 @@ def test_config_values_are_cast_strictly(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+_IGNORED = [(key, scheme)
+            for key, (_, _, kw) in cli_mod._OPTIONS["simulate"].items()
+            if "schemes" in kw
+            for scheme in ("hybrid", "riemann", "circulant")
+            if scheme not in kw["schemes"]]
+
+
+def test_ignored_options_are_the_papers():
+    # gamma is the step-kernel schemes' truncation, kappa and the policy the
+    # hybrid scheme's inner block; the exact circulant baseline reads none
+    assert sorted(_IGNORED) == [("gamma", "circulant"), ("kappa", "circulant"),
+                                ("kappa", "riemann"), ("policy", "circulant"),
+                                ("policy", "riemann")]
+
+
+@pytest.mark.parametrize("key,scheme", _IGNORED,
+                         ids=[f"{s}-{k}" for k, s in _IGNORED])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_option_the_scheme_ignores_exits_2(tmp_path, capsys, key, scheme,
+                                           form):
+    # a setting that cannot change the field is refused, naming it, before
+    # any file is written, however it is given
+    kind, default, _ = cli_mod._OPTIONS["simulate"][key]
+    argv = ["simulate", "--kernel", "matern:nu=0.5,lambda=1", "--n", "8",
+            "--scheme", scheme, "--out", str(tmp_path / "o.vmg")]
+    if form == "flag":
+        argv += ["--" + key, str(default)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: default}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and scheme in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if form == "flag" else ["cfg.json"])
 
 
 def test_flag_rejects_fractional_kappa(capsys):
