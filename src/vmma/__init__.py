@@ -72,7 +72,6 @@ from .fields import (
     rng_stream,
     sample_noise,
     scheme_variance,
-    volatility_from_log_field,
 )
 from .gridio import read_vmg, write_csv, write_grid, write_pgm, write_vmg
 from .kernels import (
@@ -97,7 +96,7 @@ __all__ = [
     "build_block", "central_L_coefficient", "j_constant",
     # fields
     "SchemeParams", "FieldGrid", "VolatilityModel", "ConstantVol",
-    "ProvidedGridVol", "ExpVmmaVolatility", "volatility_from_log_field",
+    "ProvidedGridVol", "ExpVmmaVolatility",
     "rng_stream", "sample_noise", "conv2_fft", "HybridPlan",
     "prepare_hybrid", "hybrid_simulate", "prepare_riemann",
     "riemann_simulate", "CirculantPlan", "prepare_circulant",

@@ -44,7 +44,8 @@ Three groups of tools:
   hybrid_mse call, work the chunks off one ordered list (the D2 rings, then
   the D3 rings, band by band); the caller adds the chunk sums in that
   order, so the bits are those of a serial walk.  The probes, the adaptive
-  cells, D1 and D4 stay on the caller.
+  cells, D1 (whose inner cells take the adaptive cells' routine) and D4
+  stay on the caller.  The decomposition is at unit volatility.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .fields import (
     hybrid_simulate,
     prepare_hybrid,
     prepare_riemann,
+    require_memory,
     riemann_simulate,
     rng_stream,
 )
@@ -372,6 +374,10 @@ _GAUSS_AGREEMENT = 1e-13
 _GAUSS_ROUNDOFF = 1e-14
 # canonical cells per chunk of whole rings in the step-kernel sums
 _CHUNK_CELLS = 1 << 14
+# bytes per cell of a chunk in work (traced: at most 214) and per task of
+# the chunk list, with its result (traced: 263-265)
+_CELL_BYTES = 224
+_TASK_BYTES = 272
 
 
 @dataclass(frozen=True)
@@ -384,7 +390,7 @@ class MseEntry:
     d2: float   # step-kernel cells inside the unit window
     d3: float   # step-kernel cells out to the truncation window
     d4: float   # tail outside the truncation square
-    e_n: float  # sigma^2 * (d1 + d2 + d3 + d4)
+    e_n: float  # d1 + d2 + d3 + d4
     # n^(2(1+alpha)) * L(1/n)^(-2) * e_n; tends to J only as fast as
     # L(1/n) -> L(0+), i.e. with a relative offset O(n^alpha) for Matern
     scaled: float
@@ -401,7 +407,6 @@ class MseReport:
     gamma: float
     kappa: int
     policy: EvaluationPolicy
-    sigma: float
     entries: tuple
     j_ref: float
     rate: float
@@ -443,14 +448,18 @@ def _tensor_cell_integrals(kernel, n, a, b, g0, rule):
     return acc
 
 
-def _adaptive_cell_integrals(kernel, n, a, b, g0, tol, kinks_cells):
-    """Per cell, the same integral by the adaptive radial reduction with
-    absolute tolerance tol: arrays (values, error estimates)."""
+def _adaptive_cell_integrals(kernel, n, a, b, c, e, tol, kinks_cells):
+    """Per cell, the integral over the unit cell at (a, b) of
+    (g(|s|/n) - c * (|s|/n)**e)^2 by the adaptive radial reduction with
+    absolute tolerance tol: arrays (values, error estimates).  A step cell
+    takes e = 0.0 (x**0.0 is exactly 1.0) and c = g0, a D1 cell e = alpha
+    and c = its weight."""
     out = np.zeros((2, len(a)))
-    for i, (ai, bi, gi) in enumerate(zip(a.tolist(), b.tolist(), g0.tolist())):
+    for i, (ai, bi, ci) in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
 
         def fr(r):
-            d = kernel.eval_g(r / n) - gi
+            x = r / n
+            d = kernel.eval_g(x) - ci * x**e
             return d * d
 
         out[:, i] = radial_cell_integral(fr, ai, bi, tol=tol,
@@ -480,7 +489,7 @@ def _band_order(kernel, n, policy, kinks_cells, ring, candidates, reference):
     a, b, mult = a[keep], b[keep], mult[keep]
     g0 = kernel.eval_g(representative_radii(a, b, kernel.alpha, policy) / n)
     if reference is None:
-        cells = _adaptive_cell_integrals(kernel, n, a, b, g0, 0.0, kinks_cells)[0]
+        cells = _adaptive_cell_integrals(kernel, n, a, b, g0, 0.0, 0.0, kinks_cells)[0]
     else:
         cells = _tensor_cell_integrals(kernel, n, a, b, g0, reference)
     ref = float(np.sum(mult * cells))
@@ -604,18 +613,19 @@ def hybrid_mse(
     kernel: KernelSpec,
     params: SchemeParams,
     tol: float = 1e-9,
-    sigma: float = 1.0,
 ) -> MseEntry:
-    """Deterministic one-point MSE of the hybrid scheme at constant
-    volatility sigma, by quadrature (no simulation).
+    """Deterministic one-point MSE of the hybrid scheme at unit volatility,
+    by quadrature (no simulation); at a constant volatility sigma every
+    term scales by sigma^2.
 
     The error field splits over disjoint cell families, giving
-    E_n = sigma^2 * (D1 + D2 + D3 + D4):
+    E_n = D1 + D2 + D3 + D4:
 
       D1: inner cells j with max|j| <= kappa, integral of
           (w_j * |s|^alpha - g(|s|))^2 over the physical cell; w_j come
           from covariance.cell_weight, the function the engine's inner
-          weights come from (central cell included).
+          weights come from (central cell included), by the adaptive
+          cells' routine.
       D2: step-kernel cells with kappa < max|j| <= n.
       D3: step-kernel cells with n < max|j| <= n_trunc.
       D4: integral of g^2 outside the truncation square (radial).
@@ -634,16 +644,19 @@ def hybrid_mse(
     but was 5e-9 off with its near cells on the adaptive path.
 
     Emits the rate-hypothesis warning when the kernel's decay exponent makes
-    the truncation growth too slow (same check as the engine).
+    the truncation growth too slow (same check as the engine).  Refuses,
+    before any work, step-kernel sums that would not fit in memory.
     """
     if not isinstance(params, SchemeParams):
         raise ValidationError("hybrid_mse needs SchemeParams")
-    check_real(sigma, "sigma", lo=0.0)
     check_real(tol, "tol", lo=0.0)
+    N = params.n_trunc   # at most one task per ring; two chunks in work
+    require_memory(_TASK_BYTES * N + 2 * _CELL_BYTES * max(_CHUNK_CELLS, N + 1),
+                   f"the MSE at n={params.n}, gamma={params.gamma} (n_trunc={N})")
     check_rate_hypothesis(kernel, params)
 
     alpha = kernel.alpha
-    n, kappa, N = params.n, params.kappa, params.n_trunc
+    n, kappa = params.n, params.kappa
     policy = params.policy
     l_inv_n = float(kernel.eval_L(np.asarray(1.0 / n)))
     if not l_inv_n > 0.0:
@@ -653,27 +666,19 @@ def hybrid_mse(
         )
 
     # ---- D1: inner cells, octant representatives.  The integrand
-    # (w * |s|^alpha - g(|s|))^2 is radial, so every cell, the origin cell
-    # included, is one radial_cell_integral (in cell units; the n^-2
+    # (g(|s|) - w * |s|^alpha)^2 is radial, so every cell, the origin cell
+    # included, takes the adaptive radial reduction (in cell units; the n^-2
     # Jacobian is applied at the end).  The origin cell's singularity sits
     # at the endpoint r = 0, which QUADPACK never evaluates.  Kink radii are
-    # passed through in cell units.
+    # passed through in cell units.  The sum is serial, in cell order.
     kinks_cells = tuple(q * n for q in kernel.kink_radii)
-    d1 = 0.0
-    err1 = 0.0
-    n_inner = (2 * kappa + 1) ** 2
-    tol_inner = tol * n**2 / (4.0 * max(n_inner, 1))
+    tol_inner = tol * n**2 / (4.0 * (2 * kappa + 1) ** 2)
     a1, b1, m1 = octant_cells(kappa)
-    for a, b, mult in zip(a1.tolist(), b1.tolist(), m1.tolist()):
-        w = cell_weight(kernel, n, (a, b), policy)
-
-        def fr(r):
-            rp = r / n
-            d = w * rp**alpha - kernel.eval_g(rp)
-            return d * d
-
-        v, e = radial_cell_integral(fr, a, b, tol=tol_inner,
-                                    breakpoints=kinks_cells)
+    w1 = np.array([cell_weight(kernel, n, j, policy) for j in zip(a1, b1)])
+    v1, e1 = _adaptive_cell_integrals(kernel, n, a1, b1, w1, alpha,
+                                      tol_inner, kinks_cells)
+    d1 = err1 = 0.0
+    for mult, v, e in zip(m1.tolist(), v1.tolist(), e1.tolist()):
         d1 += mult * v
         err1 += mult * e
     d1 /= n**2
@@ -708,8 +713,8 @@ def hybrid_mse(
     sums = []
     for v, e, adaptive in parts:
         for a, b, g0, mult in adaptive:
-            cv, ce = _adaptive_cell_integrals(kernel, n, a, b, g0, tol_cell,
-                                              kinks_cells)
+            cv, ce = _adaptive_cell_integrals(kernel, n, a, b, g0, 0.0,
+                                              tol_cell, kinks_cells)
             v += float(np.sum(mult * cv))
             e += float(np.sum(mult * ce))
         sums.append((v / n**2, e / n**2))
@@ -728,7 +733,7 @@ def hybrid_mse(
             f"exceeds tol {tol:.2e}"
         )
 
-    e_n = sigma**2 * (d1 + d2 + d3 + d4)
+    e_n = d1 + d2 + d3 + d4
     scaled = float(n) ** (2.0 * (1.0 + alpha)) * l_inv_n ** (-2.0) * e_n
     return MseEntry(n=n, d1=d1, d2=d2, d3=d3, d4=d4, e_n=float(e_n),
                     scaled=float(scaled), far_order=far_order)
@@ -741,7 +746,6 @@ def mse_study(
     kappa: int = 1,
     policy: EvaluationPolicy | None = None,
     tol: float = 1e-9,
-    sigma: float = 1.0,
 ) -> MseReport:
     """hybrid_mse along an n-list plus the limiting j_constant and the
     fitted convergence rate of E_n."""
@@ -753,11 +757,11 @@ def mse_study(
     entries = []
     for n in ns:
         params = SchemeParams(n=n, gamma=gamma, kappa=kappa, policy=policy)
-        entries.append(hybrid_mse(kernel, params, tol=tol, sigma=sigma))
-    j_ref = sigma**2 * j_constant(kernel.alpha, kappa, policy=policy)
+        entries.append(hybrid_mse(kernel, params, tol=tol))
+    j_ref = j_constant(kernel.alpha, kappa, policy=policy)
     rate, intercept = rate_fit(ns, [e.e_n for e in entries])
     return MseReport(kernel=kernel, gamma=gamma, kappa=kappa, policy=policy,
-                     sigma=sigma, entries=tuple(entries), j_ref=j_ref,
+                     entries=tuple(entries), j_ref=j_ref,
                      rate=rate, intercept=intercept)
 
 

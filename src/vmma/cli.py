@@ -46,7 +46,7 @@ from .analysis import (
     roughness_study,
 )
 from .covariance import EvaluationPolicy, build_block
-from .errors import NumericError, ValidationError, VmmaError, check_int
+from .errors import NumericError, ValidationError, check_int
 from .fields import (
     ConstantVol,
     ExpVmmaVolatility,
@@ -441,9 +441,6 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"{_PROG}: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except VmmaError as exc:
-        print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -140,11 +140,11 @@ __all__ = [
     "ConstantVol",
     "ProvidedGridVol",
     "ExpVmmaVolatility",
-    "volatility_from_log_field",
     "rng_stream",
     "sample_noise",
     "conv2_fft",
     "check_rate_hypothesis",
+    "require_memory",
     "HybridPlan",
     "prepare_hybrid",
     "hybrid_simulate",
@@ -330,12 +330,6 @@ def _exp_half(x: np.ndarray) -> np.ndarray:
     """exp(x/2) formed in the float array x itself; returns x."""
     x *= 0.5
     return np.exp(x, out=x)
-
-
-def volatility_from_log_field(log_field: np.ndarray) -> np.ndarray:
-    """Map a log-variance field x to sigma = exp(x/2), so sigma^2 = exp(x).
-    The input is copied, never modified."""
-    return _exp_half(np.array(log_field, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -688,9 +682,10 @@ def _fast_len(target: int) -> int:
         return target
 
 
-def _require_memory(need: int, what: str):
+def require_memory(need: int, what: str):
     """Raise ValidationError, before anything is allocated, when `need` bytes
-    for `what` exceed the available memory."""
+    for `what` exceed the available memory.  The package's one memory
+    check, shared by the engines and the MSE analysis."""
     avail = _available_memory()
     if need > avail:
         # in integers: a window beyond every FFT length can need more bytes
@@ -935,8 +930,8 @@ def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
         slot = max(slot, _FAMILY_UNIT * s1 * d)
     need += 8 * _RING * slot
     need += need // 64
-    _require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
-                          f"(plan and one replicate, FFT period {fsh})")
+    require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
+                         f"(plan and one replicate, FFT period {fsh})")
     check_rate_hypothesis(kernel, params)
     block = weights = None
     if inner:
@@ -1248,11 +1243,11 @@ def _circulant_search(correlation, variance: float, n: int,
         # plan's draws each take one) and the draw's ring, the builder's
         # complex column block and its row block (padded rows, their row
         # spectra, index arrays), and a plan's own half
-        _require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
-                        + 8 * _RING * _SHEET_UNIT * M + 32 * _ROW_BLOCK * M
-                        + (8 * M * (h + 1) if plan else 0),
-                        f"circulant embedding on a torus of side M={M} "
-                        f"(doubling {doubling} of {max_doublings})")
+        require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
+                       + 8 * _RING * _SHEET_UNIT * M + 32 * _ROW_BLOCK * M
+                       + (8 * M * (h + 1) if plan else 0),
+                       f"circulant embedding on a torus of side M={M} "
+                       f"(doubling {doubling} of {max_doublings})")
         octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
         bound = (1.0 + 1e-9) * 8.0 * float(np.sum(np.abs(octant)))
         if plan:

@@ -32,6 +32,7 @@ from vmma.analysis import (
     square_increment_dim,
 )
 from vmma.covariance import (
+    DEFAULT_POLICY,
     EvaluationPolicy,
     box_power_integrals,
     j_constant,
@@ -180,6 +181,8 @@ def test_dim_recovers_exact_baseline():
 def test_dim_validation():
     with pytest.raises(ValidationError):
         square_increment_dim(_grid(np.zeros((7, 7))))  # side < 8
+    with pytest.raises(ValidationError):
+        square_increment_dim(np.zeros((8, 8)))  # not a FieldGrid
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,8 @@ def test_scheme_choice_labels():
         SchemeChoice("riemann", 0)  # riemann takes no inner block
     with pytest.raises(ValidationError):
         SchemeChoice("hybrid", True)
+    with pytest.raises(ValidationError):
+        SchemeChoice("x")
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +354,9 @@ def test_roughness_study_validation():
         roughness_study(alphas=[-0.5], schemes=[], n=16, replicates=3)
     with pytest.raises(ValidationError):
         roughness_study(alphas=[-0.5], schemes=["hybrid:1"], n=16, replicates=1)
+    with pytest.raises(ValidationError):
+        roughness_study(alphas=[-0.5], schemes=["hybrid:1"], n=16, replicates=3,
+                        kernel_factory=lambda a: "matern:nu=0.5")
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +382,6 @@ def test_mse_frozen_values_matern():
     assert e.d1 == pytest.approx(2.597165e-03, rel=1e-4)
     assert e.e_n == pytest.approx(1.79694475e-02, rel=1e-6)
     assert e.scaled == pytest.approx(0.124864, rel=1e-4)
-
-
-def test_mse_sigma_scaling_exact():
-    k = ExpDecay(-0.5)
-    p = SchemeParams(n=8, gamma=0.5, kappa=1)
-    e1 = hybrid_mse(k, p, sigma=1.0)
-    e2 = hybrid_mse(k, p, sigma=2.0)
-    assert e2.e_n == pytest.approx(4.0 * e1.e_n, rel=1e-12)
 
 
 def test_mse_decreases_with_n():
@@ -656,36 +656,52 @@ def test_mse_peak_memory_flat_in_n():
 
 # Every field of hybrid_mse's entry, frozen from the serial chunk walk
 # (before the chunks ran on two threads): Matern(0.5, 1) at n = 20 for
-# kappa = 0, 1, 2; the PurePower kink ring; and n = 40 with one ring per
-# chunk, where many chunks interleave with their adaptive kink cells.
+# kappa = 0, 1, 2; the PurePower kink ring; D1's weights under the optimal
+# policy and the optimal_norm centre, and a PurePower whose kink at 1.2
+# cells leaves the near band's probe ring only kink cells, so the band keeps
+# the adaptive reference (these three frozen before D1 joined the
+# adaptive-cell routine); and n = 40 with one ring per chunk, where many
+# chunks interleave with their adaptive kink cells.
 _MATERN = Matern(0.5, 1.0)
 _KINK = PurePower(-0.5, R=1.0)
 _FROZEN_ENTRIES = [
-    (_MATERN, 20, 0, None,
+    (_MATERN, 20, 0, DEFAULT_POLICY, None,
      (20, 0.0012021006572525657, 0.0430502352787565, 0.00017087219166430064,
       0.00013628266529009192, 0.04455949079296346, 0.30963060532384884, 6)),
-    (_MATERN, 20, 1, None,
+    (_MATERN, 20, 1, DEFAULT_POLICY, None,
      (20, 0.002597164689229315, 0.015065128003138297, 0.00017087219166430064,
       0.00013628266529009192, 0.017969447549322004, 0.12486432908049158, 6)),
-    (_MATERN, 20, 2, None,
+    (_MATERN, 20, 2, DEFAULT_POLICY, None,
      (20, 0.003250094483282078, 0.008243108305248176, 0.00017087219166430064,
       0.00013628266529009192, 0.011800357645484648, 0.08199716414592187, 6)),
-    (_KINK, 20, 1, None,
+    (_KINK, 20, 1, DEFAULT_POLICY, None,
      (20, 5.3904389331888296e-33, 0.08880372862490411, 0.0, 0.0,
       0.08880372862490411, 1.7760745724980822, 6)),
-    (_MATERN, 40, 1, 1,
+    (_MATERN, 20, 1, EvaluationPolicy(mode="optimal"), None,
+     (20, 0.0025716020129398385, 0.01505480649303712, 0.00017086690282318924,
+      0.00013628266529009192, 0.01793355807409024, 0.12461494382623904, 6)),
+    (_MATERN, 20, 1, EvaluationPolicy(central_mode="optimal_norm"), None,
+     (20, 0.002751892564901885, 0.015065128003138297, 0.00017087219166430064,
+      0.00013628266529009192, 0.018124175424994577, 0.12593948691897697, 6)),
+    (PurePower(-0.5, R=0.06), 20, 0, DEFAULT_POLICY, None,
+     (20, 4.097694986238866e-33, 0.11258924735308697, 0.0, 0.0,
+      0.11258924735308697, 2.2517849470617395, 6)),
+    (_MATERN, 40, 1, DEFAULT_POLICY, 1,
      (40, 0.0006565821910872221, 0.008187268846322385, 4.4377545270130045e-05,
       2.5646531382208997e-06, 0.008890793235817956, 0.10615269240979948, 6)),
 ]
 
 
-@pytest.mark.parametrize("kernel, n, kappa, chunk_cells, frozen", _FROZEN_ENTRIES,
-                         ids=["kappa0", "kappa1", "kappa2", "kink", "rings40"])
-def test_mse_entries_frozen_bit_for_bit(kernel, n, kappa, chunk_cells, frozen,
-                                        monkeypatch):
+@pytest.mark.parametrize("kernel, n, kappa, policy, chunk_cells, frozen",
+                         _FROZEN_ENTRIES,
+                         ids=["kappa0", "kappa1", "kappa2", "kink", "optimal",
+                              "optimal_norm", "kink-probe-ring", "rings40"])
+def test_mse_entries_frozen_bit_for_bit(kernel, n, kappa, policy, chunk_cells,
+                                        frozen, monkeypatch):
     if chunk_cells is not None:
         monkeypatch.setattr(analysis, "_CHUNK_CELLS", chunk_cells)
-    e = hybrid_mse(kernel, SchemeParams(n=n, gamma=0.5, kappa=kappa))
+    e = hybrid_mse(kernel, SchemeParams(n=n, gamma=0.5, kappa=kappa,
+                                        policy=policy))
     assert dataclasses.astuple(e) == frozen
 
 
@@ -821,6 +837,8 @@ def test_mse_study_validation():
         mse_study(Matern(0.5), [8, 12])  # fewer than three n values
     with pytest.raises(ValidationError):
         mse_study(Matern(0.5), [8.7, 12, 16])  # never truncated to n = 8
+    with pytest.raises(ValidationError):
+        hybrid_mse(Matern(0.5), {"n": 8, "gamma": 0.5, "kappa": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import vmma.cli as cli_mod
 from vmma.cli import build_parser, format_volatility, main, parse_volatility
 from vmma.covariance import EvaluationPolicy
 from vmma.errors import QuadratureError, ValidationError
-from vmma.fields import ConstantVol, ExpVmmaVolatility, SchemeParams, hybrid_simulate
+from vmma.fields import (ConstantVol, ExpVmmaVolatility, ProvidedGridVol,
+                         SchemeParams, hybrid_simulate)
 from vmma.gridio import read_vmg, write_grid
 from vmma.kernels import ExpDecay, Matern, PurePower, format_kernel, parse_kernel
 
@@ -73,9 +74,16 @@ def test_grammar_writes_every_model_exactly(kernel, c):
 
 
 def test_parse_volatility_rejects_malformed():
-    for bad in ("const", "const:0", "const:-1", "gauss:1", "expvmma:", ""):
+    for bad in ("const", "const:0", "const:-1", "const:abc", "gauss:1",
+                "expvmma:", ""):
         with pytest.raises(ValidationError):
             parse_volatility(bad)
+
+
+def test_format_volatility_rejects_provided_grid():
+    # a realised sigma grid has no text form
+    with pytest.raises(ValidationError):
+        format_volatility(ProvidedGridVol(np.ones((3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +241,14 @@ def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_simulate_bad_kernel_exits_2(tmp_path):
+def test_simulate_bad_kernel_exits_2(tmp_path, capsys):
     argv = ["simulate", "--kernel", "matern:nu=7", "--out", str(tmp_path / "x.vmg")]
     assert main(argv) == 2
+    # and a volatility grammar string with a malformed constant
+    argv = ["simulate", "--kernel", "matern:nu=0.5", "--vol", "const:abc",
+            "--out", str(tmp_path / "x.vmg")]
+    assert main(argv) == 2
+    assert "bad constant volatility" in capsys.readouterr().err
 
 
 def test_simulate_circulant_restrictions_exit_2(tmp_path):
@@ -292,13 +305,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(argv) == 2
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("[1, 2, 3]")  # not an object
     argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.vmg")]
     assert main(argv) == 2
     cfg_path.write_text("{not json")
     assert main(argv) == 2
+    argv[2] = str(tmp_path / "missing.json")  # unreadable
+    assert main(argv) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_verbose_echoes_config_json(tmp_path, capsys):
@@ -559,6 +575,16 @@ def test_mse_kernel_vanishing_at_one_over_n_exits_2(capsys):
     assert "L(1/n)" in capsys.readouterr().err
 
 
+def test_mse_window_too_large_for_memory_exits_2(capsys):
+    # n_trunc = 4**101: the step-kernel sums' task list alone would outgrow
+    # any memory, so the memory check refuses it before any work
+    argv = ["mse", "--kernel", "matern:nu=0.5,lambda=1", "--gamma", "100",
+            "--n-list", "4,6,8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "MiB" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # covariance command
 # ---------------------------------------------------------------------------
@@ -595,8 +621,11 @@ def test_covariance_symmetry_kappa_one(tmp_path):
             assert vals[(i, j)] == vals[(j, i)]
 
 
-def test_covariance_bad_alpha_exits_2():
+def test_covariance_bad_alpha_exits_2(capsys):
     assert main(["covariance", "--alpha", "0.5", "--kappa", "0", "--n", "1"]) == 2
+    assert main(["covariance", "--kappa", "0", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha is required" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

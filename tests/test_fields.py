@@ -57,7 +57,6 @@ from vmma.fields import (
     rng_stream,
     sample_noise,
     scheme_variance,
-    volatility_from_log_field,
 )
 from vmma.kernels import (ExpDecay, KernelSpec, Matern, PurePower,
                           matern_correlation)
@@ -185,14 +184,6 @@ def test_provided_grid_vol():
         ProvidedGridVol(np.ones((3, 4)))
 
 
-def test_volatility_from_log_field():
-    x = np.array([[0.0, 2.0], [-2.0, 4.0]])
-    out = volatility_from_log_field(x)
-    assert np.allclose(out, np.exp(x / 2.0))
-    assert np.all(out > 0)
-    assert np.array_equal(x, [[0.0, 2.0], [-2.0, 4.0]])  # input not mutated
-
-
 def test_expvmma_validation():
     inner = ExpDecay(-0.2)
     v = ExpVmmaVolatility(inner)
@@ -202,6 +193,8 @@ def test_expvmma_validation():
         v.validate_against(ExpDecay(-0.1))  # host smoother than inner
     with pytest.raises(ValidationError):
         v.validate_against(ExpDecay(-0.2))  # equal roughness
+    with pytest.raises(ValidationError):
+        ExpVmmaVolatility(0.5)  # not a KernelSpec
 
 
 def test_expvmma_realize_is_positive_and_deterministic():
@@ -544,6 +537,8 @@ def test_conv2_fft_identity_kernel():
 def test_conv2_fft_rejects_nonsquare():
     with pytest.raises(ValidationError):
         conv2_fft(np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ValidationError):
+        conv2_fft(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def _block_operands(period, quarter, seed):
@@ -1290,6 +1285,7 @@ def test_memory_preflight_counts_plan_as_real_quarter(monkeypatch):
     pytest.param(hybrid_simulate, 1, id="hybrid_simulate"),
     pytest.param(riemann_simulate, 1, id="riemann_simulate"),
     pytest.param(hybrid_simulate, 0, id="hybrid_simulate-kappa0"),
+    pytest.param(hybrid_simulate, 2, id="hybrid_simulate-kappa2"),
 ])
 @pytest.mark.parametrize("lognormal", [False, True], ids=["constant", "expvmma"])
 def test_memory_estimate_covers_cold_traced_peak(monkeypatch, n, simulate,
@@ -1299,11 +1295,12 @@ def test_memory_estimate_covers_cold_traced_peak(monkeypatch, n, simulate,
     # whole call's traced peak.  Measured margins with the estimate's 1/64
     # slack: 1.6-1.7 % at kappa = 0 with constant sigma, where the arrays
     # alone leave only 0.05-0.13 % and the slack is what keeps this from
-    # flaking; 3.8-5.4 % at kappa = 1 and for Riemann; 2.7-3.8 % with
-    # expvmma, where the nested replicate is the peak.
+    # flaking; 3.8-5.4 % at kappa = 1 and for Riemann; 4.2-5.7 % at
+    # kappa = 2, the widest family window (d = 26); 2.7-3.8 % with expvmma,
+    # where the nested replicate is the peak.
     needs = []
-    check = fields_mod._require_memory
-    monkeypatch.setattr(fields_mod, "_require_memory",
+    check = fields_mod.require_memory
+    monkeypatch.setattr(fields_mod, "require_memory",
                         lambda need, what: (needs.append(need), check(need, what)))
     k = Matern(0.5, 1.0)
     p = SchemeParams(n=n, gamma=0.3, kappa=kappa, seed=3)
@@ -1696,8 +1693,8 @@ def test_circulant_memory_estimate_covers_traced_peak(monkeypatch):
     # (M = 1728) counts the draw buffer, the packed lag octant and the
     # spectrum builder's row and column blocks, and stays above the peak.
     needs = []
-    check = fields_mod._require_memory
-    monkeypatch.setattr(fields_mod, "_require_memory",
+    check = fields_mod.require_memory
+    monkeypatch.setattr(fields_mod, "require_memory",
                         lambda need, what: (needs.append(need), check(need, what)))
     corr = lambda r: matern_correlation(0.4, 0.38, r)
     peak = _replicate_peak(lambda: circulant_simulate(corr, 1.0, 50, seed=0))
@@ -1805,8 +1802,8 @@ def test_prepare_circulant_memory_estimate_covers_traced_warm_peak(monkeypatch):
     # plan's real half (about 4 bytes per torus point) beside one draw's
     # working set, so its last estimate covers a plan and a draw from it.
     needs = []
-    check = fields_mod._require_memory
-    monkeypatch.setattr(fields_mod, "_require_memory",
+    check = fields_mod.require_memory
+    monkeypatch.setattr(fields_mod, "require_memory",
                         lambda need, what: (needs.append(need), check(need, what)))
     corr = lambda r: matern_correlation(0.4, 0.38, r)
     peak = _replicate_peak(lambda: circulant_simulate(

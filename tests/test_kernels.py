@@ -95,6 +95,8 @@ def test_family_supplies_only_L():
         k.eval_g(0.0)
     with pytest.raises(ValidationError):
         k.eval_L(-1.0)
+    with pytest.raises(ValidationError):
+        format_kernel(k)  # the grammar writes only the three families
 
 
 def test_eval_g_rejects_nonpositive():
@@ -273,6 +275,7 @@ def test_parse_kernel_rejects_malformed():
     for bad in (
         "matern",
         "matern:nu=0.5,bogus=1",
+        "matern:nu",  # no '='
         "unknown:alpha=-0.5",
         "expdecay:alpha=notanumber",
         "matern:nu=2.0",  # out of range

@@ -5,6 +5,7 @@ read from the environment)."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,55 @@ def test_used_private_names_pass():
               "class _C:\n    pass\n"
               "PLANS = [_C]\n__all__ = ['g']\npublic = 2\n")
     assert unused_privates(source) == []
+
+
+# No dead public code: each name of vmma.__all__ is loaded in a package
+# module other than __init__.py or in a benchmark module, or a README code
+# block shows it.  A public name with none of these uses is kept only on
+# purpose, with its reason here.
+ROOT = SRC.parents[1]
+KEPT_PUBLIC = {
+    "conv2_fft": "parked in ROADMAP: the direct reference of the one FFT path",
+    "scheme_variance": "the tests' variance oracle (ROADMAP item 15)",
+    "ProvidedGridVol": "the one way to pass a realised sigma grid (test_09)",
+}
+
+
+def loaded_names(source: str) -> set:
+    """The names `source` loads, as a bare name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unused_publics(names, sources, readme: str) -> list:
+    """The entries of `names` that no source in `sources` loads and no
+    fenced code block of the markdown `readme` contains as a word.  Dunder
+    names (`__version__`) are metadata, not code, and always pass."""
+    used = set().union(*map(loaded_names, sources))
+    blocks = "".join(re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S))
+    used |= set(re.findall(r"\w+", blocks))
+    return [name for name in names
+            if name not in used and not name.startswith("__")]
+
+
+def test_every_public_name_has_a_use():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text() for path in sorted(ROOT.glob("perfbench/*.py"))
+                if not path.name.startswith("test_")]
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(unused_publics(vmma.__all__, sources, readme)) == sorted(KEPT_PUBLIC)
+
+
+def test_unused_public_name_is_detected():
+    sources = ["from vmma import f, g, h\ng()\nx = vmma.h\nf = 1\n"]
+    assert unused_publics(["f", "g", "h", "__version__"], sources, "") == ["f"]
+    # a README code block is a use; inline code or prose is not
+    readme = "Call `f` or f.\n```python\nvmma.f(1)\n```\n"
+    assert unused_publics(["f", "g"], sources, readme) == []
+    assert unused_publics(["f"], sources, readme.replace("vmma.f(1)", "g()")) == ["f"]
 
 
 # The one home of each numerical primitive: QUADPACK (scipy.integrate) is
