@@ -80,9 +80,9 @@ from .fields import (
     SchemeParams,
     check_rate_hypothesis,
     hybrid_simulate,
+    memory_ledger,
     prepare_hybrid,
     prepare_riemann,
-    require_memory,
     riemann_simulate,
     rng_stream,
 )
@@ -375,7 +375,9 @@ _GAUSS_ROUNDOFF = 1e-14
 # canonical cells per chunk of whole rings in the step-kernel sums
 _CHUNK_CELLS = 1 << 14
 # bytes per cell of a chunk in work (traced: at most 214) and per task of
-# the chunk list, with its result (traced: 263-265)
+# the chunk list, with its result (traced: 263-265).  The ledger counts two
+# chunks of at least _CHUNK_CELLS cells at this bound, so it over-counts:
+# 7.4-7.5 MiB on the default ladder, 3-23 times its traced peaks.
 _CELL_BYTES = 224
 _TASK_BYTES = 272
 
@@ -645,14 +647,20 @@ def hybrid_mse(
 
     Emits the rate-hypothesis warning when the kernel's decay exponent makes
     the truncation growth too slow (same check as the engine).  Refuses,
-    before any work, step-kernel sums that would not fit in memory.
+    before any work, step-kernel sums that would not fit in memory
+    (fields.memory_ledger), but sets no bound on the run time: the sums
+    cover about n_trunc**2 / 2 canonical cells, and 1.6 M of them (n = 20,
+    gamma = 1.5) took 10.3 s on two cores, so gamma = 1.5 at n = 80 (about
+    1.6e9 cells) runs for hours.
     """
     if not isinstance(params, SchemeParams):
         raise ValidationError("hybrid_mse needs SchemeParams")
     check_real(tol, "tol", lo=0.0)
-    N = params.n_trunc   # at most one task per ring; two chunks in work
-    require_memory(_TASK_BYTES * N + 2 * _CELL_BYTES * max(_CHUNK_CELLS, N + 1),
-                   f"the MSE at n={params.n}, gamma={params.gamma} (n_trunc={N})")
+    N = params.n_trunc
+    memory_ledger(f"the MSE at n={params.n}, gamma={params.gamma} (n_trunc={N})", {
+        "task list, at most one task per ring": ((N, _TASK_BYTES), np.uint8),
+        "two chunks in work": ((2, max(_CHUNK_CELLS, N + 1), _CELL_BYTES), np.uint8),
+    })
     check_rate_hypothesis(kernel, params)
 
     alpha = kernel.alpha
@@ -745,7 +753,6 @@ def mse_study(
     gamma: float = 0.5,
     kappa: int = 1,
     policy: EvaluationPolicy | None = None,
-    tol: float = 1e-9,
 ) -> MseReport:
     """hybrid_mse along an n-list plus the limiting j_constant and the
     fitted convergence rate of E_n."""
@@ -757,7 +764,7 @@ def mse_study(
     entries = []
     for n in ns:
         params = SchemeParams(n=n, gamma=gamma, kappa=kappa, policy=policy)
-        entries.append(hybrid_mse(kernel, params, tol=tol))
+        entries.append(hybrid_mse(kernel, params))
     j_ref = j_constant(kernel.alpha, kappa, policy=policy)
     rate, intercept = rate_fit(ns, [e.e_n for e in entries])
     return MseReport(kernel=kernel, gamma=gamma, kappa=kappa, policy=policy,

@@ -247,7 +247,9 @@ def _canonical_pair(ja, jb):
 
 _CROSS_ORDERS = (16, 24)  # the polar rule's two orders; their gap is the estimate
 _CROSS_TOL = 1e-10  # bound on that gap; QuadratureError above it (seen: ~1e-15)
-_CROSS_CHUNK = 128  # pairs per evaluation: temporaries stay under ~10 MB
+# pairs per evaluation: each temporary is (8, 4 * 24**2) floats, 0.14 MiB,
+# so that the block build stays inside the memory ledger's slack
+_CROSS_CHUNK = 8
 
 
 def _polar_rule(m: int, beta: float):

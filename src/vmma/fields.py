@@ -64,12 +64,13 @@ is the octant's kernel centred on index 0 with N = M//2, so its spectrum is
 the real part of its rfft2.  The embedding search (_circulant_search,
 which describes it) takes that half (columns 0..M//2, all M rows) from the
 same builder's column blocks and keeps each block zeroed below 0 and
-square-rooted: in a cold call straight into the imaginary part of the
-complex (M, M) draw buffer, whose first rows also hold the distinct rows'
-spectra until their columns are transformed, and in prepare_circulant into
-the plan's own real half, which each draw from the plan copies into its
-buffer.  Neither the base matrix nor a full spectrum is ever held, and the
-columns after a block that rules a torus out are never transformed.
+square-rooted straight into the imaginary part of the complex (M, M) draw
+buffer, whose first rows also hold the distinct rows' spectra until their
+columns are transformed.  prepare_circulant copies the half out of that
+buffer into its plan, and each draw from the plan copies it back into a
+buffer of its own.  Neither the base matrix nor a full spectrum is ever
+held, and the columns after a block that rules a torus out are never
+transformed.
 
 Noise layout (fixed, part of the determinism contract): for one replicate,
 the correlated family is drawn first as z ~ N(0,1) of shape (s1, s1, d) with
@@ -108,6 +109,7 @@ import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -144,7 +146,7 @@ __all__ = [
     "sample_noise",
     "conv2_fft",
     "check_rate_hypothesis",
-    "require_memory",
+    "memory_ledger",
     "HybridPlan",
     "prepare_hybrid",
     "hybrid_simulate",
@@ -649,22 +651,15 @@ def _available_memory(meminfo: str = "/proc/meminfo",
     limit: MemAvailable (free plus reclaimable page cache) from meminfo, else
     the free pages from os.sysconf, capped by the cgroup v2 headroom
     memory.max - memory.current when that limit is set ("max" means none)."""
-    avail = None
     try:
-        with open(meminfo) as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    avail = int(line.split()[1]) * 1024
-                    break
-    except OSError:
-        pass
-    if avail is None:
+        avail = next(int(line.split()[1]) * 1024
+                     for line in Path(meminfo).read_text().splitlines()
+                     if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
         avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
-        with open(os.path.join(cgroup, "memory.max")) as fh:
-            limit = fh.read().strip()
-        with open(os.path.join(cgroup, "memory.current")) as fh:
-            current = int(fh.read())
+        limit = Path(cgroup, "memory.max").read_text().strip()
+        current = int(Path(cgroup, "memory.current").read_text())
         if limit != "max":
             avail = min(avail, max(int(limit) - current, 0))
     except (OSError, ValueError):
@@ -684,8 +679,8 @@ def _fast_len(target: int) -> int:
 
 def require_memory(need: int, what: str):
     """Raise ValidationError, before anything is allocated, when `need` bytes
-    for `what` exceed the available memory.  The package's one memory
-    check, shared by the engines and the MSE analysis."""
+    for `what` exceed the available memory.  Called by memory_ledger
+    alone, which counts `need`."""
     avail = _available_memory()
     if need > avail:
         # in integers: a window beyond every FFT length can need more bytes
@@ -694,6 +689,29 @@ def require_memory(need: int, what: str):
             f"{what} needs about {(need + 2**19) >> 20} MiB, but only "
             f"{avail / 2**20:.0f} MiB is available"
         )
+
+
+# The slack of every preflight, for the small objects beside the buffers it
+# names: 1/64 of their bytes for those that grow with them (at kappa = 0
+# the named buffers alone exceed the traced peak by only 0.01-0.13 %), and
+# _SLACK_BYTES for the rest, above all the covariance block's build, which
+# is the peak at small n (0.53 MiB at n = 16, kappa = 1, against 0.32 MiB
+# of named buffers).
+_SLACK_BYTES = 1 << 18
+
+
+def memory_ledger(what: str, buffers: Mapping):
+    """The package's one preflight: check the large buffers that `what`
+    holds at once against the available memory (require_memory) before any
+    of them is allocated.
+
+    `buffers` names each buffer once, as (shape, dtype); items whose size
+    only a trace gives are counted as (count, traced bytes) of uint8.  The
+    estimate is their bytes plus the slack: 1/64 of them, and
+    _SLACK_BYTES."""
+    need = sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in buffers.values())
+    require_memory(need + need // 64 + _SLACK_BYTES, what)
 
 
 # ---------------------------------------------------------------------------
@@ -904,34 +922,25 @@ class HybridPlan:
 def _prepare(kernel: KernelSpec, params: SchemeParams, half: int | None,
              workers: int | None, inner: bool) -> HybridPlan:
     m0 = params.n if half is None else check_int(half, "half", lo=1)
-    # The plan plus one replicate: the plan's real (P//2+1)^2 spectrum
-    # quarter, the replicate's complex (P, P//2+1) spectrum (which also
-    # holds the family's plain channel), the output, one sheet row block
-    # (its padded rows and row spectrum), the draw's ring and, with an inner
-    # block, the family's row window, though it is freed before the sheet's
-    # row blocks; then 1/64 of that sum for the small objects beside these
-    # arrays (at kappa = 0 the arrays alone exceed the traced peak by only
-    # 0.01-0.13 %, a margin that moves from run to run).  No (S, S)
-    # volatility sheet: a realised one is the caller's array or the output
-    # of its model's own engine, whose check counted it, and a cold
-    # replicate realises it before it builds its plan.
     S = 2 * (params.n_trunc + m0) + 1
     fsh = _fast_len(S)
     h = fsh // 2 + 1
     side = 2 * m0 + 1
-    need = (8 * h * h + 16 * fsh * h + 8 * side * side
-            + 8 * _ROW_BLOCK * (fsh + 2 * h))
-    slot = _SHEET_UNIT * S
-    if inner:
-        kappa = params.kappa
-        s1 = side + 2 * kappa
-        d = (2 * kappa + 1) ** 2 + 1
-        need += 8 * (_FAMILY_BLOCK + 2 * kappa) * s1 * d
-        slot = max(slot, _FAMILY_UNIT * s1 * d)
-    need += 8 * _RING * slot
-    need += need // 64
-    require_memory(need, f"n={params.n}, gamma={params.gamma}, half={m0} "
-                         f"(plan and one replicate, FFT period {fsh})")
+    # the block's dimension d, 0 without one: then no family is drawn
+    s1, d = side + 2 * params.kappa, (2 * params.kappa + 1) ** 2 + 1 if inner else 0
+    # no (S, S) sigma sheet: a realised one is the caller's array, or the
+    # output of its model's own engine, whose own ledger counted it
+    memory_ledger(f"n={params.n}, gamma={params.gamma}, half={m0} "
+                  f"(plan and one replicate, FFT period {fsh})", {
+        "plan's spectrum quarter": ((h, h), float),
+        "plan's block matrix and factor": ((2, d, d), float),
+        "replicate's spectrum": ((fsh, h), complex),
+        "output": ((side, side), float),
+        "sheet row block": ((_ROW_BLOCK, fsh), float),
+        "its row spectrum": ((_ROW_BLOCK, h), complex),
+        "draw ring": ((_RING, max(_SHEET_UNIT * S, _FAMILY_UNIT * s1 * d)), float),
+        "family row window": ((_FAMILY_BLOCK + 2 * params.kappa, s1, d), float),
+    })
     check_rate_hypothesis(kernel, params)
     block = weights = None
     if inner:
@@ -959,13 +968,10 @@ def prepare_hybrid(
     the step kernel).  `half` widens the output window to indices -half..half
     (default n, i.e. the grid over [-1,1]^2); the discretization itself (cell
     size, truncation) is unchanged.  Raises ValidationError before building
-    anything when the plan plus one replicate would not fit in memory.  That
-    estimate counts no (S, S) volatility sheet: a realised sigma is the
-    caller's own array, or the output of its model's own engine, whose own
-    check counts it; a cold hybrid_simulate realises sigma before it builds
-    its plan here.  The plan ignores params.seed: it serves hybrid_simulate
-    for every seed and replicate at the same kernel, n, gamma, kappa and
-    policy."""
+    anything when the plan plus one replicate would not fit in memory
+    (memory_ledger).  The plan ignores params.seed: it serves
+    hybrid_simulate for every seed and replicate at the same kernel, n,
+    gamma, kappa and policy."""
     return _prepare(kernel, params, half, workers, inner=True)
 
 
@@ -977,10 +983,9 @@ def prepare_riemann(
 ) -> HybridPlan:
     """Build the reusable parts of the Riemann-sum scheme: a HybridPlan with
     no inner block (block and weights None) whose step kernel covers the
-    whole window.  `half` and the memory check, which counts no volatility
-    sheet, are as in prepare_hybrid; a cold riemann_simulate realises sigma
-    before it builds its plan here.  The plan reads only the kernel, n and
-    gamma of `params`, and serves every seed, kappa and policy."""
+    whole window.  `half` and the memory check are as in prepare_hybrid.
+    The plan reads only the kernel, n and gamma of `params`, and serves
+    every seed, kappa and policy."""
     return _prepare(kernel, params, half, workers, inner=False)
 
 
@@ -1208,15 +1213,15 @@ class CirculantPlan:
 
 
 def _circulant_search(correlation, variance: float, n: int,
-                      max_doublings: int, workers: int | None, plan: bool):
+                      max_doublings: int, workers: int | None, copy_half: bool):
     """Search the torus sizes for a nonnegative definite embedding; the one
     search of circulant_simulate and prepare_circulant.
 
-    Returns (buffer, diagnostics) with the diagnostics of CirculantPlan.
-    With `plan`, buffer is a new contiguous real (M, M//2+1) half of sqrt(λ)
-    and the preflight also counts it; else it is the cold call's complex
-    (M, M) draw buffer, whose imaginary part holds that half in columns
-    0..M//2 and whose first rows keep the builder's `rows`.
+    Returns (z, diagnostics) with the diagnostics of CirculantPlan: z is the
+    complex (M, M) draw buffer, whose imaginary part holds the half of
+    sqrt(λ) in columns 0..M//2 and whose first rows keep the builder's
+    `rows`.  With `copy_half` the preflight also counts the real copy of the
+    half that prepare_circulant takes beside z.
 
     The eigenvalues are the real part of the spectrum of the base matrix,
     the lag octant's kernel centred on index 0 with N = M//2, which
@@ -1233,33 +1238,29 @@ def _circulant_search(correlation, variance: float, n: int,
     stored zeroed below 0 (counted) and square-rooted, so no pass over the
     whole half is left for the test, the zeroing or the square root.
     """
-    w = fft_workers(workers)
     M = _fast_len(2 * (2 * n + 1))
     octant, old = np.empty(0), -1
     tori = []
     for doubling in range(max_doublings + 1):
         h = M // 2
-        # the octant, one draw buffer (a cold call forms the half in it, a
-        # plan's draws each take one) and the draw's ring, the builder's
-        # complex column block and its row block (padded rows, their row
-        # spectra, index arrays), and a plan's own half
-        require_memory(4 * (h + 1) * (h + 2) + 16 * M * (M + _COL_BLOCK)
-                       + 8 * _RING * _SHEET_UNIT * M + 32 * _ROW_BLOCK * M
-                       + (8 * M * (h + 1) if plan else 0),
-                       f"circulant embedding on a torus of side M={M} "
-                       f"(doubling {doubling} of {max_doublings})")
+        memory_ledger(f"circulant embedding on a torus of side M={M} "
+                      f"(doubling {doubling} of {max_doublings})", {
+            "lag octant": (((h + 1) * (h + 2) // 2,), float),
+            "draw buffer": ((M, M), complex),
+            "builder's column block": ((M, _COL_BLOCK), complex),
+            "builder's row block": ((_ROW_BLOCK, M), float),
+            "its row spectrum": ((_ROW_BLOCK, h + 1), complex),
+            "draw ring": ((_RING, _SHEET_UNIT, M), float),
+            "plan's half": ((M if copy_half else 0, h + 1), float),
+        })
         octant, old = _lag_octant(correlation, variance, n, octant, old, h), h
         bound = (1.0 + 1e-9) * 8.0 * float(np.sum(np.abs(octant)))
-        if plan:
-            buf = half = np.empty((M, h + 1))
-            rows = None
-        else:
-            buf = np.empty((M, M), dtype=complex)
-            half, rows = buf.imag[:, :h + 1], buf[:h + 1, :h + 1]
+        buf = np.empty((M, M), dtype=complex)
+        half, rows = buf.imag[:, :h + 1], buf[:h + 1, :h + 1]
         stop = -math.inf if doubling == max_doublings else -1e-10 * bound
         self_conjugate = (0, h) if M % 2 == 0 else (0,)
         lam_min, lam_max, zeroed, partial = math.inf, -math.inf, 0, False
-        for c0, col in _kernel_spectrum(octant, h, M, w, rows):
+        for c0, col in _kernel_spectrum(octant, h, M, workers, rows):
             c1 = c0 + col.shape[1]
             lam = col.real
             for c in self_conjugate:
@@ -1352,15 +1353,15 @@ def prepare_circulant(
     replicate: the arguments and the search are circulant_simulate's (see
     there), and so are the fields drawn from the plan, bit for bit.
 
-    Before each torus size the memory check counts the plan's real
-    (M, M//2+1) half (8 bytes per entry, about 4 per torus point) beside
-    one draw's working set, so a plan that passes can be drawn from.
-    Raises EmbeddingError when no torus tried is nonnegative definite, and
+    Before each torus size the preflight (memory_ledger) counts the plan's
+    half beside the search's buffers, so a plan that passes can be drawn
+    from.  Raises EmbeddingError when no torus tried is nonnegative definite, and
     ValidationError as circulant_simulate does.
     """
     _check_circulant_args(variance, n, max_doublings)
-    half, diagnostics = _circulant_search(correlation, variance, n,
-                                          max_doublings, workers, plan=True)
+    z, diagnostics = _circulant_search(correlation, variance, n,
+                                       max_doublings, workers, copy_half=True)
+    half = z.imag[:, :z.shape[0] // 2 + 1].copy()
     half.flags.writeable = False
     return CirculantPlan(correlation=correlation, variance=variance, n=n,
                          max_doublings=max_doublings, sqrt_half=half,
@@ -1401,17 +1402,12 @@ def circulant_simulate(
     plan's square roots, the same bits as a cold call's; a plan searched
     for other settings raises ValidationError.
 
-    A cold call's working set at torus side M is 16 bytes per torus point,
-    the one complex M^2 draw buffer, in whose imaginary part the square
-    roots of the embedding's half spectrum are formed and wait for the
-    draw, plus the packed lag octant, (M/2+1)(M/2+2)/2 values, and the
-    spectrum builder's row and column blocks, and the draw's ring; only the
-    first 2n+1 rows take the final transform's second pass (tracemalloc
-    peak 52.6 MB, 17.6 bytes per point, at M = 1728).  A draw from a plan
-    holds the draw buffer beside the plan (48.6 MB there, the plan's half
-    12.0 MB).  Before each M's lag octant and buffer that estimate is
-    checked against the available memory, and ValidationError is raised
-    when it does not fit; ValidationError is also raised unless n
+    A cold call holds one complex M^2 draw buffer, in whose imaginary part
+    the square roots of the embedding's half spectrum are formed and wait
+    for the draw; only the first 2n+1 rows take the final transform's
+    second pass.  Before each M's lag octant and buffer, the torus's
+    buffers go through memory_ledger, and ValidationError is raised when
+    they do not fit; ValidationError is also raised unless n
     is an integer >= 1, max_doublings an integer >= 0, variance finite and
     positive (bools are not integers) and correlation returns finite real
     values of its argument's shape.  The draw comes from
@@ -1420,7 +1416,7 @@ def circulant_simulate(
     _check_circulant_args(variance, n, max_doublings)
     if plan is None:
         z = _circulant_search(correlation, variance, n, max_doublings,
-                              workers, plan=False)[0]
+                              workers, copy_half=False)[0]
     else:
         if (plan.correlation != correlation or plan.variance != variance
                 or plan.n != n or plan.max_doublings != max_doublings):

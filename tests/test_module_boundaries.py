@@ -548,6 +548,86 @@ def test_complex_1d_and_real_nd_fft_pass():
     assert fft_calls(source, _COMPLEX_ND) == []
 
 
+# One memory preflight: fields.memory_ledger sums the buffers an engine
+# names, adds the slack and calls require_memory.  No other code calls
+# require_memory, and no function that calls the ledger builds a byte count
+# of its own: no product with a float's or a complex's size (8, 16), no
+# itemsize or nbytes, and no traced *_BYTES constant in arithmetic.
+def _called(node) -> str | None:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _byte_count(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("itemsize", "nbytes")
+    if not isinstance(node, ast.BinOp):
+        return False
+    sides = (node.left, node.right)
+    return (any(isinstance(x, ast.Name) and x.id.endswith("_BYTES") for x in sides)
+            or isinstance(node.op, ast.Mult) and any(
+                isinstance(x, ast.Constant) and type(x.value) is int
+                and x.value in (8, 16) for x in sides))
+
+
+def preflight_sums(source: str) -> list:
+    """Each call of require_memory outside a function named memory_ledger,
+    and each byte count (see _byte_count) in a function, other than
+    memory_ledger, that calls memory_ledger, in `source`."""
+    calls, counts = [], []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and _called(node) in ("require_memory",
+                                                            "memory_ledger"):
+            calls.append((_called(node), scope, ast.unparse(node)))
+        if _byte_count(node):
+            counts.append((scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    ledger_users = {scope for name, scope, _ in calls if name == "memory_ledger"}
+    return ([text for name, scope, text in calls
+             if name == "require_memory" and scope != "memory_ledger"]
+            + [text for scope, text in counts
+               if scope in ledger_users and scope != "memory_ledger"])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_memory_preflight_has_one_ledger(path):
+    assert preflight_sums(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .fields import require_memory\ndef f(n):\n"
+    "    require_memory(8 * n * n, 'x')",
+    "from . import fields\nfields.require_memory(10, 'x')",
+    "def f(n):\n    need = 16 * n * n\n"
+    "    memory_ledger('x', {'a': ((need,), 1)})",
+    "def f(a):\n    memory_ledger('x', {'a': ((a.nbytes,), 1)})",
+    "def f(N):\n    memory_ledger('x', {'t': ((1,), _TASK_BYTES * N)})",
+    "def f(n):\n    memory_ledger('x', {'a': ((n,), float)})\n"
+    "    return n * np.dtype(float).itemsize",
+])
+def test_preflight_sum_is_detected(source):
+    assert preflight_sums(source)
+
+
+def test_ledger_and_other_byte_counts_pass():
+    source = ("def memory_ledger(what, buffers):\n"
+              "    need = sum(math.prod(s) * np.dtype(i).itemsize\n"
+              "               for s, i in buffers.values())\n"
+              "    require_memory(need + need // 64 + _SLACK_BYTES, what)\n"
+              "def f(n, N):\n"
+              "    memory_ledger('x', {'a': ((n, n), complex),\n"
+              "                        't': ((N, _TASK_BYTES), np.uint8)})\n"
+              "    return (1.0 + 1e-9) * 8.0 * n\n"
+              "def read_vmg(side):\n    return 8 * side * side\n")
+    assert preflight_sums(source) == []
+
+
 def test_module_exports_resolve():
     # A name deleted from a module but left in an __all__ would only fail on
     # a star import; check every module's list and the package's.
