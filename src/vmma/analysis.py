@@ -79,6 +79,7 @@ from .fields import (
     FieldGrid,
     SchemeParams,
     check_rate_hypothesis,
+    fft_workers,
     hybrid_simulate,
     memory_ledger,
     prepare_hybrid,
@@ -291,19 +292,21 @@ def roughness_study(
     check_int(replicates, "replicates", lo=2)
     if kernel_factory is None:
         kernel_factory = _default_kernel_factory
+    # the worker count and every cell's kernel and settings before the
+    # first plan, so that a bad one is refused before any field is simulated
+    fft_workers(workers)
+    kernels = [kernel_factory(alpha) for alpha in alphas]
+    if not all(isinstance(kernel, KernelSpec) for kernel in kernels):
+        raise ValidationError("kernel_factory must return a KernelSpec")
+    cell_params = [SchemeParams(n=n, gamma=gamma,
+                                kappa=sc.kappa if sc.kind == "hybrid" else 0,
+                                seed=seed)
+                   for sc in scheme_objs]
 
     rows = []
-    for ai, alpha in enumerate(alphas):
-        kernel = kernel_factory(alpha)
-        if not isinstance(kernel, KernelSpec):
-            raise ValidationError("kernel_factory must return a KernelSpec")
-        for si, sc in enumerate(scheme_objs):
+    for ai, (alpha, kernel) in enumerate(zip(alphas, kernels)):
+        for si, (sc, params) in enumerate(zip(scheme_objs, cell_params)):
             t0 = time.perf_counter()
-            params = SchemeParams(
-                n=n, gamma=gamma,
-                kappa=sc.kappa if sc.kind == "hybrid" else 0,
-                seed=seed,
-            )
             # release the previous cell's plan before building this one, so
             # that at most one plan spectrum is live
             plan = None
@@ -761,10 +764,11 @@ def mse_study(
         raise ValidationError("need at least three n values for the rate fit")
     if policy is None:
         policy = DEFAULT_POLICY
-    entries = []
-    for n in ns:
-        params = SchemeParams(n=n, gamma=gamma, kappa=kappa, policy=policy)
-        entries.append(hybrid_mse(kernel, params))
+    # every rung's settings before the first, so that a bad one is refused
+    # before any quadrature runs
+    rungs = [SchemeParams(n=n, gamma=gamma, kappa=kappa, policy=policy)
+             for n in ns]
+    entries = [hybrid_mse(kernel, params) for params in rungs]
     j_ref = j_constant(kernel.alpha, kappa, policy=policy)
     rate, intercept = rate_fit(ns, [e.e_n for e in entries])
     return MseReport(kernel=kernel, gamma=gamma, kappa=kappa, policy=policy,

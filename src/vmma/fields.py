@@ -78,19 +78,21 @@ s1 = 2*(half+kappa)+1 and d = (2*kappa+1)^2 + 1, mapped through the block's
 Cholesky factor; then the plain cell masses are drawn as an (S, S) standard
 normal sheet scaled by 1/n with S = 2*(N+half)+1, whose central s1 x s1 block
 is REPLACED by the plain components of the correlated family (the overdraw
-keeps the layout independent of kappa).  Every engine draws through
+keeps the layout independent of kappa).  The three engines draw through
 _drawn: one thread per call owns the stream and draws the layout's normals
 in its order, _FAMILY_UNIT family rows or _SHEET_UNIT sheet rows at a time,
 into a ring of _RING slots, while the caller's thread maps, sums, modulates
 and transforms the draws it has taken.  Unit-wise draws consume the stream
 in the same order and give the same values bit for bit as single draws, so
 neither the thread nor the units change an output bit or the stream's final
-position.  The hybrid engine streams them: each block of _FAMILY_BLOCK
-family rows is added into the near sum for the output rows it completes
-(its last 2*kappa rows carry over to the next block), and each block of
-_ROW_BLOCK sheet rows is modulated and transformed at once, so neither the
-family nor the sheet is ever held whole.  The family's plain channel waits
-for the sheet in the caller's array: the engine keeps it in the spectrum's
+position.  The step-kernel engines stream them in one `with _drawn(...)`
+block: each block of _FAMILY_BLOCK family rows is added into the near sum
+for the output rows it completes (its last 2*kappa rows carry over to the
+next block), and each block of _ROW_BLOCK sheet rows (_sheet_rows) is
+modulated and transformed at once, so neither the family nor the sheet is
+ever held whole.  sample_noise, the dense reference, draws the same layout
+whole on the caller's thread.  The family's plain channel waits for the
+sheet in the caller's array: the engine keeps it in the spectrum's
 own rows and columns lo..lo+s1 (lo = N-kappa), each row read just before
 its row block's rfft overwrites it.  The volatility, from
 its own stream, is realised before the noise is drawn and, in a call that
@@ -328,12 +330,6 @@ class ProvidedGridVol(VolatilityModel):
         return self.sigma
 
 
-def _exp_half(x: np.ndarray) -> np.ndarray:
-    """exp(x/2) formed in the float array x itself; returns x."""
-    x *= 0.5
-    return np.exp(x, out=x)
-
-
 @dataclass(frozen=True)
 class ExpVmmaVolatility(VolatilityModel):
     """Lognormal volatility: sigma^2 = exp(X') with X' itself a simulated
@@ -365,8 +361,10 @@ class ExpVmmaVolatility(VolatilityModel):
                               workers=workers)
         grid = hybrid_simulate(self.inner_kernel, params, ConstantVol(1.0),
                                plan=plan, rng_noise=rng, workers=workers)
-        # the nested grid is this call's own, so it is mapped in place
-        return _exp_half(grid.values)
+        # exp(x/2) in place: the nested grid is this call's own
+        x = grid.values
+        x *= 0.5
+        return np.exp(x, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +388,6 @@ _COL_BLOCK = 16
 # Cells per block of an octant's radii and of their scatter (_octant_radii,
 # _on_distinct): the blocks' index arrays are small beside the octant.
 _CELL_BLOCK = 8192
-
-
-def _padded_rows(get_rows, nrows: int, width: int):
-    """Yield (r0, rows) over rows 0..nrows-1, _ROW_BLOCK at a time, where
-    get_rows(r0, k) returns rows r0..r0+k-1 and they are zero-padded to
-    `width` columns in one reused buffer (valid until the next block)."""
-    buf = np.zeros((_ROW_BLOCK, width))
-    for r0 in range(0, nrows, _ROW_BLOCK):
-        k = min(_ROW_BLOCK, nrows - r0)
-        rows = get_rows(r0, k)
-        buf[:k, :rows.shape[1]] = rows
-        yield r0, buf[:k]
 
 
 @contextlib.contextmanager
@@ -456,55 +442,34 @@ def _drawn(rng: np.random.Generator, shapes: list):
         thread.join()
 
 
-def _noise_rows(rng: np.random.Generator, n: int, S: int, width: int,
-                chol: np.ndarray | None = None, family: np.ndarray | None = None,
-                take_family=None, central: np.ndarray | None = None):
-    """Draw one replicate's noise in the fixed layout, a block of rows at a
-    time, through _drawn; the draw of the step-kernel engines.
+def _sheet_rows(draws, n: int, S: int, width: int, central: np.ndarray,
+                sigma: np.ndarray | None):
+    """Yield one replicate's plain sheet as (r0, rows) blocks of _ROW_BLOCK
+    rows, zero-padded to `width` in one reused buffer (valid until the next
+    block); the sheet draw of the step-kernel engines.
 
-    With a Cholesky factor, first the correlated family: for each block of
-    _FAMILY_BLOCK rows r0..r0+k-1, z ~ N(0,1) of shape (k, s1, d) is mapped
-    to z @ chol.T in family[:k] (s1 = family.shape[1]), _FAMILY_UNIT rows
-    per draw, its plain channel is stored in central[r0:r0+k] (an (s1, s1)
-    float array of the caller's), then take_family(r0, k) is called, and the
-    next block overwrites family[:k].  Then the plain sheet, N(0,1)/n of
-    shape (S, S) with its central s1 x s1 block (from row and column
-    (S-s1)//2) replaced by `central`, is yielded as (r0, rows) blocks of
-    _ROW_BLOCK rows, zero-padded to `width` in one reused buffer (valid
-    until the next block), into which each draw of _SHEET_UNIT rows is
-    divided by n; a block's rows of `central` are read before it is
-    yielded, so the caller may overwrite them from then on.  The family is
-    drawn when the first sheet block is asked for.  The draws' shapes are
-    the layout's rows in order, so they and the unit-wise matmuls give the
-    single draw's values bit for bit.  A caller that stops before the last
-    block closes the generator, which joins the draw's thread.
+    Each draw of _SHEET_UNIT rows taken from `draws` (a _drawn iterator) is
+    divided by n into the buffer.  `central`, the family's plain channel
+    (an (s1, s1) float array or view, empty without a family), replaces
+    the sheet's central s1 x s1 block, from row and column (S-s1)//2, and
+    each block is multiplied by sigma when it is given.  A block's rows of
+    `central` are read before it is yielded, so the caller may overwrite
+    them from then on.
     """
-    s1 = d = 0
-    if chol is not None:
-        s1, d = family.shape[1], chol.shape[0]
+    s1 = central.shape[0]
     lo = (S - s1) // 2
-    shapes = [(min(_FAMILY_UNIT, s1 - u), s1, d)
-              for u in range(0, s1, _FAMILY_UNIT)]
-    shapes += [(min(_SHEET_UNIT, S - u), S) for u in range(0, S, _SHEET_UNIT)]
     buf = np.zeros((_ROW_BLOCK, width))
-    with _drawn(rng, shapes) as draws:
-        for r0 in range(0, s1, _FAMILY_BLOCK):
-            k = min(_FAMILY_BLOCK, s1 - r0)
-            for u in range(0, k, _FAMILY_UNIT):
-                z = next(draws)
-                np.matmul(z, chol.T, out=family[u:u + z.shape[0]])
-            central[r0:r0 + k] = family[:k, :, -1]
-            take_family(r0, k)
-        family = None   # so that the caller can free it before the sheet
-        for r0 in range(0, S, _ROW_BLOCK):
-            rows = buf[:min(_ROW_BLOCK, S - r0)]
-            for u in range(0, rows.shape[0], _SHEET_UNIT):
-                z = next(draws)
-                np.divide(z, n, out=rows[u:u + z.shape[0], :S])
-            a, b = max(r0, lo), min(r0 + rows.shape[0], lo + s1)
-            if a < b:
-                rows[a - r0:b - r0, lo:lo + s1] = central[a - lo:b - lo]
-            yield r0, rows
+    for r0 in range(0, S, _ROW_BLOCK):
+        rows = buf[:min(_ROW_BLOCK, S - r0)]
+        for u in range(0, rows.shape[0], _SHEET_UNIT):
+            z = next(draws)
+            np.divide(z, n, out=rows[u:u + z.shape[0], :S])
+        a, b = max(r0, lo), min(r0 + rows.shape[0], lo + s1)
+        if a < b:
+            rows[a - r0:b - r0, lo:lo + s1] = central[a - lo:b - lo]
+        if sigma is not None:
+            rows[:, :S] *= sigma[r0:r0 + rows.shape[0]]
+        yield r0, rows
 
 
 def sample_noise(
@@ -525,8 +490,10 @@ def sample_noise(
 
     The draw order is fixed and documented in the module docstring; with a
     fixed rng state the output is bit-identical, which the determinism
-    contract of the engines relies on.  The engines stream the same draw
-    (_noise_rows) without holding these arrays whole.
+    contract of the engines relies on.  Both families are drawn whole, on
+    the caller's thread: this is the dense reference for the engines, which
+    stream the same draw in row blocks on a thread of their own (_drawn)
+    and share no code with it.
     """
     n, kappa = params.n, params.kappa
     m0 = params.n if half is None else check_int(half, "half", lo=1)
@@ -538,27 +505,12 @@ def sample_noise(
             f"covariance block (dim {block.dim}, n {block.n}) does not match "
             f"params (kappa {kappa} -> dim {d}, n {n})"
         )
-
-    w1 = np.empty((s1, s1, d))
-    plain = np.empty((S, S))
-    family = np.empty((_FAMILY_BLOCK, s1, d))
+    family = rng.standard_normal((s1, s1, d)) @ block.chol.T
+    plain = rng.standard_normal((S, S))
+    plain /= n
     lo = (S - s1) // 2
-
-    def keep(r0, k):
-        w1[r0:r0 + k] = family[:k]
-
-    for r0, rows in _noise_rows(rng, n, S, S, block.chol, family, keep,
-                                plain[lo:lo + s1, lo:lo + s1]):
-        plain[r0:r0 + rows.shape[0]] = rows
-    return w1[:, :, :-1], plain
-
-
-def _modulated(rows, sigma: np.ndarray):
-    """Multiply each (r0, rows) block of a sheet by sigma in place."""
-    S = sigma.shape[1]
-    for r0, block in rows:
-        block[:, :S] *= sigma[r0:r0 + block.shape[0]]
-        yield r0, block
+    plain[lo:lo + s1, lo:lo + s1] = family[:, :, -1]
+    return family[:, :, :-1], plain
 
 
 def _row_spectrum(rows, period: int, workers: int | None,
@@ -639,8 +591,8 @@ def conv2_fft(a: np.ndarray, b: np.ndarray, workers: int | None = None) -> np.nd
         raise ValidationError(f"conv2_fft: second matrix not square 2D, got {b.shape}")
     out = a.shape[0] + b.shape[0] - 1
     fsh = _fft.next_fast_len(out, real=True)
-    fa, fb = (_row_spectrum(_padded_rows(lambda r0, k: x[r0:r0 + k],
-                                         x.shape[0], fsh), fsh, workers)
+    fa, fb = (_row_spectrum([(0, np.pad(x, ((0, 0), (0, fsh - x.shape[0]))))],
+                            fsh, workers)
               for x in (a, b))
     return _convolved_block(fb, fa, 0, out, workers)
 
@@ -1035,50 +987,49 @@ def _simulate(kernel, params, vol, replicate, plan, rng_noise, workers,
 
     P = plan.fshape
     spec = np.empty((P, P // 2 + 1), dtype=complex)
-    if plan.block is None:
-        noise = _noise_rows(rng_noise, n, S, P)
-    else:
-        # win holds family rows r0 - carry .. r0 + k - 1 while r0 is summed
-        carry = 2 * kappa
-        win = np.empty((carry + _FAMILY_BLOCK, side + carry, plan.block.dim))
-        x_tilde = np.zeros((side, side))
-
-        def near_sum(r0, k):
-            # output row o reads family rows o .. o + 2*kappa, so once block
-            # r0 is in, rows up to r0 + k - carry are complete; every block
-            # completes some (the first has k > carry: s1 > carry,
-            # _FAMILY_BLOCK > 10)
-            nonlocal win
-            o0, o1 = max(r0 - carry, 0), r0 + k - carry
-            for idx, (j1, j2) in enumerate(plan.block.offsets):
-                # noise cell i - j for output i: shift the family by -j
-                r = o0 + kappa - j2 - (r0 - carry)
-                c0 = kappa - j1
-                contrib = win[r:r + o1 - o0, c0:c0 + side, idx]
-                if sigma is not None:
-                    contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
-                                              N - j1:N - j1 + side]
-                x_tilde[o0:o1] += plan.weights[idx] * contrib
-            if o1 < side:
+    s1, d = (0, 0) if plan.block is None else (side + 2 * kappa, plan.block.dim)
+    shapes = [(min(_FAMILY_UNIT, s1 - u), s1, d)
+              for u in range(0, s1, _FAMILY_UNIT)]
+    shapes += [(min(_SHEET_UNIT, S - u), S) for u in range(0, S, _SHEET_UNIT)]
+    # the family's plain channel waits in the spectrum's rows and columns
+    # lo..lo+s1 (sheet cells N-kappa..) until its row rfft
+    lo = N - kappa
+    central = spec.view(float)[lo:lo + s1, lo:lo + s1]
+    x_tilde = None
+    with _drawn(rng_noise, shapes) as draws:
+        if plan.block is not None:
+            x_tilde = np.zeros((side, side))
+            # win holds family rows r0 - carry .. r0 + k - 1 while r0 is
+            # summed; each draw of _FAMILY_UNIT rows is mapped into it
+            carry = 2 * kappa
+            win = np.empty((carry + _FAMILY_BLOCK, s1, d))
+            for r0 in range(0, s1, _FAMILY_BLOCK):
+                k = min(_FAMILY_BLOCK, s1 - r0)
+                for u in range(carry, carry + k, _FAMILY_UNIT):
+                    z = next(draws)
+                    np.matmul(z, plan.block.chol.T, out=win[u:u + z.shape[0]])
+                central[r0:r0 + k] = win[carry:carry + k, :, -1]
+                # output row o reads family rows o .. o + 2*kappa, so once
+                # block r0 is in, rows up to r0 + k - carry are complete;
+                # every block completes some (the first has k > carry: s1 >
+                # carry, _FAMILY_BLOCK > 10)
+                o0, o1 = max(r0 - carry, 0), r0 + k - carry
+                for idx, (j1, j2) in enumerate(plan.block.offsets):
+                    # noise cell i - j for output i: shift the family by -j
+                    r = o0 + kappa - j2 - (r0 - carry)
+                    c0 = kappa - j1
+                    contrib = win[r:r + o1 - o0, c0:c0 + side, idx]
+                    if sigma is not None:
+                        contrib = contrib * sigma[N - j2 + o0:N - j2 + o1,
+                                                  N - j1:N - j1 + side]
+                    x_tilde[o0:o1] += plan.weights[idx] * contrib
                 win[:carry] = win[k:k + carry]
-            else:
-                win = None   # all summed: free it before the sheet's blocks
-
-        # the family's plain channel waits in the spectrum's rows and
-        # columns lo..lo+s1 (sheet cells N-kappa..) until its row rfft
-        lo, s1 = N - kappa, side + carry
-        noise = _noise_rows(rng_noise, n, S, P, plan.block.chol, win[carry:],
-                            near_sum, spec.view(float)[lo:lo + s1, lo:lo + s1])
-    try:
-        rows = noise if sigma is None else _modulated(noise, sigma)
-        spec = _row_spectrum(rows, P, workers, out=spec)
-    finally:
-        # an error past the draw leaves it suspended: join its thread here,
-        # not when the traceback lets go of this frame
-        noise.close()
+            del win   # all summed: free it before the sheet's blocks
+        spec = _row_spectrum(_sheet_rows(draws, n, S, P, central, sigma), P,
+                             workers, out=spec)
     # the far field goes straight into the near sum, when there is one
     values = _convolved_block(spec, plan.fft_a, N, side, workers,
-                              into=None if plan.block is None else x_tilde)
+                              into=x_tilde)
     if const is not None and const != 1.0:
         values *= const
     return FieldGrid(values=values, spacing=1.0 / n,

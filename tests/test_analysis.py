@@ -347,7 +347,12 @@ def test_roughness_study_kappa_insensitivity():
     assert abs(outs[3] - outs[1]) < 0.02
 
 
-def test_roughness_study_validation():
+def test_roughness_study_validation(monkeypatch):
+    # a bad cell is refused before the first plan: nu = 1.5 at alpha 0.5,
+    # n_trunc = 2 < kappa 5 at n = 2, and workers 0
+    plans = []
+    for name in ("prepare_hybrid", "prepare_riemann"):
+        monkeypatch.setattr(analysis, name, lambda *a, **kw: plans.append(a))
     with pytest.raises(ValidationError):
         roughness_study(alphas=[], schemes=["hybrid:1"], n=16, replicates=3)
     with pytest.raises(ValidationError):
@@ -357,6 +362,16 @@ def test_roughness_study_validation():
     with pytest.raises(ValidationError):
         roughness_study(alphas=[-0.5], schemes=["hybrid:1"], n=16, replicates=3,
                         kernel_factory=lambda a: "matern:nu=0.5")
+    with pytest.raises(ValidationError):
+        roughness_study(alphas=[-0.5, -0.4, 0.5], schemes=["hybrid:1", "riemann"],
+                        n=16, replicates=3)
+    with pytest.raises(ValidationError):
+        roughness_study(alphas=[-0.5], schemes=["riemann", "hybrid:5"], n=2,
+                        replicates=3)
+    with pytest.raises(ValidationError):
+        roughness_study(alphas=[-0.5], schemes=["hybrid:1"], n=16, replicates=3,
+                        workers=0)
+    assert plans == []
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +869,16 @@ def test_mse_study_report_and_csv():
     assert rep.rate < 0.0
 
 
-def test_mse_study_validation():
+def test_mse_study_validation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "hybrid_mse", lambda *a: calls.append(a))
     with pytest.raises(ValidationError):
         mse_study(Matern(0.5), [8, 12])  # fewer than three n values
     with pytest.raises(ValidationError):
         mse_study(Matern(0.5), [8.7, 12, 16])  # never truncated to n = 8
+    with pytest.raises(ValidationError):  # n_trunc = 2 < kappa at the last rung
+        mse_study(Matern(0.5), [40, 80, 2], kappa=5)
+    assert calls == []
     with pytest.raises(ValidationError):
         hybrid_mse(Matern(0.5), {"n": 8, "gamma": 0.5, "kappa": 1})
 

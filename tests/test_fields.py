@@ -7,6 +7,8 @@ distributional checks with 3-standard-error tolerances.
 """
 
 import contextvars
+import dataclasses
+import hashlib
 import math
 import os
 import sys
@@ -45,7 +47,6 @@ from vmma.fields import (
     _available_memory,
     _convolved_block,
     _kernel_spectrum,
-    _padded_rows,
     _row_spectrum,
     circulant_simulate,
     conv2_fft,
@@ -328,11 +329,14 @@ class _Stream:
 
 
 _DRAW_ENGINES = ["hybrid", "riemann", "sample_noise", "circulant"]
+# the engines that draw on a thread of their own (_drawn); sample_noise
+# draws on the caller's
+_THREAD_ENGINES = ["hybrid", "riemann", "circulant"]
 
 
 def _draw_with(engine, stream, monkeypatch):
     """One call of `engine` that takes its normals from `stream`: 7 draws
-    for hybrid and sample_noise, 3 for riemann and 4 for circulant."""
+    for hybrid, 3 for riemann, 2 for sample_noise and 4 for circulant."""
     k, p = Matern(0.5, 1.0), SchemeParams(n=6, gamma=0.4, kappa=1, seed=3)
     if engine == "hybrid":
         return hybrid_simulate(k, p, rng_noise=stream)
@@ -380,7 +384,7 @@ def test_draws_under_contention_equal_serial_draws():
         assert got[i].tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("engine", _DRAW_ENGINES)
+@pytest.mark.parametrize("engine", _THREAD_ENGINES)
 def test_draw_runs_on_one_other_thread_that_ends_with_the_call(engine,
                                                                 monkeypatch):
     stream = _Stream(3, 0, 0)
@@ -402,12 +406,15 @@ def test_draw_sees_the_callers_context(engine, monkeypatch):
     assert stream.tokens and set(stream.tokens) == {"caller"}
 
 
-@pytest.mark.parametrize("fail_at", [1, 2, 3])
-@pytest.mark.parametrize("engine", _DRAW_ENGINES)
+@pytest.mark.parametrize(
+    "engine, fail_at",
+    [(e, f) for e in _DRAW_ENGINES for f in (1, 2, 3)
+     if (e, f) != ("sample_noise", 3)])   # it makes two draws
 def test_draw_error_reaches_the_caller_and_ends_the_thread(engine, fail_at,
                                                            monkeypatch):
     # the first, second and third draw fail: for riemann the third is its
-    # last, for circulant the first of the imaginary part
+    # last, for circulant the first of the imaginary part; sample_noise's
+    # second is its last
     start = threading.active_count()
     with pytest.raises(_DrawFailed) as failed:
         _draw_with(engine, _Stream(3, 0, 0, fail_at=fail_at), monkeypatch)
@@ -419,21 +426,17 @@ def test_draw_error_reaches_the_caller_and_ends_the_thread(engine, fail_at,
 
 @pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
 def test_family_consumer_error_ends_the_draw_thread(error):
-    # take_family raises at the first family block, while the thread has
+    # the near sum raises at the first family block, while the thread has
     # the ring full and waits for a free slot
-    block = build_block(-0.5, 1, 6)
-    s1, S = 15, 37
+    class Weights:
+        def __getitem__(self, idx):
+            raise error("consumer failed")
 
-    def take_family(r0, k):
-        raise error("consumer failed")
-
+    k, p = Matern(0.5, 1.0), SchemeParams(n=6, gamma=0.4, kappa=1, seed=3)
+    plan = dataclasses.replace(prepare_hybrid(k, p), weights=Weights())
     start = threading.active_count()
     with pytest.raises(error) as raised:
-        for _ in fields_mod._noise_rows(
-                rng_stream(3, 0, 0), 6, S, S, block.chol,
-                np.empty((fields_mod._FAMILY_BLOCK, s1, block.dim)),
-                take_family, np.empty((s1, s1))):
-            pass
+        hybrid_simulate(k, p, plan=plan)
     assert raised.value.args == ("consumer failed",)
     assert threading.active_count() == start
 
@@ -443,8 +446,9 @@ def test_family_consumer_error_ends_the_draw_thread(error):
     (prepare_hybrid, hybrid_simulate), (prepare_riemann, riemann_simulate)])
 def test_error_past_the_row_blocks_ends_the_draw_thread(prepare, simulate,
                                                         modulated, monkeypatch):
-    # the row spectrum takes one sheet block and raises, so the draw is
-    # left suspended; the engine closes it before the error leaves the call
+    # the row spectrum takes one sheet block and raises, with the draw
+    # unfinished; the engine's `with` block joins its thread before the
+    # error leaves the call
     k, p = Matern(0.5, 1.0), SchemeParams(n=40, gamma=0.3, kappa=1, seed=3)
     plan = prepare(k, p)
     side = 2 * (p.n_trunc + p.n) + 1
@@ -629,6 +633,78 @@ def test_hybrid_deterministic_across_workers():
     g1 = hybrid_simulate(k, p, workers=1)
     g2 = hybrid_simulate(k, p, workers=2)
     assert np.array_equal(g1.values, g2.values)
+
+
+def _frozen_values(case):
+    """The array a frozen case names: hybrid-k<kappa>-<volatility> at n = 20,
+    riemann-<volatility> at n = 20, circulant-cold or circulant-plan at
+    n = 12, and sample_noise-w1 or sample_noise-plain at half = 37."""
+    k, corr = Matern(0.5, 1.0), lambda r: matern_correlation(0.5, 1.0, r)
+    kind, *arg = case.split("-")
+    if kind == "circulant":
+        plan = prepare_circulant(corr, 1.0, 12) if arg == ["plan"] else None
+        return circulant_simulate(corr, 1.0, 12, seed=7, replicate=1,
+                                  plan=plan).values
+    if kind == "sample_noise":
+        p = SchemeParams(n=6, gamma=0.4, kappa=1)
+        w1, plain = sample_noise(p, build_block(-0.5, 1, 6),
+                                 rng_stream(2, 0, 7), half=37)
+        return w1 if arg == ["w1"] else plain
+    # sigma on the extended window of n = 20: side 2*(n_trunc + n) + 1 = 139
+    sigma = np.exp(0.3 * np.random.default_rng(5).standard_normal((139, 139)))
+    vol = {"const": ConstantVol(2.5), "provided": ProvidedGridVol(sigma),
+           "expvmma": ExpVmmaVolatility(ExpDecay(-0.2))}[arg[-1]]
+    if kind == "riemann":
+        return riemann_simulate(k, SchemeParams(n=20, seed=7), vol,
+                                replicate=1).values
+    p = SchemeParams(n=20, kappa=int(arg[0][1:]), seed=7)
+    return hybrid_simulate(k, p, vol, replicate=1).values
+
+
+# sha256 of values.tobytes(): a change to an engine's arithmetic, draw
+# order or stream use shows here even where the tolerance tests pass it.
+_FROZEN_FIELDS = {
+    "hybrid-k0-const":
+        "b56f68f5cc6d71a9b0fc037dc7bcbea05e17bd78e9998a355b30a588c18239a9",
+    "hybrid-k0-expvmma":
+        "e94c90b2f33f03e1ab934427197fcde4102de055dd6a630dbd0e219a64bef176",
+    "hybrid-k0-provided":
+        "ac9586c1aac35587c10133f7b67c6694b2f57fb2df7e648a6fcdc4b06ed130c8",
+    "hybrid-k1-const":
+        "d8a449088a6fe78a5706226141d7a8b70bc4fa90b0a016c8a9345f09764b52d5",
+    "hybrid-k1-expvmma":
+        "f980eea3a961b82cbfd7295e28a62438a676f0785ed15a504825b505e48f6db8",
+    "hybrid-k1-provided":
+        "ece28c781417df9384af38200051c939c22344ee24e455ef6fa5d185f0956c37",
+    "hybrid-k2-const":
+        "e500300036be8ae16053e7d90a6b34f2dd59a2791e5373edfec47b6116e29fa1",
+    "hybrid-k2-expvmma":
+        "d578bbc06d8147e78fe9afb82efeafda069e650793465d006fc4f6adc98dd209",
+    "hybrid-k2-provided":
+        "28b8fb754450f682aa4f38b1794c264bf5295f263280950fa9f87364a5788e3f",
+    "hybrid-k5-const":
+        "874d1af0fdd46a535ca8f4bde496bb9c51a4cc06a346395f06a59386efbd4ffd",
+    "hybrid-k5-expvmma":
+        "176a388bd4e489d3b8526b6c9a5bc3ff158b4256ca1ae82e2f321d8b2bc1082c",
+    "hybrid-k5-provided":
+        "a8f5c7d54680d4738e41f432d3aa40a9d4f75b3cce184d314dec5ccaf34776a3",
+    "riemann-provided":
+        "ceee4ffb3fd649e762f1939e6ec5f088ab14fcb511d8b3fd93d9a010acdc5d80",
+    "circulant-cold":
+        "8b13905433da86bdb645f52abe613df109100bd97f6f2a9f1164a0f279e91b03",
+    "circulant-plan":
+        "8b13905433da86bdb645f52abe613df109100bd97f6f2a9f1164a0f279e91b03",
+    "sample_noise-w1":
+        "2ba3d79675f4b11ebc8685ba2761565580dd1ceef887369b4e3df5e15a5fae24",
+    "sample_noise-plain":
+        "a57101ad403eaf1514db53f9b1b0fbd5adbf30e3e70a1bb225f8464370f478ca",
+}
+
+
+@pytest.mark.parametrize("case", list(_FROZEN_FIELDS))
+def test_fields_frozen_bit_for_bit(case):
+    values = _frozen_values(case)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == _FROZEN_FIELDS[case]
 
 
 # The two step-kernel engines, as (prepare, simulate) pairs.
@@ -935,7 +1011,7 @@ def test_far_field_circular_convolution_matches_direct_sum(n, gamma, kappa, half
     B = np.random.default_rng(n + half).standard_normal((S, S))
     for plan in (prepare_hybrid(Matern(0.4, 1.0), p, half=half),
                  prepare_riemann(Matern(0.4, 1.0), p, half=half)):
-        rows = _padded_rows(lambda r0, k: B[r0:r0 + k], S, plan.fshape)
+        rows = [(0, np.pad(B, ((0, 0), (0, plan.fshape - S))))]
         got = _convolved_block(_row_spectrum(rows, plan.fshape, 1), plan.fft_a,
                                N, 2 * half + 1, 1)
         ref = _far_field_direct(plan.a_matrix, B, N, half)

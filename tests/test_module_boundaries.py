@@ -628,6 +628,73 @@ def test_ledger_and_other_byte_counts_pass():
     assert preflight_sums(source) == []
 
 
+# One draw scope: fields._drawn starts the draw thread on entry and joins it
+# on exit, so each call of it is the context expression of a `with` in a
+# function that does not yield.  Anywhere else, and in a generator above
+# all, the thread would end when a caller closes the generator or lets go
+# of it, not where the block ends.
+def _yields(func) -> bool:
+    """Whether func's own body, not a nested function's, yields."""
+    stack = [] if func is None else list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def loose_draws(source: str) -> list:
+    """Each call of _drawn, outside a function named _drawn, that is not
+    the context expression of a `with` item in a function that does not
+    yield (or at module level), in `source`."""
+    calls, scoped = [], set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node
+        elif (isinstance(node, ast.Call) and _called(node) == "_drawn"
+              and (func is None or func.name != "_drawn")):
+            calls.append(node)
+        elif isinstance(node, (ast.With, ast.AsyncWith)) and not _yields(func):
+            scoped.update(id(item.context_expr) for item in node.items)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return [ast.unparse(call) for call in calls if id(call) not in scoped]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_draws_end_with_their_block(path):
+    assert loose_draws(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def rows(rng, shapes):\n    with _drawn(rng, shapes) as draws:\n"
+    "        yield next(draws)",
+    "def f(rng, shapes):\n    return _drawn(rng, shapes).__enter__()",
+    "def f(rng, shapes, stack):\n    with stack:\n"
+    "        stack.enter_context(fields._drawn(rng, shapes))",
+    "def f(rng, shapes):\n    with _drawn(rng, shapes) as draws:\n"
+    "        pass\n    yield 1",
+])
+def test_loose_draw_is_detected(source):
+    assert loose_draws(source)
+
+
+def test_draws_in_with_blocks_pass():
+    source = ("def _drawn(rng, shapes):\n    yield iter(shapes)\n"
+              "def f(rng, shapes):\n"
+              "    def rows(draws):\n        yield next(draws)\n"
+              "    with open('x') as g, fields._drawn(rng, shapes) as draws:\n"
+              "        return list(rows(draws))\n"
+              "with _drawn(rng, [(2,)]) as d:\n    pass\n")
+    assert loose_draws(source) == []
+
+
 def test_module_exports_resolve():
     # A name deleted from a module but left in an __all__ would only fail on
     # a star import; check every module's list and the package's.
